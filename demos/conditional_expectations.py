@@ -3,7 +3,8 @@ Exact conditional expectations on a finite space
 ================================================
 
 A decreasing filtration on a finite sample space is just a sequence of
-partitions, each coarser than the last.  Conditional expectation at a level
+partitions, each coarser than the last.  revmax stores it as an integer
+label matrix: one row per level, giving each atom its block label.  Conditional expectation at a level
 is the probability-weighted block average, so the structural identities of
 the theory can be checked exactly, atom by atom.
 """
@@ -22,8 +23,13 @@ from revmax import (
 # four equally likely atoms, refined -> pairs -> everything
 space = FiniteProbSpace([0.25, 0.25, 0.25, 0.25])
 filtration = DecreasingFiltration(
+    space, [[0, 1, 2, 3], [0, 0, 1, 1], [0, 0, 0, 0]]
+)
+# the same filtration written as lists of blocks, as in the problem JSON
+same = DecreasingFiltration.from_blocks(
     space, [[[0], [1], [2], [3]], [[0, 1], [2, 3]], [[0, 1, 2, 3]]]
 )
+print("level-2 labels   :", filtration.labels(2), "from blocks:", same.labels(2))
 X = RandomVector(space, [1.0, 3.0, 5.0, 7.0])
 
 print("X                :", X.values.ravel())

@@ -21,7 +21,7 @@ from .finite_prob import (
     orthogonality_gap,
     reverse_mart_diff,
 )
-from .weights import WeightSequence, WeightStats, compute_stats, parse_weight_spec, weight_eval
+from .weights import WeightSequence, WeightStats, compute_stats, even_odd_stats, parse_weight_spec
 from .inequalities import (
     InequalityId,
     Instance,

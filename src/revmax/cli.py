@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .finite_prob import ValidationError
-from .inequalities import InequalityId, VerificationRecord, verify_batch
+from .inequalities import InequalityId, VerificationRecord, traced_constant, verify_batch
 from .markov import (
     MarkovCheck,
     check_conditions,
@@ -34,6 +34,8 @@ from .markov import (
 from .simulate import (
     SimConfig,
     as_convergence_diagnostic,
+    jackknife_mean,
+    path_max_squares,
     sample_trajectories,
     series_paths,
 )
@@ -210,6 +212,7 @@ def _cmd_verify(args, argv) -> int:
 def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
     weights = parse_weight_spec(args.weights) if args.weights else None
+    tol_override = _tol_override(args)
     master = np.random.default_rng(args.seed)
     records: list[VerificationRecord] = []
     for _ in range(args.chains):
@@ -217,7 +220,7 @@ def _cmd_verify_markov(args, argv) -> int:
         chain, f = random_chain_instance(inst_seed, m_max=args.m_max)
         n = int(master.integers(1, args.n_max + 1))
         record = verify_markov_inequality(
-            check, chain, f, n, weights=weights, tol_override=_tol_override(args)
+            check, chain, f, n, weights=weights, tol_override=tol_override
         )
         record.descriptor["seed"] = inst_seed
         record.descriptor["atoms"] = chain.m
@@ -276,14 +279,10 @@ def _cmd_simulate(args, argv) -> int:
         _write_sidecar(args.paths_out, argv, seed=args.master_seed)
 
     if config.trials >= 100:
-        values = (paths ** 2).sum(axis=2).max(axis=1)
-        estimate = float(values.mean())
-        count = values.size
-        loo = (values.sum() - values) / (count - 1)
-        se = float(np.sqrt((count - 1) / count * ((loo - estimate) ** 2).sum()))
+        estimate, se = jackknife_mean(path_max_squares(paths))
         stats = compute_stats(w, args.n)
         series_bound = float(
-            36.0
+            traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
             * sum(stats.b[k] * powers.second_moment(k) for k in range(1, args.n + 1))
         )
         within = bool(estimate <= series_bound + 3.0 * se)
@@ -295,7 +294,7 @@ def _cmd_simulate(args, argv) -> int:
             payload = {
                 "estimate": estimate,
                 "standard_error": se,
-                "trials": count,
+                "trials": config.trials,
                 "series_bound": series_bound,
                 "within_bound": within,
             }

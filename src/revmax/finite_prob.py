@@ -5,11 +5,16 @@ A filtration level is a partition of the atom set; later levels are coarser
 level is the probability-weighted block average, so every functional in this
 module is computed by exact enumeration over atoms, never by sampling.
 
-Levels are indexed from 1 (the finest partition) through ``levels`` (the
-coarsest), matching the convention used throughout the package.
+A filtration is one integer label matrix with a row per level and a column
+per atom; ``DecreasingFiltration.from_blocks`` converts the block-list form
+used by the problem JSON.  Levels are indexed from 1 (the finest partition)
+through ``levels`` (the coarsest), matching the convention used throughout
+the package.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,75 +87,104 @@ class FiniteProbSpace:
 class DecreasingFiltration:
     """Finest-first sequence of partitions, each coarsening the previous one.
 
-    ``partitions[j-1]`` is level ``j``; every block of level ``j+1`` must be a
-    union of level-``j`` blocks.  Equal consecutive partitions are allowed
-    (the filtration may stabilize).  Validation is eager: all downstream
+    ``labels`` is a ``(levels, atoms)`` integer matrix whose row ``j-1`` gives
+    each atom its block at level ``j``.  Level ``j`` uses every label in
+    ``0..k_j-1``, and each of its blocks lies inside one level-``j+1`` block;
+    equal consecutive levels are allowed.  Validation is eager: all downstream
     operations assume the coarsening invariant.
     """
 
-    def __init__(self, space: FiniteProbSpace, partitions):
+    def __init__(self, space: FiniteProbSpace, labels):
         self.space = space
+        n = space.n_atoms
+        raw = np.asarray(labels)
+        if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[1] != n:
+            raise ValidationError(f"labels shape {raw.shape} is not (levels >= 1, {n})")
+        if raw.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got {raw.dtype}")
+        lab = raw.astype(np.int64)
+        if lab.min() < 0 or lab.max() >= n:
+            j, atom = np.argwhere((lab < 0) | (lab >= n))[0]
+            raise ValidationError(
+                f"level {j + 1} atom {atom} has label {lab[j, atom]} outside 0..{n - 1}"
+            )
+        # one bincount over all levels, each shifted past the labels before it
+        n_blocks = lab.max(axis=1) + 1
+        offsets = np.concatenate(([0], np.cumsum(n_blocks)[:-1]))
+        flat = (lab + offsets[:, None]).ravel()
+        counts = np.bincount(flat)
+        if counts.min() == 0:
+            label = int(np.argmin(counts))
+            j = int(np.searchsorted(offsets, label, side="right"))
+            raise ValidationError(
+                f"level {j} does not use label {label - offsets[j - 1]}; "
+                f"labels must run through 0..{n_blocks[j - 1] - 1}"
+            )
+        # first atom of each atom's block; a fine block must not straddle two
+        # coarse blocks, so its atoms share the coarse label of its first atom
+        first = np.full(counts.size, n)
+        np.minimum.at(first, flat, np.tile(np.arange(n), lab.shape[0]))
+        reps = first[flat].reshape(lab.shape)
+        moved = np.take_along_axis(lab[1:], reps[:-1], axis=1) - lab[1:]
+        if moved.any():
+            j = int(np.argmax(moved.any(axis=1))) + 1
+            raise ValidationError(
+                f"level {j + 1} is not a coarsening of level {j}: level-{j} block "
+                f"{lab[j - 1][moved[j - 1] != 0].min()} straddles two blocks"
+            )
+        for arr in (lab, reps, n_blocks):
+            arr.flags.writeable = False
+        self._labels, self._reps, self._n_blocks = lab, reps, n_blocks
+
+    @classmethod
+    def from_blocks(cls, space: FiniteProbSpace, partitions) -> "DecreasingFiltration":
+        """Filtration from block lists: ``partitions[j-1]`` is level ``j``.
+
+        Each level lists its blocks as sequences of atom indices; block ``b``
+        gets label ``b``.  Every atom must lie in exactly one block.
+        """
         n = space.n_atoms
         if not partitions:
             raise ValidationError("filtration needs at least one partition")
-        self._labels = []
-        self._blocks = []
-        for j, part in enumerate(partitions, start=1):
-            labels = np.full(n, -1, dtype=np.int64)
-            blocks = []
+        labels = np.full((len(partitions), n), -1, dtype=np.int64)
+        for j, (row, part) in enumerate(zip(labels, partitions), start=1):
             for b, block in enumerate(part):
                 if len(block) == 0:
                     raise ValidationError(f"level {j} block {b} is empty")
-                idx = np.asarray(sorted(block), dtype=np.int64)
-                if idx[0] < 0 or idx[-1] >= n:
+                idx = np.asarray(block, dtype=np.int64)
+                if idx.min() < 0 or idx.max() >= n:
                     raise ValidationError(
                         f"level {j} block {b} has atom index out of range"
                     )
-                if np.any(labels[idx] != -1):
+                if np.any(row[idx] != -1):
                     raise ValidationError(
                         f"level {j} block {b} overlaps a previous block"
                     )
-                labels[idx] = b
-                blocks.append(idx)
-            if np.any(labels == -1):
-                missing = int(np.argmax(labels == -1))
-                raise ValidationError(
-                    f"level {j} does not cover atom {missing}"
-                )
-            labels.flags.writeable = False
-            self._labels.append(labels)
-            self._blocks.append(blocks)
-        for j in range(len(self._labels) - 1):
-            fine, coarse = self._labels[j], self._labels[j + 1]
-            # coarsening check: a fine block must not straddle coarse blocks
-            for b, idx in enumerate(self._blocks[j]):
-                if np.any(coarse[idx] != coarse[idx[0]]):
-                    raise ValidationError(
-                        f"level {j + 2} is not a coarsening of level {j + 1}: "
-                        f"level-{j + 1} block {b} straddles two blocks"
-                    )
+                row[idx] = b
+            if np.any(row == -1):
+                missing = int(np.argmax(row == -1))
+                raise ValidationError(f"level {j} does not cover atom {missing}")
+        return cls(space, labels)
 
     @property
     def levels(self) -> int:
-        return len(self._labels)
+        return self._labels.shape[0]
+
+    def _row(self, level: int) -> int:
+        if not 1 <= level <= self.levels:
+            raise ValidationError(f"level {level} out of range 1..{self.levels}")
+        return level - 1
 
     def labels(self, level: int) -> np.ndarray:
         """Block label of each atom at a level (levels are 1-based)."""
-        if not 1 <= level <= self.levels:
-            raise ValidationError(
-                f"level {level} out of range 1..{self.levels}"
-            )
-        return self._labels[level - 1]
-
-    def blocks(self, level: int):
-        if not 1 <= level <= self.levels:
-            raise ValidationError(
-                f"level {level} out of range 1..{self.levels}"
-            )
-        return self._blocks[level - 1]
+        return self._labels[self._row(level)]
 
     def n_blocks(self, level: int) -> int:
-        return len(self.blocks(level))
+        return int(self._n_blocks[self._row(level)])
+
+    def representatives(self, level: int) -> np.ndarray:
+        """First atom of each atom's block at a level."""
+        return self._reps[self._row(level)]
 
 
 class RandomVector:
@@ -217,9 +251,8 @@ class AdaptedSequence:
                 raise ValidationError(f"term {j} lives on a different space")
             if term.dim != dim:
                 raise ValidationError(f"term {j} has dim {term.dim}, expected {dim}")
-            labels = filtration.labels(j)
-            reps = _block_representatives(labels)
-            if not np.array_equal(term.values, term.values[reps[labels]]):
+            reps = filtration.representatives(j)
+            if not np.array_equal(term.values, term.values[reps]):
                 raise ValidationError(
                     f"term {j} is not measurable at level {j}: "
                     "values differ inside a block"
@@ -236,15 +269,6 @@ class AdaptedSequence:
         return self.filtration.space
 
 
-def _block_representatives(labels: np.ndarray) -> np.ndarray:
-    """First atom index of each block label."""
-    n_blocks = int(labels.max()) + 1
-    reps = np.full(n_blocks, -1, dtype=np.int64)
-    for atom in range(labels.size - 1, -1, -1):
-        reps[labels[atom]] = atom
-    return reps
-
-
 def cond_expect(
     X: RandomVector, filtration: DecreasingFiltration, level: int
 ) -> RandomVector:
@@ -256,14 +280,13 @@ def cond_expect(
     if X.space is not filtration.space:
         raise ValidationError("random vector and filtration live on different spaces")
     labels = filtration.labels(level)
-    n_blocks = int(labels.max()) + 1
+    k = filtration.n_blocks(level)
     p = X.space.probs
-    block_prob = np.bincount(labels, weights=p, minlength=n_blocks)
-    out = np.empty_like(X.values)
-    for c in range(X.dim):
-        sums = np.bincount(labels, weights=p * X.values[:, c], minlength=n_blocks)
-        out[:, c] = (sums / block_prob)[labels]
-    return RandomVector(X.space, out)
+    block_prob = np.bincount(labels, weights=p)
+    # one bincount for all coordinates: coordinate c uses the labels shifted by c*k
+    shifted = labels[:, None] + k * np.arange(X.dim)
+    sums = np.bincount(shifted.ravel(), weights=(p[:, None] * X.values).ravel())
+    return RandomVector(X.space, (sums.reshape(X.dim, k) / block_prob).T[labels])
 
 
 def reverse_mart_diff(
@@ -285,14 +308,8 @@ def adapted_partial_sums(seq: AdaptedSequence, n: int):
     """
     if not 1 <= n <= len(seq):
         raise ValidationError(f"n={n} exceeds sequence length {len(seq)}")
-    partial = []
-    conditioned = []
-    running = seq.terms[0]
-    for k in range(1, n + 1):
-        if k > 1:
-            running = running + seq.terms[k - 1]
-        partial.append(running)
-        conditioned.append(cond_expect(running, seq.filtration, k))
+    partial = list(accumulate(seq.terms[:n]))
+    conditioned = [cond_expect(s, seq.filtration, k) for k, s in enumerate(partial, 1)]
     return partial, conditioned
 
 
@@ -369,7 +386,7 @@ def load_problem(obj: dict):
     if "partitions" not in obj:
         raise ValidationError("missing field 'partitions'")
     space = FiniteProbSpace(obj["probs"])
-    filtration = DecreasingFiltration(space, obj["partitions"])
+    filtration = DecreasingFiltration.from_blocks(space, obj["partitions"])
     if "terms" not in obj or obj["terms"] is None:
         return space, filtration, None
     dim = int(obj.get("dim", 1))

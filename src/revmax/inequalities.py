@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "random_instance",
     "verify",
     "verify_batch",
+    "make_record",
     "series_criterion",
     "SeriesVerdict",
 ]
@@ -244,20 +246,18 @@ def random_instance(
     probs = rng.uniform(0.2, 1.0, atoms)
     space = FiniteProbSpace(probs / probs.sum())
 
-    blocks = [[i] for i in range(atoms)]
-    partitions = [[list(b) for b in blocks]]
-    for _ in range(levels - 1):
-        i, j = sorted(rng.choice(len(blocks), size=2, replace=False))
-        blocks[i] = sorted(blocks[i] + blocks[j])
-        del blocks[j]
-        partitions.append([list(b) for b in blocks])
-    filtration = DecreasingFiltration(space, partitions)
+    # merging blocks i < j keeps label i and shifts the labels above j down
+    labels = np.tile(np.arange(atoms), (levels, 1))
+    for level in range(1, levels):
+        i, j = sorted(rng.choice(atoms - level + 1, size=2, replace=False))
+        row = np.where(labels[level - 1] == j, i, labels[level - 1])
+        labels[level] = row - (row > j)
+    filtration = DecreasingFiltration(space, labels)
 
     terms = []
     for j in range(1, n + 1):
-        labels = filtration.labels(j)
         draws = rng.standard_normal((filtration.n_blocks(j), dim))
-        terms.append(RandomVector(space, draws[labels]))
+        terms.append(RandomVector(space, draws[labels[j - 1]]))
     sequence = AdaptedSequence(filtration, terms)
     return Instance(
         space=space,
@@ -269,26 +269,6 @@ def random_instance(
         n=n,
         dim=dim,
     )
-
-
-def _weighted_terms(instance: Instance, weights: WeightSequence, n: int):
-    """Driving vector X and the derived sequence a_j E_j X, j = 1..n."""
-    X = instance.sequence.terms[0]
-    conditioned = [
-        cond_expect(X, instance.filtration, j) for j in range(1, n + 1)
-    ]
-    scaled = [conditioned[j - 1].scaled(weights.eval(j)) for j in range(1, n + 1)]
-    return X, conditioned, scaled
-
-
-def _partial_sums(vectors):
-    out = []
-    running = vectors[0]
-    for k, v in enumerate(vectors):
-        if k > 0:
-            running = running + v
-        out.append(running)
-    return out
 
 
 def verify(
@@ -312,16 +292,17 @@ def verify(
         raise ValidationError(f"n={n} out of range for instance with n={instance.n}")
     constant = traced_constant(check, p)
     filtration = instance.filtration
+    X = instance.sequence.terms[0]
 
     if check in _WEIGHTED_IDS:
         if weights is None:
             raise ValidationError(f"{check.value} needs a weight sequence")
         stats = compute_stats(weights, n)
-        X, conditioned, scaled = _weighted_terms(instance, weights, n)
-        partials = _partial_sums(scaled)
-        scaled_cond = [
-            conditioned[k - 1].scaled(stats.s[k]) for k in range(1, n + 1)
-        ]
+        conditioned = [cond_expect(X, filtration, j) for j in range(1, n + 1)]
+        partials = list(accumulate(
+            conditioned[j - 1].scaled(weights.eval(j)) for j in range(1, n + 1)
+        ))
+        scaled_cond = [c.scaled(stats.s[k]) for k, c in enumerate(conditioned, 1)]
         if check is InequalityId.WEIGHTED_MAX_VS_ENDPOINT:
             lhs = exact_max_moment(partials, p)
             rhs = exact_max_moment(scaled_cond, p) + partials[-1].moment(p)
@@ -344,12 +325,8 @@ def verify(
     elif check is InequalityId.SMOOTHNESS:
         if filtration.levels < n + 1:
             raise ValidationError("smoothness check needs levels >= n + 1")
-        X = instance.sequence.terms[0]
         diffs = [reverse_mart_diff(X, filtration, i) for i in range(1, n + 1)]
-        total = diffs[0]
-        for d in diffs[1:]:
-            total = total + d
-        lhs = total.moment(p)
+        lhs = sum(diffs[1:], diffs[0]).moment(p)
         rhs = sum(d.moment(p) for d in diffs)
     else:
         partial, conditioned = adapted_partial_sums(instance.sequence, n)
@@ -357,20 +334,18 @@ def verify(
         if check is InequalityId.MAX_VS_ENDPOINT:
             rhs = exact_max_moment(conditioned, p) + partial[-1].moment(p)
         else:  # MAX_VS_PROJECTIONS
-            if not 1 < p <= 2:
-                raise ValidationError(f"{check.value} needs 1 < p <= 2")
             rhs = exact_max_moment(conditioned, p)
             for i in range(1, n):
                 coarser = cond_expect(partial[i - 1], filtration, i + 1)
                 rhs += (conditioned[i - 1] - coarser).moment(p)
 
-    return _make_record(
+    return make_record(
         check.value, p, instance.descriptor() | {"horizon": n},
         lhs, rhs, constant.value, tol_override,
     )
 
 
-def _make_record(
+def make_record(
     check: str,
     p: float,
     descriptor: dict,
@@ -379,6 +354,10 @@ def _make_record(
     constant: float,
     tol_override: float | None = None,
 ) -> VerificationRecord:
+    """Record for lhs <= constant * rhs, judged with the pass slack.
+
+    A zero rhs needs lhs <= 1e-12 and marks the record skipped.
+    """
     slack = PASS_SLACK if tol_override is None else tol_override
     bound = constant * rhs
     if rhs == 0.0:

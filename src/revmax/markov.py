@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_prob import ValidationError
-from .inequalities import TracedConstant, VerificationRecord, _make_record
-from .weights import WeightSequence, compute_stats
+from .inequalities import TracedConstant, VerificationRecord, make_record
+from .weights import WeightSequence, even_odd_stats
 
 __all__ = [
     "ReversibleChain",
@@ -760,11 +760,10 @@ def verify_markov_inequality(
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
         w = weights if weights is not None else WeightSequence.constant(1.0)
-        stats = compute_stats(w, n)
+        even, odd = even_odd_stats(w, n)
+        b_star = np.maximum(even.b, odd.b)
         _, lhs = weighted_series(chain, f, w, 2 * n, powers)
-        rhs = sum(
-            stats.b_star[j] * powers.second_moment(j) for j in range(1, n + 1)
-        )
+        rhs = sum(b_star[j] * powers.second_moment(j) for j in range(1, n + 1))
         descriptor["weights"] = w.describe()
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
         _, lhs = weighted_series(chain, f, WeightSequence.constant(1.0), n, powers)
@@ -787,7 +786,7 @@ def verify_markov_inequality(
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 
-    return _make_record(
+    return make_record(
         check.value, 2.0, descriptor, lhs, rhs, constant.value, tol_override
     )
 

@@ -8,7 +8,6 @@ outputs depend on the master seed only, never on thread count or scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,6 +28,8 @@ __all__ = [
     "OscillationTable",
     "as_convergence_diagnostic",
     "MaxMomentEstimate",
+    "path_max_squares",
+    "jackknife_mean",
     "mc_max_moment",
     "enumerate_max_moment",
 ]
@@ -246,8 +247,18 @@ class MaxMomentEstimate:
     trials: int
 
 
-def _max_square(paths: np.ndarray) -> np.ndarray:
+def path_max_squares(paths: np.ndarray) -> np.ndarray:
+    """max_k |T_k|^2 for each trial of a (trials, n, dim) path batch."""
     return (paths ** 2).sum(axis=2).max(axis=1)
+
+
+def jackknife_mean(values: np.ndarray):
+    """Mean of the values and its leave-one-out jackknife standard error."""
+    mean = float(values.mean())
+    count = values.size
+    leave_one_out = (float(values.sum()) - values) / (count - 1)
+    se = math.sqrt((count - 1) / count * float(((leave_one_out - mean) ** 2).sum()))
+    return mean, se
 
 
 def mc_max_moment(
@@ -279,21 +290,20 @@ def mc_max_moment(
     def run(bounds):
         lo, hi = bounds
         states = sample_trajectories(chain, n, seeds[lo:hi])
-        return _max_square(series_paths(chain, f, w, states, powers))
+        return path_max_squares(series_paths(chain, f, w, states, powers))
 
     if config.threads == 1 or len(ranges) == 1:
         pieces = [run(r) for r in ranges]
     else:
+        # imported here: no CLI command fans out, and the import costs every
+        # process about 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             pieces = list(pool.map(run, ranges))
     values = np.concatenate(pieces)
-
-    mean = float(values.mean())
-    total = float(values.sum())
-    count = values.size
-    leave_one_out = (total - values) / (count - 1)
-    se = math.sqrt((count - 1) / count * float(((leave_one_out - mean) ** 2).sum()))
-    return MaxMomentEstimate(estimate=mean, standard_error=se, trials=count)
+    mean, se = jackknife_mean(values)
+    return MaxMomentEstimate(estimate=mean, standard_error=se, trials=values.size)
 
 
 def enumerate_max_moment(

@@ -3,8 +3,8 @@
 A weight sequence is evaluable at any index j >= 1; explicit lists refuse
 evaluation past their recorded length.  The derived statistics deliberately
 over-reach the requested horizon: the coefficient b_k reads running maxima of
-partial sums through index 4k, and the even/odd variants read the raw weights
-through index 8k, so ``compute_stats(w, n)`` needs w evaluable up to 8n.
+partial sums through index 4k, so ``compute_stats(w, n)`` needs w evaluable
+up to 4n, and ``even_odd_stats(w, n)`` needs it up to 8n.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .finite_prob import ValidationError
 __all__ = [
     "WeightSequence",
     "WeightStats",
-    "weight_eval",
     "compute_stats",
+    "even_odd_stats",
     "parse_weight_spec",
 ]
 
@@ -122,91 +122,56 @@ class WeightSequence:
         return f"WeightSequence({self.describe()})"
 
 
-def weight_eval(w: WeightSequence, j: int) -> float:
-    """a_j for the given sequence."""
-    return w.eval(j)
-
-
 @dataclass(frozen=True)
 class WeightStats:
     """Partial-sum statistics of a weight sequence up to horizon n.
 
     All arrays are 1-based: entry k holds the order-k statistic, entry 0 is a
     zero pad (sums) or unused (coefficients).  Sums and running maxima extend
-    to index 4n because b_k reads the running maximum at 4k; the even/odd sums
-    do the same for their own coefficients.
+    to index 4n because b_k reads the running maximum at 4k.
 
     s[k]       a_1 + .. + a_k                      (k <= 4n)
     s_star[k]  max_{1<=j<=k} |s[j]|                (k <= 4n)
     b[k]       max(s_star[4k]^2 / k, s[k]^2 - s[k-1]^2)      (k <= n)
-    s_e[k]     a_2 + a_4 + .. + a_{2k}             (k <= 4n)
-    s_o[k]     a_1 + a_3 + .. + a_{2k-1}           (k <= 4n)
-    b_e, b_o   as b, built from the even/odd sums  (k <= n)
-    b_star[k]  max(b_e[k], b_o[k])                 (k <= n)
     """
 
     n: int
     s: np.ndarray
     s_star: np.ndarray
     b: np.ndarray
-    s_e: np.ndarray
-    s_o: np.ndarray
-    s_e_star: np.ndarray
-    s_o_star: np.ndarray
-    b_e: np.ndarray
-    b_o: np.ndarray
-    b_star: np.ndarray
 
 
-def _partial_sums(a_vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(a_vals.size)
-    out[1:] = np.cumsum(a_vals[1:])
-    return out
-
-
-def _running_abs_max(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    out[1:] = np.maximum.accumulate(np.abs(s[1:]))
-    return out
-
-
-def _b_coefficients(s: np.ndarray, s_star: np.ndarray, n: int) -> np.ndarray:
+def _stats(a: np.ndarray, n: int) -> WeightStats:
+    """Statistics of the weights a[1..4n] (a[0] is ignored)."""
+    s = np.zeros(4 * n + 1)
+    s[1:] = np.cumsum(a[1 : 4 * n + 1])
+    s_star = np.zeros_like(s)
+    s_star[1:] = np.maximum.accumulate(np.abs(s[1:]))
     k = np.arange(1, n + 1)
-    quadratic = s_star[4 * k] ** 2 / k
-    increments = s[k] ** 2 - s[k - 1] ** 2
-    out = np.full(n + 1, np.nan)
-    out[1:] = np.maximum(quadratic, increments)
-    return out
+    b = np.full(n + 1, np.nan)
+    b[1:] = np.maximum(s_star[4 * k] ** 2 / k, s[k] ** 2 - s[k - 1] ** 2)
+    for arr in (s, s_star, b):
+        arr.flags.writeable = False
+    return WeightStats(n=n, s=s, s_star=s_star, b=b)
 
 
 def compute_stats(w: WeightSequence, n: int) -> WeightStats:
-    """All derived statistics for horizon n; needs a_j through index 8n."""
+    """All derived statistics for horizon n; needs a_j through index 4n."""
+    if n < 1:
+        raise ValidationError("horizon must be >= 1")
+    return _stats(w.eval_range(4 * n), n)
+
+
+def even_odd_stats(w: WeightSequence, n: int):
+    """Statistics of the even terms a_2, a_4, .. and of the odd terms a_1, a_3, ..
+
+    Returns ``(even, odd)``; each is :func:`compute_stats` of its subsequence,
+    so together they need a_j through index 8n.
+    """
     if n < 1:
         raise ValidationError("horizon must be >= 1")
     a = w.eval_range(8 * n)
-    s = _partial_sums(a[: 4 * n + 1])
-    s_star = _running_abs_max(s)
-    b = _b_coefficients(s, s_star, n)
-
-    even = np.zeros(4 * n + 1)
-    even[1:] = a[2 : 8 * n + 1 : 2]
-    odd = np.zeros(4 * n + 1)
-    odd[1:] = a[1 : 8 * n : 2]
-    s_e = _partial_sums(even)
-    s_o = _partial_sums(odd)
-    s_e_star = _running_abs_max(s_e)
-    s_o_star = _running_abs_max(s_o)
-    b_e = _b_coefficients(s_e, s_e_star, n)
-    b_o = _b_coefficients(s_o, s_o_star, n)
-    b_star = np.maximum(b_e, b_o)
-
-    for arr in (s, s_star, b, s_e, s_o, s_e_star, s_o_star, b_e, b_o, b_star):
-        arr.flags.writeable = False
-    return WeightStats(
-        n=n, s=s, s_star=s_star, b=b,
-        s_e=s_e, s_o=s_o, s_e_star=s_e_star, s_o_star=s_o_star,
-        b_e=b_e, b_o=b_o, b_star=b_star,
-    )
+    return _stats(np.r_[0.0, a[2::2]], n), _stats(np.r_[0.0, a[1::2]], n)
 
 
 def parse_weight_spec(text: str) -> WeightSequence:

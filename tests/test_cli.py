@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from revmax import SimConfig, WeightSequence, load_chain, load_observable, mc_max_moment
 from revmax.cli import run
 
 
@@ -121,6 +122,18 @@ class TestVerify:
         assert "overridden" in capsys.readouterr().err
 
 
+    def test_explicit_weights_need_only_4n(self, tmp_path):
+        # second-moment-series at horizon n reads a_1..a_4n; n-max 32 needs 128
+        weights = tmp_path / "w128.json"
+        weights.write_text(json.dumps([1.0 / (j + 1) for j in range(128)]))
+        out = tmp_path / "r.csv"
+        assert run([
+            "verify", "--id", "second-moment-series", "--instances", "10",
+            "--seed", "2", "--weights", f"explicit:@{weights}", "-o", str(out),
+        ]) == 0
+        assert len(read(out).strip().splitlines()) == 11
+
+
 class TestVerifyMarkov:
     def test_batch_passes(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -143,6 +156,15 @@ class TestVerifyMarkov:
             ]) == 0
             outs.append(read(path))
         assert outs[0] == outs[1] == outs[2]
+
+
+    def test_tol_override_warns_once_per_run(self, tmp_path, capsys):
+        assert run([
+            "verify-markov", "--id", "stein", "--chains", "3", "--seed", "1",
+            "--m-max", "8", "--n-max", "8", "--tol-override", "1e-9",
+            "-o", str(tmp_path / "m.csv"),
+        ]) == 0
+        assert capsys.readouterr().err.count("WARNING: pass tolerance overridden") == 1
 
 
 class TestSimulate:
@@ -174,6 +196,36 @@ class TestSimulate:
             ]) == 0
             texts.append(read(osc) + read(est))
         assert texts[0] == texts[1] == texts[2]
+
+    def test_estimate_with_exactly_4n_explicit_weights(self, chain_files, tmp_path):
+        # the series bound reads a_1..a_4n and nothing further
+        chain, f, _ = chain_files
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([1.0 / (j + 1) for j in range(4 * 64)]))
+        est = tmp_path / "est.json"
+        assert run([
+            "simulate", "--chain", str(chain), "--observable", str(f),
+            "--weights", f"explicit:@{weights}", "--n", "64", "--trials", "100",
+            "--master-seed", "2", "--estimate-out", str(est),
+        ]) == 0
+        payload = json.loads(read(est))
+        assert payload["trials"] == 100 and payload["within_bound"]
+
+    def test_estimate_matches_the_library_estimator(self, chain_files, tmp_path):
+        chain, f, _ = chain_files
+        est = tmp_path / "est.json"
+        assert run([
+            "simulate", "--chain", str(chain), "--observable", str(f),
+            "--weights", "power:-0.5", "--n", "32", "--trials", "120",
+            "--master-seed", "6", "--estimate-out", str(est),
+        ]) == 0
+        payload = json.loads(read(est))
+        out = mc_max_moment(
+            load_chain(json.loads(read(chain))), load_observable(json.loads(read(f))),
+            WeightSequence.power(-0.5), 32, SimConfig(master_seed=6, trials=120, horizon=32),
+        )
+        assert payload["estimate"] == out.estimate
+        assert payload["standard_error"] == out.standard_error
 
     def test_paths_csv_shape(self, chain_files, tmp_path):
         chain, f, _ = chain_files

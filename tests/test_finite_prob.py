@@ -23,18 +23,20 @@ def make_space(n):
 
 
 def three_level(space):
-    return DecreasingFiltration(
+    return DecreasingFiltration.from_blocks(
         space, [[[0], [1], [2], [3]], [[0, 1], [2, 3]], [[0, 1, 2, 3]]]
     )
 
 
 def brute_block_average(space, filtration, values, level):
-    """Independent oracle: explicit loop over blocks."""
+    """Independent oracle: explicit loop over the blocks of the level's labels."""
     out = np.array(values, dtype=float)
     if out.ndim == 1:
         out = out[:, None]
+    labels = filtration.labels(level)
     result = np.empty_like(out)
-    for block in filtration.blocks(level):
+    for label in set(labels.tolist()):
+        block = labels == label
         weight = space.probs[block].sum()
         avg = (space.probs[block][:, None] * out[block]).sum(axis=0) / weight
         result[block] = avg
@@ -57,26 +59,82 @@ class TestConstruction:
     def test_empty_block_rejected(self):
         space = make_space(2)
         with pytest.raises(ValidationError, match="block 1 is empty"):
-            DecreasingFiltration(space, [[[0, 1], []]])
+            DecreasingFiltration.from_blocks(space, [[[0, 1], []]])
 
     def test_missing_atom_rejected(self):
         space = make_space(3)
         with pytest.raises(ValidationError, match="cover atom 2"):
-            DecreasingFiltration(space, [[[0, 1]]])
+            DecreasingFiltration.from_blocks(space, [[[0, 1]]])
 
     def test_non_coarsening_rejected(self):
         space = make_space(4)
         with pytest.raises(ValidationError, match="straddles"):
-            DecreasingFiltration(
+            DecreasingFiltration.from_blocks(
                 space, [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
             )
 
     def test_equal_consecutive_partitions_allowed(self):
         space = make_space(4)
-        filt = DecreasingFiltration(
+        filt = DecreasingFiltration.from_blocks(
             space, [[[0, 1], [2, 3]], [[0, 1], [2, 3]]]
         )
         assert filt.levels == 2
+
+    def test_block_list_errors_name_level_and_block(self):
+        space = make_space(3)
+        with pytest.raises(ValidationError, match="level 1 block 1 overlaps"):
+            DecreasingFiltration.from_blocks(space, [[[0, 1], [1, 2]]])
+        with pytest.raises(ValidationError, match="level 2 block 0 has atom index out of range"):
+            DecreasingFiltration.from_blocks(space, [[[0], [1], [2]], [[0, 3]]])
+
+    def test_block_lists_and_label_matrix_agree(self):
+        space = make_space(4)
+        filt = DecreasingFiltration(space, [[0, 1, 2, 3], [0, 0, 1, 1], [0, 0, 0, 0]])
+        blocks = three_level(space)
+        for level in (1, 2, 3):
+            np.testing.assert_array_equal(filt.labels(level), blocks.labels(level))
+        assert [filt.n_blocks(level) for level in (1, 2, 3)] == [4, 2, 1]
+        np.testing.assert_array_equal(filt.representatives(2), [0, 0, 2, 2])
+
+    def test_label_matrix_is_read_only(self):
+        filt = three_level(make_space(4))
+        with pytest.raises(ValueError):
+            filt.labels(2)[0] = 1
+
+    def test_label_gap_rejected(self):
+        space = make_space(4)
+        with pytest.raises(ValidationError, match="level 2 does not use label 1"):
+            DecreasingFiltration(space, [[0, 1, 2, 3], [0, 2, 2, 0]])
+
+    def test_wrong_shape_rejected(self):
+        space = make_space(4)
+        for bad in ([0, 1, 2, 3], [[0, 1, 2]], np.zeros((0, 4), dtype=np.int64)):
+            with pytest.raises(ValidationError, match="shape"):
+                DecreasingFiltration(space, bad)
+
+    def test_labels_outside_range_or_not_integer_rejected(self):
+        space = make_space(3)
+        with pytest.raises(ValidationError, match="level 1 atom 2 has label 3"):
+            DecreasingFiltration(space, [[0, 1, 3]])
+        with pytest.raises(ValidationError, match="level 1 atom 0 has label -1"):
+            DecreasingFiltration(space, [[-1, 0, 1]])
+        with pytest.raises(ValidationError, match="integers"):
+            DecreasingFiltration(space, [[0.0, 1.0, 2.0]])
+
+    def test_non_coarsening_at_a_late_level_rejected(self):
+        space = make_space(5)
+        labels = [
+            [0, 1, 2, 3, 4],
+            [0, 0, 1, 2, 3],
+            [0, 0, 1, 1, 2],
+            [0, 0, 1, 0, 1],
+        ]
+        with pytest.raises(
+            ValidationError,
+            match="level 4 is not a coarsening of level 3: level-3 block 1 straddles",
+        ):
+            DecreasingFiltration(space, labels)
+        DecreasingFiltration(space, labels[:3] + [[0, 0, 0, 0, 1]])
 
     def test_measurability_enforced_exactly(self):
         space = make_space(4)
@@ -105,7 +163,7 @@ class TestCondExpect:
     def test_weighted_mean_on_unequal_probs(self):
         # 0.5*2 + 0.25*4 + 0.25*8 = 4
         space = FiniteProbSpace([0.5, 0.25, 0.25])
-        filt = DecreasingFiltration(space, [[[0, 1, 2]]])
+        filt = DecreasingFiltration.from_blocks(space, [[[0, 1, 2]]])
         out = cond_expect(RandomVector(space, [2.0, 4.0, 8.0]), filt, 1)
         np.testing.assert_allclose(out.values.ravel(), [4.0, 4.0, 4.0], atol=1e-15)
 
@@ -122,6 +180,22 @@ class TestCondExpect:
                     inst.space, inst.filtration, X.values, level
                 )
                 np.testing.assert_allclose(got, want, atol=1e-14)
+
+    def test_level_merging_many_blocks_at_once(self):
+        # twelve singletons collapse into three blocks in one step, then into one
+        rng = np.random.default_rng(3)
+        raw = rng.uniform(0.2, 1.0, 12)
+        space = FiniteProbSpace(raw / raw.sum())
+        filt = DecreasingFiltration(space, [
+            np.arange(12),
+            [2, 0, 1, 1, 2, 0, 0, 2, 1, 0, 1, 0],
+            np.zeros(12, dtype=np.int64),
+        ])
+        assert filt.n_blocks(2) == 3
+        X = RandomVector(space, rng.standard_normal((12, 2)))
+        for level in (1, 2, 3):
+            want = brute_block_average(space, filt, X.values, level)
+            np.testing.assert_allclose(cond_expect(X, filt, level).values, want, atol=1e-14)
 
     def test_tower_property(self):
         rng = np.random.default_rng(7)
@@ -177,7 +251,7 @@ class TestReverseMartDiff:
 
     def test_identical_partitions_give_zero(self):
         space = make_space(4)
-        filt = DecreasingFiltration(space, [[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
+        filt = DecreasingFiltration.from_blocks(space, [[[0, 1], [2, 3]], [[0, 1], [2, 3]]])
         X = RandomVector(space, [1.0, 1.0, 4.0, 4.0])
         np.testing.assert_array_equal(reverse_mart_diff(X, filt, 1).values, 0.0)
 
@@ -280,7 +354,7 @@ class TestDecomposition:
     def test_constant_filtration_collapses(self):
         space = make_space(4)
         part = [[[0, 1], [2, 3]]] * 4
-        filt = DecreasingFiltration(space, part)
+        filt = DecreasingFiltration.from_blocks(space, part)
         X = RandomVector(space, [1.0, 1.0, -2.0, -2.0])
         seq = AdaptedSequence(filt, [X, X.scaled(0.5), X.scaled(-1.0)])
         assert decomposition_residual(seq, 3) <= 1e-13
@@ -300,7 +374,7 @@ class TestDecomposition:
 class TestOrthogonality:
     def test_constant_terms_give_zero(self):
         space = make_space(4)
-        filt = DecreasingFiltration(space, [[[0, 1, 2, 3]]] * 4)
+        filt = DecreasingFiltration.from_blocks(space, [[[0, 1, 2, 3]]] * 4)
         c = RandomVector(space, np.full(4, 2.5))
         seq = AdaptedSequence(filt, [c, c, c])
         lhs, rhs = orthogonality_gap(seq, 2)

@@ -83,6 +83,33 @@ class TestRandomInstance:
         for level in range(1, 9):
             assert inst.filtration.n_blocks(level) == 8 - level + 1
 
+    def test_labels_match_the_list_merge_generator(self):
+        # reference: merge explicit block lists, then read the labels off them
+        def list_merge_labels(seed, atoms, levels):
+            rng = np.random.default_rng(seed)
+            rng.uniform(0.2, 1.0, atoms)  # the probabilities are drawn first
+            blocks = [[i] for i in range(atoms)]
+            rows = []
+            for level in range(levels):
+                if level:
+                    i, j = sorted(rng.choice(len(blocks), size=2, replace=False))
+                    blocks[i] = sorted(blocks[i] + blocks[j])
+                    del blocks[j]
+                row = np.empty(atoms, dtype=np.int64)
+                for b, block in enumerate(blocks):
+                    row[block] = b
+                rows.append(row)
+            return rows
+
+        shapes = np.random.default_rng(53)
+        for seed in range(50):
+            atoms = int(shapes.integers(2, 65))
+            levels = int(shapes.integers(2, atoms + 1))
+            inst = random_instance(seed, atoms=atoms, levels=levels, n=levels - 1, dim=1)
+            want = list_merge_labels(seed, atoms, levels)
+            for level in range(1, levels + 1):
+                np.testing.assert_array_equal(inst.filtration.labels(level), want[level - 1])
+
     def test_infeasible_shapes_rejected(self):
         with pytest.raises(ValidationError, match="infeasible"):
             random_instance(3, atoms=4, levels=5, n=4, dim=1)
@@ -183,7 +210,7 @@ class TestPropertySuite:
 
         space = FiniteProbSpace(space_probs)
         parts = [[[0, 1], [2, 3], [4, 5], [6, 7]]] * 2 + [[[0, 1, 2, 3], [4, 5, 6, 7]]] * 30
-        filt = DecreasingFiltration(space, parts)
+        filt = DecreasingFiltration.from_blocks(space, parts)
         rng = np.random.default_rng(3)
         X = RandomVector(space, rng.standard_normal(8))
         w = WeightSequence.explicit([4.0 ** -j for j in range(1, 31)])

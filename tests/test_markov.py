@@ -19,6 +19,7 @@ from revmax import (
     dump_chain,
     dump_observable,
     even_odd_split_residual,
+    even_odd_stats,
     inspect_growth_weights,
     jacobi_eigendecomposition,
     lazy_ring,
@@ -411,6 +412,19 @@ class TestMarkovInequalities:
         f = Observable([1.0, 1.0]).centered(chain)
         rec = verify_markov_inequality(MarkovCheck.WEIGHTED_POWER_MAX, chain, f, 8)
         assert rec.skipped and rec.passed
+
+    def test_weighted_power_max_rhs_uses_even_odd_coefficients(self):
+        # b*_j = max of the b coefficients of the even and odd weight subsequences
+        chain, f = random_chain_instance(89, m_max=12)
+        w = WeightSequence.alternating(WeightSequence.power(-0.5))
+        n = 10
+        even, odd = even_odd_stats(w, n)
+        powers = ChainPowers(chain, f)
+        rhs = sum(
+            max(even.b[j], odd.b[j]) * powers.second_moment(j) for j in range(1, n + 1)
+        )
+        rec = verify_markov_inequality(MarkovCheck.WEIGHTED_POWER_MAX, chain, f, n, weights=w)
+        assert rec.rhs == rhs
 
     def test_property_suite_across_checks(self):
         rng = np.random.default_rng(73)

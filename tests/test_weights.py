@@ -7,33 +7,33 @@ from revmax import (
     ValidationError,
     WeightSequence,
     compute_stats,
+    even_odd_stats,
     parse_weight_spec,
-    weight_eval,
 )
 
 
 class TestEval:
     def test_power(self):
-        assert weight_eval(WeightSequence.power(-0.5), 4) == pytest.approx(0.5)
+        assert WeightSequence.power(-0.5).eval(4) == pytest.approx(0.5)
 
     def test_constant(self):
         w = WeightSequence.constant(1.0)
-        assert all(weight_eval(w, j) == 1.0 for j in (1, 2, 100))
+        assert all(w.eval(j) == 1.0 for j in (1, 2, 100))
 
     def test_explicit_lookup(self):
         w = WeightSequence.explicit([3.0, -1.0, 2.0])
-        assert weight_eval(w, 2) == -1.0
+        assert w.eval(2) == -1.0
 
     def test_explicit_overrun(self):
         w = WeightSequence.explicit([3.0, -1.0, 2.0])
         with pytest.raises(ValidationError, match="length 3"):
-            weight_eval(w, 4)
+            w.eval(4)
 
     def test_alternating_signs(self):
         w = WeightSequence.alternating(WeightSequence.power(-0.5))
-        assert weight_eval(w, 1) == pytest.approx(1.0)
-        assert weight_eval(w, 2) == pytest.approx(-(2.0 ** -0.5))
-        assert weight_eval(w, 3) == pytest.approx(3.0 ** -0.5)
+        assert w.eval(1) == pytest.approx(1.0)
+        assert w.eval(2) == pytest.approx(-(2.0 ** -0.5))
+        assert w.eval(3) == pytest.approx(3.0 ** -0.5)
 
     def test_range_matches_pointwise(self):
         for w in (
@@ -75,9 +75,10 @@ class TestStats:
         rng = np.random.default_rng(5)
         w = WeightSequence.explicit(rng.standard_normal(160).tolist())
         stats = compute_stats(w, 20)
+        even, odd = even_odd_stats(w, 20)
         assert np.all(np.diff(stats.s_star[1:]) >= 0)
-        assert np.all(np.diff(stats.s_e_star[1:]) >= 0)
-        assert np.all(np.diff(stats.s_o_star[1:]) >= 0)
+        assert np.all(np.diff(even.s_star[1:]) >= 0)
+        assert np.all(np.diff(odd.s_star[1:]) >= 0)
 
     def test_b_dominates_both_branches(self):
         rng = np.random.default_rng(9)
@@ -87,7 +88,6 @@ class TestStats:
             assert stats.b[k] >= stats.s[k] ** 2 - stats.s[k - 1] ** 2 - 1e-15
             assert stats.b[k] >= stats.s_star[4 * k] ** 2 / k - 1e-15
             assert stats.b[k] >= 0.0
-            assert stats.b_star[k] == max(stats.b_e[k], stats.b_o[k])
 
     def test_b_positive_when_any_weight_is_nonzero(self):
         w = WeightSequence.explicit([0.0, 0.0, 1.0] + [0.0] * 40)
@@ -107,22 +107,32 @@ class TestStats:
         rng = np.random.default_rng(17)
         w = WeightSequence.explicit(rng.standard_normal(400).tolist())
         stats = compute_stats(w, 25)
+        even, odd = even_odd_stats(w, 25)
         # s_{2k} = s_e_k + s_o_k up to float reassociation
         for k in range(1, 26):
-            assert stats.s[2 * k] == pytest.approx(
-                stats.s_e[k] + stats.s_o[k], abs=1e-12
-            )
+            assert stats.s[2 * k] == pytest.approx(even.s[k] + odd.s[k], abs=1e-12)
+        # the subsequences are the weights a_2, a_4, .. and a_1, a_3, ..
+        np.testing.assert_array_equal(even.s[1:3], np.cumsum([w.eval(2), w.eval(4)]))
+        np.testing.assert_array_equal(odd.s[1:3], np.cumsum([w.eval(1), w.eval(3)]))
 
     def test_all_zero_weights_are_allowed(self):
         stats = compute_stats(WeightSequence.constant(0.0), 6)
         assert np.all(stats.b[1:] == 0.0)
-        assert np.all(stats.b_star[1:] == 0.0)
+        even, odd = even_odd_stats(WeightSequence.constant(0.0), 6)
+        assert np.all(even.b[1:] == 0.0) and np.all(odd.b[1:] == 0.0)
+
+    def test_explicit_list_must_reach_4n(self):
+        w = WeightSequence.explicit([1.0] * 30)
+        compute_stats(w, 7)
+        with pytest.raises(ValidationError, match="index 32"):
+            compute_stats(w, 8)
 
     def test_explicit_list_must_reach_8n(self):
+        # only the even/odd statistics read the weights through index 8n
         w = WeightSequence.explicit([1.0] * 30)
-        compute_stats(w, 3)
+        even_odd_stats(w, 3)
         with pytest.raises(ValidationError, match="index 32"):
-            compute_stats(w, 4)
+            even_odd_stats(w, 4)
 
 
 class TestParser:
