@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from .finite_prob import ValidationError
-from .inequalities import InequalityId, VerificationRecord, traced_constant, verify_batch
+from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
 from .markov import (
+    ChainPowers,
     MarkovCheck,
     check_conditions,
     dump_chain,
@@ -29,7 +30,6 @@ from .markov import (
     random_chain_instance,
     spectral_measure,
     verify_markov_inequality,
-    ChainPowers,
 )
 from .simulate import (
     SimConfig,
@@ -39,7 +39,7 @@ from .simulate import (
     sample_trajectories,
     series_paths,
 )
-from .weights import compute_stats, parse_weight_spec
+from .weights import parse_weight_spec
 
 CSV_HEADER = "id,p,seed,atoms,n,dim,lhs,rhs,ratio,constant,pass"
 
@@ -92,6 +92,13 @@ def _records_to_csv(records) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def _require_minimums(args, minimums: dict):
+    for flag, low in minimums.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < low:
+            raise ValidationError(f"{flag} must be >= {low}, got {value}")
 
 
 def _tol_override(args) -> float | None:
@@ -190,6 +197,9 @@ def _cmd_check_conditions(args, argv) -> int:
 
 def _cmd_verify(args, argv) -> int:
     check = InequalityId(args.check)
+    _require_minimums(
+        args, {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1}
+    )
     weights = parse_weight_spec(args.weights) if args.weights else None
     records = verify_batch(
         check,
@@ -211,10 +221,11 @@ def _cmd_verify(args, argv) -> int:
 
 def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
+    _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1})
     weights = parse_weight_spec(args.weights) if args.weights else None
     tol_override = _tol_override(args)
     master = np.random.default_rng(args.seed)
-    records: list[VerificationRecord] = []
+    records = []
     for _ in range(args.chains):
         inst_seed = int(master.integers(0, 2**63 - 1))
         chain, f = random_chain_instance(inst_seed, m_max=args.m_max)
@@ -271,7 +282,7 @@ def _cmd_simulate(args, argv) -> int:
 
     if args.paths_out:
         lines = ["trial,k,T_k"]
-        norms = np.linalg.norm(paths, axis=2) if paths.ndim == 3 else np.abs(paths)
+        norms = np.linalg.norm(paths, axis=2)
         for trial in range(min(config.trials, args.paths_limit)):
             for k in range(args.n):
                 lines.append(f"{trial},{k + 1},{_fmt(norms[trial, k])}")
@@ -280,10 +291,10 @@ def _cmd_simulate(args, argv) -> int:
 
     if config.trials >= 100:
         estimate, se = jackknife_mean(path_max_squares(paths))
-        stats = compute_stats(w, args.n)
-        series_bound = float(
+        moments = [powers.second_moment(k) for k in range(1, args.n + 1)]
+        series_bound = (
             traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
-            * sum(stats.b[k] * powers.second_moment(k) for k in range(1, args.n + 1))
+            * series_criterion(w, moments, args.n).partial
         )
         within = bool(estimate <= series_bound + 3.0 * se)
         print(
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max", type=int, default=32)
     ver.add_argument("--dim-max", type=int, default=3)
     ver.add_argument("--threads", type=int, default=1,
-                     help="advisory; never changes numeric output")
+                     help="accepted and ignored; the batch runs in one thread")
     ver.add_argument("--tol-override", type=float, default=None,
                      help="expert-only pass slack override (logged loudly)")
     ver.add_argument("-o", "--out", required=True)
@@ -429,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     vmk.add_argument("--m-max", type=int, default=50)
     vmk.add_argument("--n-max", type=int, default=128)
     vmk.add_argument("--threads", type=int, default=1,
-                     help="advisory; never changes numeric output")
+                     help="accepted and ignored; the batch runs in one thread")
     vmk.add_argument("--tol-override", type=float, default=None)
     vmk.add_argument("-o", "--out", required=True)
 
@@ -443,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--trials", type=int, default=200)
     sim.add_argument("--master-seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; the trials run in one thread")
     sim.add_argument("--osc-out", help="CSV: checkpoint,median_osc,q95_osc")
     sim.add_argument("--paths-out", help="CSV: trial,k,T_k")
     sim.add_argument("--paths-limit", type=int, default=32,

@@ -49,7 +49,7 @@ class FiniteProbSpace:
     caller has to decide what to do about it.
     """
 
-    def __init__(self, probs, atoms=None):
+    def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probs must be a nonempty 1-d sequence")
@@ -69,9 +69,6 @@ class FiniteProbSpace:
         p.flags.writeable = False
         self.probs = p
         self.n_atoms = int(p.size)
-        self.atoms = tuple(range(self.n_atoms)) if atoms is None else tuple(atoms)
-        if len(self.atoms) != self.n_atoms:
-            raise ValidationError("atom labels do not match probs length")
 
     def expect(self, per_atom) -> float:
         """Exact expectation of a per-atom scalar array."""

@@ -310,25 +310,35 @@ def _check_observable(chain: ReversibleChain, f: Observable):
 
 
 class ChainPowers:
-    """Memoized kernel powers applied to one observable.
+    """The kernel powers Q^0 f, Q^1 f, ... of one observable as one table.
 
-    Confined to a single evaluation context; not safe to share across threads
-    while still being filled.
+    The table is a read-only ``(rows, m, dim)`` array whose row j holds Q^j f.
+    A request past its end fills a new array of at least twice the rows and
+    then swaps it in, so a table already handed out never changes.
     """
 
     def __init__(self, chain: ReversibleChain, f: Observable):
         _check_observable(chain, f)
         self.chain = chain
-        self.f = f
-        self._values = [f.values]
+        self._table = f.values[None]
+
+    def table(self, k: int) -> np.ndarray:
+        """Read-only rows 0..k of the table, shape (k + 1, m, dim)."""
+        if k < 0:
+            raise ValidationError("power must be >= 0")
+        old = self._table
+        if old.shape[0] <= k:
+            grown = np.empty((max(k + 1, 2 * old.shape[0]),) + old.shape[1:])
+            grown[: old.shape[0]] = old
+            for j in range(old.shape[0], grown.shape[0]):
+                np.matmul(self.chain.transition, grown[j - 1], out=grown[j])
+            grown.flags.writeable = False
+            self._table = old = grown
+        return old[: k + 1]
 
     def get(self, k: int) -> np.ndarray:
         """Per-state values of the k-fold kernel application (k = 0 gives f)."""
-        if k < 0:
-            raise ValidationError("power must be >= 0")
-        while len(self._values) <= k:
-            self._values.append(self.chain.transition @ self._values[-1])
-        return self._values[k]
+        return self.table(k)[k]
 
     def second_moment(self, k: int) -> float:
         """Stationary second moment of the k-th power image."""
@@ -586,8 +596,7 @@ def check_conditions(
     if probe_horizon < 4:
         raise ValidationError("probe horizon must be >= 4")
     sm = spectral_measure(chain, f)
-    unit = sm.unit_mass()
-    has_unit = unit > MASS_TOL
+    has_unit = sm.has_unit_mass()
 
     grid = []
     n = 1
@@ -634,7 +643,7 @@ def check_conditions(
         d_integral=float(d_value),
         d_finite=d_finite,
         e_member=e_member,
-        unit_mass=float(unit),
+        unit_mass=sm.unit_mass(),
     )
 
 
@@ -647,23 +656,19 @@ def weighted_series(
 ):
     """Cumulative sums g_k = sum_{j<=k} a_j Q^j f and their exact max moment.
 
-    Returns ``(list of g_k as observables, E_pi max_{k<=n} |g_k|^2)``; the
-    expectation is exact because each g_k is a deterministic function of the
-    state.
+    Returns ``(partial, E_pi max_{k<=n} |g_k|^2)``, where ``partial`` is a
+    read-only ``(n, m, dim)`` array with g_k in row k - 1, summed in index
+    order.  The expectation is exact because each g_k is a deterministic
+    function of the state.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if powers is None:
         powers = ChainPowers(chain, f)
-    running = np.zeros_like(f.values)
-    partial = []
-    best = np.zeros(chain.m)
-    for j in range(1, n + 1):
-        running = running + w.eval(j) * powers.get(j)
-        partial.append(Observable(running))
-        np.maximum(best, (running ** 2).sum(axis=1), out=best)
-    exact_max = float(chain.stationary @ best)
-    return partial, exact_max
+    partial = np.cumsum(w.eval_range(n)[1:, None, None] * powers.table(n)[1:], axis=0)
+    partial.flags.writeable = False
+    best = (partial ** 2).sum(axis=2).max(axis=0)
+    return partial, float(chain.stationary @ best)
 
 
 class MarkovCheck(str, enum.Enum):
@@ -749,13 +754,12 @@ def verify_markov_inequality(
     unit weights there; the other checks fix their own weighting.
     """
     check = MarkovCheck(check)
-    _check_observable(chain, f)
+    powers = ChainPowers(chain, f)
     if n < 1:
         raise ValidationError("n must be >= 1")
     if check in _SCALAR_ONLY and f.dim != 1:
         raise ValidationError(f"{check.value} takes a scalar observable")
     constant = markov_traced_constant(check)
-    powers = ChainPowers(chain, f)
     descriptor = {"states": chain.m, "horizon": n, "dim": f.dim}
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
@@ -768,11 +772,9 @@ def verify_markov_inequality(
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
         _, lhs = weighted_series(chain, f, WeightSequence.constant(1.0), n, powers)
         rhs = sum(j * powers.second_moment(j) for j in range(1, n + 1))
-    elif check is MarkovCheck.INV_SQRT_POWER_MAX:
-        _, lhs = weighted_series(chain, f, WeightSequence.power(-0.5), n, powers)
-        rhs = sum(powers.second_moment(j) for j in range(1, n + 1))
-    elif check is MarkovCheck.SUP_POWER_MAX:
-        _, lhs = weighted_series(chain, f, WeightSequence.power(-0.5), 2 * n, powers)
+    elif check in (MarkovCheck.INV_SQRT_POWER_MAX, MarkovCheck.SUP_POWER_MAX):
+        horizon = 2 * n if check is MarkovCheck.SUP_POWER_MAX else n
+        _, lhs = weighted_series(chain, f, WeightSequence.power(-0.5), horizon, powers)
         rhs = sum(powers.second_moment(j) for j in range(1, n + 1))
     elif check is MarkovCheck.PAIRED_POWER_MAX:
         paired = Observable(f.values + powers.get(1))
@@ -780,9 +782,7 @@ def verify_markov_inequality(
         signed = sum(j * autocovariance(chain, f, j, powers) for j in range(1, 2 * n + 1))
         rhs = abs(signed) + autocovariance(chain, f, 2, powers)
     else:  # STEIN
-        best = np.zeros(chain.m)
-        for k in range(1, 2 * n + 1):
-            np.maximum(best, (powers.get(k + 1) ** 2).sum(axis=1), out=best)
+        best = (powers.table(2 * n + 1)[2:] ** 2).sum(axis=2).max(axis=0)
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 

@@ -143,16 +143,7 @@ def series_path(
     powers: ChainPowers | None = None,
 ) -> np.ndarray:
     """Partial sums T_k = sum_{j<=k} a_j (Q^j f)(xi_j), shape (n, dim)."""
-    states = traj.states
-    n = states.size - 1
-    if n < 1:
-        raise ValidationError("trajectory must have at least one step")
-    if powers is None:
-        powers = ChainPowers(chain, f)
-    table = np.stack([powers.get(j) for j in range(n + 1)])
-    coeffs = np.array([w.eval(j) for j in range(1, n + 1)])
-    terms = coeffs[:, None] * table[np.arange(1, n + 1), states[1:]]
-    return np.cumsum(terms, axis=0)
+    return series_paths(chain, f, w, traj.states[None, :], powers)[0]
 
 
 def series_paths(
@@ -162,37 +153,42 @@ def series_paths(
     states: np.ndarray,
     powers: ChainPowers | None = None,
 ) -> np.ndarray:
-    """Partial-sum paths for a batch of trajectories, shape (trials, n, dim)."""
+    """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
+
+    The result is built in one buffer: the table rows are gathered, scaled by
+    the weights and summed along the path in place.
+    """
+    n = states.shape[1] - 1
+    if n < 1:
+        raise ValidationError("trajectory must have at least one step")
     if powers is None:
         powers = ChainPowers(chain, f)
-    n = states.shape[1] - 1
-    table = np.stack([powers.get(j) for j in range(n + 1)])
-    coeffs = np.array([w.eval(j) for j in range(1, n + 1)])
-    terms = coeffs[None, :, None] * table[np.arange(1, n + 1)[None, :], states[:, 1:]]
-    return np.cumsum(terms, axis=1)
+    out = powers.table(n)[np.arange(1, n + 1), states[:, 1:]]
+    out *= w.eval_range(n)[1:, None]
+    return np.cumsum(out, axis=1, out=out)
+
+
+# A diagnostic threshold, not a theorem: finite runs cannot certify
+# almost-sure convergence, only exhibit or break the expected Cauchy trend.
+DECAY_FACTOR = 1.2
 
 
 @dataclass(frozen=True)
 class OscillationTable:
     """Oscillation quantiles over dyadic windows, plus the trend verdict.
 
-    ``consistent`` is True when the 95% quantile shrinks by at least the
-    decay factor across the last three checkpoints (windows that have hit
-    exactly zero count as shrunk).  The factor is a reported diagnostic
-    threshold, not a theorem: finite runs cannot certify almost-sure
-    convergence, only exhibit or break the expected Cauchy trend.
+    ``consistent`` is True when the 95% quantile shrinks by at least
+    ``DECAY_FACTOR`` across the last three checkpoints (windows that have hit
+    exactly zero count as shrunk).
     """
 
     checkpoints: tuple
     median: tuple
     q95: tuple
     consistent: bool
-    decay_factor: float
 
 
-def as_convergence_diagnostic(
-    paths: np.ndarray, checkpoints, decay_factor: float = 1.2
-) -> OscillationTable:
+def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTable:
     """Oscillation osc(n) = max_{n<=k<=2n} |T_k - T_n| across a trial batch.
 
     ``paths`` has shape (trials, n) or (trials, n, dim); every checkpoint n
@@ -226,7 +222,7 @@ def as_convergence_diagnostic(
         for before, after in zip(tail, tail[1:]):
             if after == 0.0:
                 continue
-            if before < decay_factor * after:
+            if before < DECAY_FACTOR * after:
                 consistent = False
                 break
     return OscillationTable(
@@ -234,7 +230,6 @@ def as_convergence_diagnostic(
         median=tuple(medians),
         q95=tuple(q95s),
         consistent=consistent,
-        decay_factor=decay_factor,
     )
 
 
@@ -279,7 +274,6 @@ def mc_max_moment(
     if n > config.horizon:
         raise ValidationError("n exceeds the configured horizon")
     powers = ChainPowers(chain, f)
-    powers.get(n)  # fill the table once before any thread fan-out
     seeds = [config.trial_seed(i) for i in range(config.trials)]
     chunk = max(1, math.ceil(config.trials / config.threads))
     ranges = [
@@ -316,9 +310,9 @@ def enumerate_max_moment(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    powers = ChainPowers(chain, f)
-    table = np.stack([powers.get(j) for j in range(n + 1)])
-    coeffs = [w.eval(j) for j in range(1, n + 1)]
+    table = ChainPowers(chain, f).table(n)
+    coeffs = w.eval_range(n)[1:, None]
+    steps = np.arange(1, n + 1)
     total = 0.0
     for path in product(range(chain.m), repeat=n + 1):
         prob = chain.stationary[path[0]]
@@ -326,10 +320,6 @@ def enumerate_max_moment(
             prob *= chain.transition[a, b]
         if prob == 0.0:
             continue
-        running = np.zeros(f.dim)
-        best = 0.0
-        for j in range(1, n + 1):
-            running = running + coeffs[j - 1] * table[j, path[j]]
-            best = max(best, float((running ** 2).sum()))
-        total += prob * best
+        running = np.cumsum(coeffs * table[steps, path[1:]], axis=0)
+        total += prob * float((running ** 2).sum(axis=1).max())
     return float(total)

@@ -134,6 +134,21 @@ class TestVerify:
         assert len(read(out).strip().splitlines()) == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "max-vs-endpoint", "--n-max", "0"],
+    ["verify", "--id", "max-vs-endpoint", "--atoms-max", "1"],
+    ["verify", "--id", "max-vs-endpoint", "--dim-max", "0"],
+    ["verify", "--id", "max-vs-endpoint", "--instances", "-1"],
+    ["verify-markov", "--id", "stein", "--n-max", "0"],
+    ["verify-markov", "--id", "stein", "--m-max", "1"],
+    ["verify-markov", "--id", "stein", "--chains", "-1"],
+])
+def test_out_of_range_flag_exits_two_naming_it(argv, tmp_path, capsys):
+    assert run(argv + ["-o", str(tmp_path / "r.csv")]) == 2
+    assert f"error: {argv[3]} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 class TestVerifyMarkov:
     def test_batch_passes(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -125,6 +125,31 @@ class TestKernelPowers:
             apply_power(chain, f, 5).values, stepwise, atol=1e-13
         )
 
+    def test_table_rows_equal_the_step_loop_bit_for_bit(self):
+        chain, f = random_chain_instance(101, m_max=12, dim=2)
+        reference = [f.values]
+        for _ in range(64):
+            reference.append(chain.transition @ reference[-1])
+        powers = ChainPowers(chain, f)
+        handed_out = []
+        for k in (3, 17, 2, 64):
+            table = powers.table(k)
+            assert table.shape == (k + 1, chain.m, 2)
+            np.testing.assert_array_equal(table, np.stack(reference[: k + 1]))
+            np.testing.assert_array_equal(powers.get(k), reference[k])
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+            handed_out.append((k, table))
+        # growing the table never changes a table handed out earlier
+        for k, table in handed_out:
+            np.testing.assert_array_equal(table, np.stack(reference[: k + 1]))
+
+    def test_negative_power_rejected(self):
+        chain, f = random_chain_instance(103, m_max=5)
+        with pytest.raises(ValidationError, match="power must be >= 0"):
+            ChainPowers(chain, f).table(-1)
+
     def test_autocovariance_at_zero_is_energy(self):
         chain, f = random_chain_instance(7, m_max=10)
         energy = float(chain.stationary @ (f.values ** 2).sum(axis=1))
@@ -362,7 +387,7 @@ class TestWeightedSeries:
         partial, _ = weighted_series(chain, f, w, 9)
         powers = ChainPowers(chain, f)
         direct = sum(w.eval(j) * powers.get(j) for j in range(1, 10))
-        np.testing.assert_allclose(partial[-1].values, direct, atol=1e-13)
+        np.testing.assert_allclose(partial[-1], direct, atol=1e-13)
 
     def test_even_odd_split_bounds_the_max(self):
         # per state: max over the doubled horizon is at most the sum of the
@@ -372,9 +397,7 @@ class TestWeightedSeries:
         n = 6
         powers = ChainPowers(chain, f)
         partial, _ = weighted_series(chain, f, w, 2 * n, powers)
-        full_max = np.max(
-            np.stack([np.abs(g.values).sum(axis=1) for g in partial]), axis=0
-        )
+        full_max = np.abs(partial).sum(axis=2).max(axis=0)
         even = np.zeros_like(f.values)
         odd = np.zeros_like(f.values)
         even_best = np.zeros(chain.m)
@@ -386,6 +409,39 @@ class TestWeightedSeries:
             odd = odd + w.eval(2 * j + 1) * powers.get(2 * j + 1)
             odd_best = np.maximum(odd_best, np.abs(odd).sum(axis=1))
         assert np.all(full_max <= even_best + odd_best + 1e-12)
+
+    def test_series_and_stein_lhs_equal_the_step_loops(self):
+        rng = np.random.default_rng(79)
+        kinds = (
+            lambda: WeightSequence.constant(float(rng.uniform(-2.0, 2.0))),
+            lambda: WeightSequence.power(float(rng.uniform(-1.5, 0.5))),
+            lambda: WeightSequence.explicit(rng.standard_normal(80).tolist()),
+            lambda: WeightSequence.alternating(WeightSequence.power(-0.5)),
+        )
+        for seed in range(50):
+            chain, f = random_chain_instance(seed, m_max=20, dim=seed % 3 + 1)
+            w = kinds[seed % 4]()
+            n = int(rng.integers(1, 41))
+            partial, exact_max = weighted_series(chain, f, w, n)
+            image, running = f.values, np.zeros_like(f.values)
+            rows, best = [], np.zeros(chain.m)
+            for j in range(1, n + 1):
+                image = chain.transition @ image
+                running = running + w.eval(j) * image
+                rows.append(running)
+                np.maximum(best, (running ** 2).sum(axis=1), out=best)
+            assert partial.shape == (n, chain.m, f.dim) and not partial.flags.writeable
+            np.testing.assert_array_equal(partial, np.stack(rows))
+            assert exact_max == float(chain.stationary @ best)
+
+            scalar = Observable(f.values[:, 0])
+            image, best = scalar.values, np.zeros(chain.m)
+            for k in range(1, 2 * n + 2):
+                image = chain.transition @ image
+                if k >= 2:
+                    np.maximum(best, (image ** 2).sum(axis=1), out=best)
+            rec = verify_markov_inequality(MarkovCheck.STEIN, chain, scalar, n)
+            assert rec.lhs == float(chain.stationary @ best)
 
 
 class TestMarkovInequalities:

@@ -121,15 +121,33 @@ class TestSeriesPath:
             np.testing.assert_allclose(path[k - 1], direct, atol=1e-13)
 
     def test_batch_matches_per_trajectory(self):
-        chain, f = random_chain_instance(23, m_max=7)
-        w = WeightSequence.power(-0.5)
-        states = sample_trajectories(chain, 32, [4, 5])
-        batch = series_paths(chain, f, w, states)
         from revmax.simulate import Trajectory
 
-        for row, state_row in zip(batch, states):
-            single = series_path(chain, f, w, Trajectory(states=state_row))
-            np.testing.assert_array_equal(row, single)
+        for dim in (1, 2):
+            chain, f = random_chain_instance(23, m_max=7, dim=dim)
+            w = WeightSequence.power(-0.5)
+            states = sample_trajectories(chain, 32, [4, 5])
+            batch = series_paths(chain, f, w, states)
+            for row, state_row in zip(batch, states):
+                single = series_path(chain, f, w, Trajectory(states=state_row))
+                np.testing.assert_array_equal(row, single)
+
+    @pytest.mark.parametrize("spec", [
+        WeightSequence.power(-0.5),
+        WeightSequence.alternating(WeightSequence.constant(1.0)),
+        WeightSequence.explicit(np.linspace(2.0, -1.0, 48).tolist()),
+    ])
+    def test_batch_equals_the_stepwise_sums_bit_for_bit(self, spec):
+        chain, f = random_chain_instance(29, m_max=9, dim=2)
+        states = sample_trajectories(chain, 48, [1, 2, 3])
+        image, running = f.values, np.zeros((3, f.dim))
+        expected = []
+        for j in range(1, 49):
+            image = chain.transition @ image
+            running = running + spec.eval(j) * image[states[:, j]]
+            expected.append(running)
+        paths = series_paths(chain, f, spec, states)
+        np.testing.assert_array_equal(paths, np.stack(expected, axis=1))
 
 
 class TestOscillationDiagnostic:
