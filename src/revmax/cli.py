@@ -159,8 +159,17 @@ def _cmd_spectrum(args, argv) -> int:
     for lam, mass in sm.atoms:
         lines.append(f"{_fmt(lam)},{_fmt(mass)}")
     _write_text(args.out, "\n".join(lines) + "\n")
-    _write_sidecar(args.out, argv)
+    _write_sidecar(args.out, argv, extra=_spectral_health(sm))
     return 0
+
+
+def _spectral_health(sm) -> dict:
+    """Deterministic solver figures for a sidecar; primary outputs never hold them."""
+    return {
+        "jacobi_sweeps": sm.sweeps,
+        "offdiag_residual": sm.offdiag_residual,
+        "parseval_defect": sm.parseval_defect,
+    }
 
 
 def _json_number(x: float):
@@ -189,7 +198,7 @@ def _cmd_check_conditions(args, argv) -> int:
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
-        _write_sidecar(args.out, argv)
+        _write_sidecar(args.out, argv, extra=_spectral_health(report.measure))
     else:
         sys.stdout.write(text)
     return 0 if report.all_equivalent else 1
@@ -358,7 +367,9 @@ _SCHEMAS = """file schemas:
   verification CSV  id,p,seed,atoms,n,dim,lhs,rhs,ratio,constant,pass
   spectrum CSV      lambda,mass
   simulation CSVs   trial,k,T_k  and  checkpoint,median_osc,q95_osc
-  sidecars          every output gets <name>.meta.json with argv/seed/version
+  sidecars          every output gets <name>.meta.json with argv/seed/version;
+                    spectrum and check-conditions add jacobi_sweeps,
+                    offdiag_residual and parseval_defect
 """
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +65,16 @@ ATOM_MERGE_TOL = 1e-10
 
 
 class EigensolverError(RuntimeError):
-    """Jacobi sweeps did not reach the requested off-diagonal residual."""
+    """Jacobi hit its sweep cap, or the spectral masses missed the energy.
 
-    def __init__(self, residual: float, sweeps: int):
+    ``residual`` and ``sweeps`` are the Jacobi solver's final off-diagonal
+    norm and sweep count.
+    """
+
+    def __init__(self, residual: float, sweeps: int, message: str | None = None):
         super().__init__(
-            f"Jacobi failed to converge in {sweeps} sweeps; "
+            message
+            or f"Jacobi failed to converge in {sweeps} sweeps; "
             f"off-diagonal residual {residual:.3e}"
         )
         self.residual = residual
@@ -368,13 +373,52 @@ def autocovariance(
     return float(chain.stationary @ (f.values * image).sum(axis=1))
 
 
-def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+def _round_robin(n: int):
+    """The ``(p, q)`` index arrays, ``p < q``, of each round of one Jacobi sweep.
 
-    Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
-    Frobenius norm falls below ``rel_tol`` times the Frobenius norm of the
-    input.  Returns ``(eigenvalues, eigenvectors)`` with eigenvectors in
-    columns, unsorted.  Raises :class:`EigensolverError` past the sweep cap.
+    Circle method of a round-robin tournament: index 0 keeps its seat while
+    the others move one seat per round.  For even n, each of the n - 1
+    rounds pairs every index once, and together they pair every index with
+    every other exactly once.  Odd n gets a dummy index n, and the pair
+    holding it is dropped, so every round has n // 2 disjoint pairs.
+    """
+    m = n + n % 2
+    seats = np.arange(m)
+    rounds = []
+    for _ in range(m - 1):
+        a, b = seats[: m // 2], seats[m // 2 :][::-1]
+        p, q = np.minimum(a, b), np.maximum(a, b)
+        keep = q < n
+        rounds.append((p[keep], q[keep]))
+        seats = np.concatenate((seats[:1], seats[-1:], seats[1:-1]))
+    return rounds
+
+
+def _rotation_tangents(app, aqq, apq):
+    """tan(theta) of the rotations that zero each nonzero ``apq``."""
+    tau = (aqq - app) / (2.0 * apq)
+    big = np.abs(tau) > 1e10
+    near = np.where(big, 0.0, tau)  # keeps tau * tau finite; big ones set below
+    t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(near) + np.sqrt(1.0 + near * near))
+    if big.any():
+        t[big] = 0.5 / tau[big]  # small-angle limit, avoids tau*tau overflow
+    return t
+
+
+def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 100):
+    """Cyclic Jacobi diagonalization of a symmetric matrix, round-robin ordering.
+
+    Each sweep is n - 1 rounds of the parallel ordering of Brent & Luk
+    (SIAM J. Sci. Stat. Comput. 6(1), 1985; Golub & Van Loan, *Matrix
+    Computations*, section 8.5): a round rotates n // 2 disjoint pairs at
+    once, so one round is a handful of array operations, and a sweep rotates
+    every pair ``p < q`` once.  Pairs whose entry is exactly zero are
+    skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
+    ``rel_tol`` times the Frobenius norm of the input.
+
+    Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
+    in columns, both unsorted, the number of sweeps run and the final
+    off-diagonal norm.  Raises :class:`EigensolverError` past the sweep cap.
     """
     A = np.array(matrix, dtype=float)
     n = A.shape[0]
@@ -383,9 +427,8 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
     if n > 1 and np.abs(A - A.T).max() > 1e-10 * max(1.0, np.abs(A).max()):
         raise ValidationError("matrix is not symmetric")
     A = (A + A.T) / 2.0
-    V = np.eye(n)
     if n == 1:
-        return A.diagonal().copy(), V
+        return A.diagonal().copy(), np.eye(1), 0, 0.0
     threshold = rel_tol * np.linalg.norm(A)
     diag_mask = ~np.eye(n, dtype=bool)
 
@@ -394,43 +437,62 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
         # cancellation of the full-norm-minus-diagonal formula
         return float(np.linalg.norm(A[diag_mask]))
 
-    for _ in range(max_sweeps):
-        if off_norm() <= threshold:
-            return A.diagonal().copy(), V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
+    # The rotation by (c, s) of a row pair (x, y) to (c x - s y, s x + c y)
+    # is the complex product (x + iy)(c + is): one pass over one buffer.
+    pairs = np.empty((n // 2, n), dtype=complex)
+
+    def rotate_rows(M, p, q, w):
+        z = pairs[: len(p)]
+        z.real = M[p]
+        z.imag = M[q]
+        np.multiply(z, w, out=z)
+        M[p] = z.real
+        M[q] = z.imag
+
+    # Vt holds the eigenvectors as rows, so their rotation is a row rotation.
+    Vt = np.eye(n)
+    At = np.empty_like(A)
+    rounds = _round_robin(n)
+    for sweep in range(max_sweeps):
+        residual = off_norm()
+        if residual <= threshold:
+            return A.diagonal().copy(), Vt.T, sweep, residual
+        for p, q in rounds:
+            apq = A[p, q]
+            live = apq != 0.0
+            if not live.all():
+                p, q, apq = p[live], q[live], apq[live]
+                if len(p) == 0:
                     continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e10:
-                    t = 0.5 / tau  # small-angle limit, avoids tau*tau overflow
-                elif tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vec_p, vec_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
+            d = A.diagonal()
+            t = _rotation_tangents(d[p], d[q], apq)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            w = (c + 1j * (t * c))[:, None]
+            # A <- J^T A J: rotate the rows, then the rows of the transpose,
+            # which are the columns.
+            rotate_rows(A, p, q, w)
+            np.copyto(At, A.T)
+            A, At = At, A
+            rotate_rows(A, p, q, w)
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            rotate_rows(Vt, p, q, w)
     raise EigensolverError(off_norm(), max_sweeps)
 
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Atoms (eigenvalue, mass) sorted by eigenvalue, largest first."""
+    """Atoms (eigenvalue, mass) sorted by eigenvalue, largest first.
+
+    ``sweeps`` and ``offdiag_residual`` are the Jacobi sweeps run and the
+    final off-diagonal norm; ``parseval_defect`` is |total mass - energy|.
+    """
 
     lambdas: np.ndarray
     masses: np.ndarray
+    sweeps: int = 0
+    offdiag_residual: float = 0.0
+    parseval_defect: float = 0.0
 
     @property
     def atoms(self):
@@ -465,7 +527,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     _check_observable(chain, f)
     root = np.sqrt(chain.stationary)
     sym = root[:, None] * chain.transition / root[None, :]
-    lambdas, vectors = jacobi_eigendecomposition(sym)
+    lambdas, vectors, sweeps, residual = jacobi_eigendecomposition(sym)
     if np.any(lambdas > 1.0 + EIGENVALUE_CLAMP_TOL) or np.any(
         lambdas < -1.0 - EIGENVALUE_CLAMP_TOL
     ):
@@ -493,11 +555,23 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     lam_arr = np.asarray(merged_l)
     mass_arr = np.asarray(merged_m)
     energy = float(chain.stationary @ (f.values ** 2).sum(axis=1))
-    if abs(mass_arr.sum() - energy) > 1e-10 * max(1.0, energy):
-        raise EigensolverError(abs(mass_arr.sum() - energy), 0)
+    defect = abs(float(mass_arr.sum()) - energy)
+    if defect > 1e-10 * max(1.0, energy):
+        raise EigensolverError(
+            residual,
+            sweeps,
+            f"spectral masses sum to {float(mass_arr.sum())!r} but the energy is "
+            f"{energy!r}: Parseval defect {defect:.3e}",
+        )
     lam_arr.flags.writeable = False
     mass_arr.flags.writeable = False
-    return SpectralMeasure(lambdas=lam_arr, masses=mass_arr)
+    return SpectralMeasure(
+        lambdas=lam_arr,
+        masses=mass_arr,
+        sweeps=sweeps,
+        offdiag_residual=residual,
+        parseval_defect=defect,
+    )
 
 
 def dl_integral(sm: SpectralMeasure) -> float:
@@ -554,10 +628,15 @@ def _partial_autocov_sum(sm: SpectralMeasure, n: int) -> float:
 class ConditionReport:
     """Diagnostics for the five equivalent boundedness conditions.
 
-    The five booleans are computed through separate formulas (partial
-    autocovariance sums, variance growth over a probe grid, the asymptotic
-    variance, the 1/(1-t) integral, and membership in the centered range of
-    the square-root operator); the contract is that they agree.
+    The contract is that the five booleans agree, but they do not yet come
+    from independent routes.  (a), (b) and (c) all share one predicate: no
+    spectral mass at eigenvalue 1 (``SpectralMeasure.has_unit_mass``).  The
+    partial autocovariance sums, the variance growth over the probe grid and
+    the asymptotic variance are reported as figures but decide nothing.  (d)
+    asks whether the 1/(1-t) integral is finite, which fails on the same
+    unit-mass atoms, and (e) asks for no unit mass and a zero stationary mean.
+    So (a), (b) and (c) cannot disagree with one another.  ``measure`` is the
+    spectral measure all five were read from.
     """
 
     probe_grid: tuple
@@ -571,6 +650,7 @@ class ConditionReport:
     d_finite: bool
     e_member: bool
     unit_mass: float
+    measure: SpectralMeasure = field(compare=False)
 
     def booleans(self):
         return (
@@ -644,6 +724,7 @@ def check_conditions(
         d_finite=d_finite,
         e_member=e_member,
         unit_mass=sm.unit_mass(),
+        measure=sm,
     )
 
 

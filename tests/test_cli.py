@@ -65,6 +65,28 @@ class TestSpectrum:
         assert code == 2
 
 
+def assert_spectral_health(meta):
+    assert meta["jacobi_sweeps"] == 1  # one sweep diagonalises a 2 x 2 matrix
+    assert 0.0 <= meta["offdiag_residual"] <= 1e-12
+    assert 0.0 <= meta["parseval_defect"] <= 1e-12
+
+
+class TestSpectralSidecars:
+    def test_spectrum_sidecar_records_solver_health(self, chain_files, tmp_path):
+        chain, f, _ = chain_files
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", str(chain), str(f), "-o", str(out)]) == 0
+        assert_spectral_health(json.loads(read(str(out) + ".meta.json")))
+        assert read(out).splitlines()[0] == "lambda,mass"
+
+    def test_check_conditions_sidecar_records_solver_health(self, chain_files, tmp_path):
+        chain, f, _ = chain_files
+        out = tmp_path / "report.json"
+        assert run(["check-conditions", str(chain), str(f), "-o", str(out)]) == 0
+        assert_spectral_health(json.loads(read(str(out) + ".meta.json")))
+        assert "jacobi_sweeps" not in json.loads(read(out))
+
+
 class TestCheckConditions:
     def test_centered_observable_all_true(self, chain_files, tmp_path, capsys):
         chain, f, _ = chain_files

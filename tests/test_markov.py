@@ -36,7 +36,8 @@ from revmax import (
     weighted_graph,
     weighted_series,
 )
-from revmax.markov import SpectralMeasure
+from revmax import markov
+from revmax.markov import SpectralMeasure, _round_robin
 
 
 def disconnected_chain():
@@ -173,20 +174,104 @@ class TestKernelPowers:
                 )
 
 
+def symmetrized_kernel(chain):
+    root = np.sqrt(chain.stationary)
+    sym = root[:, None] * chain.transition / root[None, :]
+    return (sym + sym.T) / 2.0
+
+
+def assert_matches_eigh(A):
+    """Eigenvalues and reconstruction within 1e-9 of numpy's eigh, columns
+    orthonormal within 1e-10, and no overflow, division by zero or invalid
+    operation on the way."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        lam, V, sweeps, residual = jacobi_eigendecomposition(A)
+    m = A.shape[0]
+    np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(A), atol=1e-9)
+    np.testing.assert_allclose(V @ np.diag(lam) @ V.T, A, atol=1e-9)
+    np.testing.assert_allclose(V.T @ V, np.eye(m), atol=1e-10)
+    assert 0 <= sweeps < 100
+    assert 0.0 <= residual <= 1e-12 * np.linalg.norm(A)
+    return lam, V, sweeps, residual
+
+
+def block_diagonal():
+    rng = np.random.default_rng(29)
+    A = np.zeros((7, 7))
+    for block in (slice(0, 3), slice(3, 7)):
+        B = rng.standard_normal((block.stop - block.start,) * 2)
+        A[block, block] = B + B.T
+    return A
+
+
+def weak_coupling(coupling):
+    """A diagonal gap of 1 next to one coupling small enough that
+    |tau| > 1e10, and a strong coupling elsewhere so that sweeps run."""
+    A = np.diag([0.0, 1.0, 2.0, 3.0])
+    A[0, 1] = A[1, 0] = coupling
+    A[2, 3] = A[3, 2] = 0.5
+    return A
+
+
 class TestJacobi:
     def test_matches_numpy_eigh(self):
         rng = np.random.default_rng(21)
-        for m in (2, 5, 17, 60):
+        for m in (2, 3, 5, 17, 60, 63):
             A = rng.standard_normal((m, m))
             A = (A + A.T) / 2.0
-            lam, V = jacobi_eigendecomposition(A)
-            np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(A), atol=1e-9)
-            np.testing.assert_allclose(V @ np.diag(lam) @ V.T, A, atol=1e-9)
-            np.testing.assert_allclose(V.T @ V, np.eye(m), atol=1e-10)
+            _, _, sweeps, _ = assert_matches_eigh(A)
+            assert sweeps >= 1
 
     def test_diagonal_input_returns_immediately(self):
-        lam, V = jacobi_eigendecomposition(np.diag([3.0, -1.0, 2.0]))
+        lam, V, sweeps, residual = jacobi_eigendecomposition(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_array_equal(np.sort(lam), [-1.0, 2.0, 3.0])
+        assert (sweeps, residual) == (0, 0.0)
+
+    def test_zero_matrix(self):
+        lam, V, sweeps, _ = assert_matches_eigh(np.zeros((6, 6)))
+        np.testing.assert_array_equal(lam, np.zeros(6))
+        np.testing.assert_array_equal(V, np.eye(6))
+        assert sweeps == 0
+
+    def test_exact_zero_couplings_are_skipped(self):
+        # a rotation of a pair across the blocks would mix their eigenvectors
+        _, V, _, _ = assert_matches_eigh(block_diagonal())
+        assert not V[:3, 3:].any() and not V[3:, :3].any()
+
+    @pytest.mark.parametrize("coupling", [1e-13, -1e-13, 1e-160])
+    def test_small_angle_rotations(self, coupling):
+        lam, V, _, _ = assert_matches_eigh(weak_coupling(coupling))
+        # the weak pair was rotated, by the small-angle tangent 0.5 / tau
+        first = int(np.argmin(np.abs(lam)))
+        assert V[1, first] == pytest.approx(-coupling, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [8, 9, 64, 63])
+    def test_degenerate_ring_spectra(self, m):
+        # laziness 0 gives the eigenvalues cos(2 pi j / m), each twice
+        assert_matches_eigh(symmetrized_kernel(lazy_ring(m, 0.0)))
+
+    def test_round_robin_pairs_each_index_pair_once_per_sweep(self):
+        for n in range(1, 41):
+            rounds = _round_robin(n)
+            assert len(rounds) == n - 1 + n % 2
+            seen = []
+            for p, q in rounds:
+                assert len(p) == n // 2
+                assert np.all(p < q)
+                # disjoint pairs, so the round's rotations commute
+                assert len(np.unique(np.concatenate((p, q)))) == 2 * len(p)
+                seen += zip(p.tolist(), q.tolist())
+            assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_repeat_calls_are_bit_identical(self):
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((63, 63))
+        A = A + A.T
+        first = jacobi_eigendecomposition(A)
+        second = jacobi_eigendecomposition(A)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+        assert first[2:] == second[2:]
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -202,13 +287,9 @@ class TestJacobi:
         W = rng.uniform(0.05, 1.0, (200, 200))
         W = np.triu(W, 1)
         W = W + W.T + np.diag(rng.uniform(0.5, 1.5, 200) * 100)
-        chain = weighted_graph(W)
-        root = np.sqrt(chain.stationary)
-        sym = root[:, None] * chain.transition / root[None, :]
-        lam, _ = jacobi_eigendecomposition((sym + sym.T) / 2.0)
-        np.testing.assert_allclose(
-            np.sort(lam), np.linalg.eigvalsh((sym + sym.T) / 2.0), atol=1e-9
-        )
+        sym = symmetrized_kernel(weighted_graph(W))
+        lam, _, _, _ = jacobi_eigendecomposition(sym)
+        np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(sym), atol=1e-9)
 
 
 class TestSpectralMeasure:
@@ -233,6 +314,21 @@ class TestSpectralMeasure:
             sm = spectral_measure(chain, f)
             energy = float(chain.stationary @ (f.values ** 2).sum(axis=1))
             assert sm.total_mass() == pytest.approx(energy, abs=1e-10)
+            assert sm.parseval_defect == abs(sm.total_mass() - energy)
+            assert 1 <= sm.sweeps < 100
+            assert 0.0 <= sm.offdiag_residual < 1e-10
+
+    def test_masses_missing_the_energy_name_the_parseval_defect(self, monkeypatch):
+        solve = markov.jacobi_eigendecomposition
+
+        def stretched(matrix):
+            lam, V, sweeps, residual = solve(matrix)
+            return lam, 2.0 * V, sweeps, residual  # columns no longer unit length
+
+        monkeypatch.setattr(markov, "jacobi_eigendecomposition", stretched)
+        chain, f = random_chain_instance(7, m_max=10)
+        with pytest.raises(EigensolverError, match=r"energy is .*: Parseval defect"):
+            spectral_measure(chain, f)
 
     def test_vector_observables_sum_coordinate_masses(self):
         chain, f = random_chain_instance(37, m_max=10, dim=3)
@@ -334,6 +430,14 @@ class TestConditions:
         assert all(report.booleans())
         assert report.c_sigma2 == pytest.approx(3.0, abs=1e-10)
         assert report.d_integral == pytest.approx(2.0, abs=1e-10)
+
+    def test_report_carries_its_spectral_measure_and_compares_by_value(self):
+        chain, f = random_chain_instance(61, m_max=20)
+        report = check_conditions(chain, f)
+        sm = spectral_measure(chain, f)
+        np.testing.assert_array_equal(report.measure.masses, sm.masses)
+        assert report.measure.sweeps == sm.sweeps
+        assert report == check_conditions(chain, f)
 
     def test_uncentered_observable_fails_everything(self):
         report = check_conditions(two_state(0.25, 0.25), Observable([1.0, 1.0]))
