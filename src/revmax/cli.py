@@ -291,7 +291,7 @@ def _cmd_simulate(args, argv) -> int:
 
     if args.paths_out:
         lines = ["trial,k,T_k"]
-        norms = np.linalg.norm(paths, axis=2)
+        norms = np.linalg.norm(paths[: args.paths_limit], axis=2)
         for trial in range(min(config.trials, args.paths_limit)):
             for k in range(args.n):
                 lines.append(f"{trial},{k + 1},{_fmt(norms[trial, k])}")
@@ -300,7 +300,7 @@ def _cmd_simulate(args, argv) -> int:
 
     if config.trials >= 100:
         estimate, se = jackknife_mean(path_max_squares(paths))
-        moments = [powers.second_moment(k) for k in range(1, args.n + 1)]
+        moments = powers.second_moments(args.n)[1:]
         series_bound = (
             traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
             * series_criterion(w, moments, args.n).partial

@@ -8,13 +8,14 @@ outputs depend on the master seed only, never on thread count or scheduling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .finite_prob import ValidationError
-from .markov import ChainPowers, Observable, ReversibleChain
+from .markov import ChainPowers, Observable, ReversibleChain, squared_norms
 from .weights import WeightSequence
 
 __all__ = [
@@ -94,36 +95,111 @@ def _cumulative_rows(chain: ReversibleChain) -> np.ndarray:
     return cum
 
 
+# Generator.random() returns k * 2**-53 for an integer k, so a cumulative
+# value c lies below the draw exactly when floor(c * 2**53) < k.
+_DRAW_BITS = 53
+# Memory budget of the bucket table, and its widest bucket index.
+_TABLE_BYTES = 8 << 20
+_MAX_BUCKET_BITS = 16
+
+
+def _state_dtype(m: int):
+    """Smallest signed integer type holding every state and the -1 mark."""
+    return np.int16 if m <= 1 << 15 else np.int32
+
+
+class _StepTable:
+    """Exact next-state lookup for the draws of ``Generator.random()``.
+
+    ``keys[i, j] = floor(c * 2**53)`` for the cumulative value c of row i at
+    state j, so a draw k * 2**-53 moves state i to the number of keys of row
+    i below k.  The flat, bucket-major ``table`` answers that from the top
+    ``bits`` bits of k: entry ``h * m + i`` is the next state from i for
+    every k with ``k >> (53 - bits) == h``, or -1 where a key of row i falls
+    in bucket h itself.  ``m * 2**bits`` is capped so the table stays within
+    ``_TABLE_BYTES``.
+    """
+
+    def __init__(self, chain: ReversibleChain):
+        m = chain.m
+        self.m = m
+        self.keys = np.floor(_cumulative_rows(chain) * 2.0 ** _DRAW_BITS).astype(np.int64)
+        self.key_rows = self.keys.tolist()
+        dtype = _state_dtype(m)
+        entries = _TABLE_BYTES // np.dtype(dtype).itemsize // m
+        self.bits = bits = min(_MAX_BUCKET_BITS, max(entries.bit_length() - 1, 0))
+        size = 1 << bits
+        table = np.empty((size, m), dtype=dtype)
+        for i, row in enumerate(self.keys):
+            buckets = row >> (_DRAW_BITS - bits)  # non-decreasing, like the row
+            marked = np.unique(buckets[buckets < size])
+            # between two marked buckets the state is the count of keys below
+            values = np.full(2 * marked.size + 1, -1, dtype=dtype)
+            values[0] = 0
+            values[2::2] = np.searchsorted(buckets, marked, side="right")
+            lengths = np.ones(2 * marked.size + 1, dtype=np.intp)
+            lengths[0::2] = np.diff(marked, prepend=-1, append=size) - 1
+            table[:, i] = np.repeat(values, lengths)
+        self.table = table.reshape(-1)
+
+    def walk(self, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """States ``(steps + 1, trials)`` from ``first`` through ``draws``.
+
+        ``draws`` has shape ``(steps, trials)`` and holds values of
+        ``Generator.random()``, multiples of 2**-53; row t moves every trial
+        one step.  Trials whose bucket is marked -1 search their row's keys.
+        """
+        offsets = (draws * float(1 << self.bits)).astype(np.intp)  # k >> (53 - bits)
+        offsets *= self.m
+        out = np.empty((draws.shape[0] + 1, draws.shape[1]), dtype=self.table.dtype)
+        out[0] = first
+        for t, offset in enumerate(offsets):
+            current = out[t]
+            step = self.table[offset + current]
+            if step[step.argmin()] < 0:
+                for i in np.flatnonzero(step < 0):
+                    k = int(draws[t, i] * 2.0 ** _DRAW_BITS)
+                    step[i] = bisect_left(self.key_rows[current[i]], k)
+            out[t + 1] = step
+        return out
+
+
 def sample_trajectories(
     chain: ReversibleChain, n: int, seeds, step_block: int = 4096
 ) -> np.ndarray:
     """Stationary trajectories for several seeds, one row per seed.
 
-    Each row consumes its own stream: one uniform for the stationary start,
-    then one per step, mapped through the cumulative row by taking the first
-    state whose cumulative probability reaches the draw.  Streams are drawn
-    in blocks but the consumed values are identical for any block size.
+    Each row consumes its own PCG64 stream: one uniform for the stationary
+    start, then one per step, ``step_block`` steps at a time; the consumed
+    values do not depend on the block size.  A draw is u = k * 2**-53 for an
+    integer k, and the next state is the number of entries c of the current
+    cumulative row (the row's running sum, its last entry set to 1) with
+    floor(c * 2**53) < k.  That is the first state whose cumulative
+    probability reaches u, decided in integers.
+
+    Each step looks the next states up in a bucket table indexed by the top
+    bits of k and the current state; a bucket that holds a key of the row
+    marks -1, and only the trials that hit one search the row's keys.  Each
+    block of steps is built time-major and then copied into the
+    ``(trials, n + 1)`` result, which is int16 for chains of at most 2**15
+    states.
     """
     if n < 0:
         raise ValidationError("horizon must be >= 0")
     seeds = list(seeds)
-    trials = len(seeds)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     cum_pi = np.cumsum(chain.stationary)
     cum_pi[-1] = 1.0
-    cum_rows = _cumulative_rows(chain)
-
-    states = np.empty((trials, n + 1), dtype=np.int64)
+    lookup = _StepTable(chain)
+    states = np.empty((len(seeds), n + 1), dtype=lookup.table.dtype)
     start = np.array([g.random() for g in gens])
     states[:, 0] = np.searchsorted(cum_pi, start, side="left")
     done = 0
     while done < n:
         block = min(step_block, n - done)
-        draws = np.stack([g.random(block) for g in gens])
-        for t in range(block):
-            current = states[:, done + t]
-            rows = cum_rows[current]
-            states[:, done + t + 1] = (rows < draws[:, t, None]).sum(axis=1)
+        draws = np.stack([g.random(block) for g in gens], axis=1)
+        steps = lookup.walk(states[:, done], draws)
+        states[:, done + 1 : done + block + 1] = steps[1:].T
         done += block
     return states
 
@@ -155,17 +231,27 @@ def series_paths(
 ) -> np.ndarray:
     """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
 
-    The result is built in one buffer: the table rows are gathered, scaled by
-    the weights and summed along the path in place.
+    The result is built in one buffer, one trial at a time: the trial's table
+    rows are gathered, scaled by the weights and summed along the path in
+    place.
     """
     n = states.shape[1] - 1
     if n < 1:
         raise ValidationError("trajectory must have at least one step")
     if powers is None:
         powers = ChainPowers(chain, f)
-    out = powers.table(n)[np.arange(1, n + 1), states[:, 1:]]
-    out *= w.eval_range(n)[1:, None]
-    return np.cumsum(out, axis=1, out=out)
+    table = powers.table(n)
+    flat = table.reshape(-1, table.shape[2])  # row j * m + i holds (Q^j f)(i)
+    steps = np.arange(1, n + 1) * chain.m
+    weights = w.eval_range(n)[1:, None]
+    out = np.empty((states.shape[0], n, table.shape[2]))
+    index = np.empty(n, dtype=np.intp)
+    for trial, path in zip(states, out):
+        np.add(steps, trial[1:], out=index)
+        np.take(flat, index, axis=0, out=path)
+        path *= weights
+        np.cumsum(path, axis=0, out=path)
+    return out
 
 
 # A diagnostic threshold, not a theorem: finite runs cannot certify
@@ -206,16 +292,21 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
         raise ValidationError("need at least one checkpoint")
-    medians, q95s = [], []
     for c in checkpoints:
         if c < 1 or 2 * c > length:
             raise ValidationError(
                 f"checkpoint {c} needs path length >= {2 * c}, have {length}"
             )
-        window = arr[:, c - 1 : 2 * c] - arr[:, c - 1 : c]
-        osc = np.linalg.norm(window, axis=2).max(axis=1)
-        medians.append(float(np.quantile(osc, 0.5)))
-        q95s.append(float(np.quantile(osc, 0.95)))
+    # max_k |T_k - T_n|^2 per trial; the root of the max is the max of the
+    # roots bit for bit, since sqrt is correctly rounded and monotone
+    squares = np.empty((len(checkpoints), trials))
+    for t, path in enumerate(arr):
+        for i, c in enumerate(checkpoints):
+            window = path[c - 1 : 2 * c] - path[c - 1]
+            squares[i, t] = squared_norms(window).max()
+    osc = np.sqrt(squares)
+    medians = [float(np.quantile(row, 0.5)) for row in osc]
+    q95s = [float(np.quantile(row, 0.95)) for row in osc]
     consistent = len(checkpoints) >= 3
     if consistent:
         tail = q95s[-3:]
@@ -244,7 +335,7 @@ class MaxMomentEstimate:
 
 def path_max_squares(paths: np.ndarray) -> np.ndarray:
     """max_k |T_k|^2 for each trial of a (trials, n, dim) path batch."""
-    return (paths ** 2).sum(axis=2).max(axis=1)
+    return np.array([squared_norms(path).max() for path in paths])
 
 
 def jackknife_mean(values: np.ndarray):

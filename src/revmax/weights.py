@@ -93,20 +93,30 @@ class WeightSequence:
     def eval_range(self, upto: int) -> np.ndarray:
         """Array ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
 
-        Delegates to :meth:`eval` entry by entry so batch and pointwise
-        evaluation are bit-identical.
+        Bit-identical to :meth:`eval` at every index.  Powers go through
+        Python's ``float ** float``, because numpy's vectorised power can
+        differ from it in the last bit.
         """
         if upto < 1:
             raise ValidationError("range must reach at least index 1")
-        if self.kind == "explicit" and upto > self.entries.size:
-            raise ValidationError(
-                f"explicit weight list of length {self.entries.size} "
-                f"cannot be evaluated at index {upto}"
-            )
         out = np.empty(upto + 1)
         out[0] = 0.0
-        for j in range(1, upto + 1):
-            out[j] = self.eval(j)
+        if self.kind == "constant":
+            out[1:] = self.value
+        elif self.kind == "power":
+            e = self.exponent
+            out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
+                                  dtype=float, count=upto)
+        elif self.kind == "explicit":
+            if upto > self.entries.size:
+                raise ValidationError(
+                    f"explicit weight list of length {self.entries.size} "
+                    f"cannot be evaluated at index {upto}"
+                )
+            out[1:] = self.entries[:upto]
+        else:
+            np.abs(self.base.eval_range(upto)[1:], out=out[1:])
+            np.negative(out[2::2], out=out[2::2])
         return out
 
     def describe(self) -> str:

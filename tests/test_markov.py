@@ -146,6 +146,29 @@ class TestKernelPowers:
         for k, table in handed_out:
             np.testing.assert_array_equal(table, np.stack(reference[: k + 1]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_second_moments_equal_the_pointwise_moments(self, dim, monkeypatch):
+        from revmax import markov
+
+        monkeypatch.setattr(markov, "_SQUARE_CHUNK", 100)  # several chunks
+        rng = np.random.default_rng(105)
+        for _ in range(10):
+            chain, f = random_chain_instance(int(rng.integers(0, 2**32)), m_max=30, dim=dim)
+            powers = ChainPowers(chain, f)
+            moments = powers.second_moments(70)
+            assert moments.shape == (71,) and not moments.flags.writeable
+            expected = [powers.second_moment(k) for k in range(71)]
+            assert moments.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_squared_norms_equal_numpy_sum(self, dim):
+        from revmax.markov import squared_norms
+
+        x = np.random.default_rng(dim).standard_normal((3, 500, dim)) * 1e8
+        x[0, :, 0] = 1e16  # makes the order of the additions show
+        np.testing.assert_array_equal(squared_norms(x), (x * x).sum(axis=-1))
+        np.testing.assert_array_equal(squared_norms(x[1]), (x[1] * x[1]).sum(axis=-1))
+
     def test_negative_power_rejected(self):
         chain, f = random_chain_instance(103, m_max=5)
         with pytest.raises(ValidationError, match="power must be >= 0"):

@@ -18,9 +18,43 @@ from revmax import (
     series_path,
     series_paths,
     two_state,
+    weighted_graph,
 )
-from revmax.markov import ChainPowers
+from revmax import simulate
+from revmax.markov import ChainPowers, ReversibleChain
+from revmax.simulate import path_max_squares
 from revmax.weights import compute_stats
+
+
+def first_reaching(cum, u):
+    """The first state whose cumulative probability reaches the draw u."""
+    return next(j for j, c in enumerate(cum) if c >= u)
+
+
+def cumulative_rows(chain):
+    return [list(np.cumsum(row)[:-1]) + [1.0] for row in chain.transition]
+
+
+def reference_trajectories(chain, n, seeds):
+    """The documented sampling rule, one trial and one step at a time.
+
+    Each trial draws its start and then one uniform per step from its own
+    PCG64 stream, and moves to the first state whose cumulative probability
+    (the row's running sum, its last entry set to 1) reaches the draw.
+    """
+
+    cum_pi = list(np.cumsum(chain.stationary)[:-1]) + [1.0]
+    cum_rows = cumulative_rows(chain)
+    out = []
+    for seed in seeds:
+        gen = np.random.Generator(np.random.PCG64(seed))
+        state = first_reaching(cum_pi, gen.random())
+        path = [state]
+        for _ in range(n):
+            state = first_reaching(cum_rows[state], gen.random())
+            path.append(state)
+        out.append(path)
+    return np.array(out)
 
 
 class TestSeedDerivation:
@@ -76,6 +110,30 @@ class TestTrajectories:
         b = sample_trajectories(chain, 100, [1, 2], step_block=4096)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("step_block", [7, 4096])
+    def test_matches_stepwise_reference_loop(self, step_block):
+        chains = [random_chain_instance(seed, m_max=60)[0] for seed in range(20)]
+        chains += [lazy_ring(m, 0.0) for m in (2, 9, 200)]
+        # zero-probability moves repeat cumulative values within each row
+        chains.append(birth_death([0.3, 0.5, 0.0001, 0.2], [0.25, 0.5, 0.4, 0.1]))
+        seeds = [derive_trial_seed(6, i) for i in range(4)]
+        for chain in chains:
+            got = sample_trajectories(chain, 300, seeds, step_block=step_block)
+            np.testing.assert_array_equal(got, reference_trajectories(chain, 300, seeds))
+
+    def test_chain_too_large_for_int16_uses_int32(self, monkeypatch):
+        assert simulate._state_dtype(2**15) is np.int16
+        assert simulate._state_dtype(2**15 + 1) is np.int32
+        # a dense chain of 2**15 + 1 states does not fit in memory here, so the
+        # int32 path runs on a small chain
+        monkeypatch.setattr(simulate, "_state_dtype", lambda m: np.int32)
+        chain, _ = random_chain_instance(3, m_max=40)
+        seeds = [derive_trial_seed(2, i) for i in range(5)]
+        got = sample_trajectories(chain, 200, seeds, step_block=64)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, reference_trajectories(chain, 200, seeds))
+
+
     def test_stay_probability_matches_kernel(self):
         chain = two_state(0.25, 0.25)
         traj = sample_trajectory(chain, 100_000, seed=2024)
@@ -89,6 +147,75 @@ class TestTrajectories:
         frac = float(np.mean(starts == 0))
         assert abs(frac - 0.75) <= 3 * np.sqrt(0.75 * 0.25 / 20_000)
 
+
+class TestStepTable:
+    @staticmethod
+    def walk_reference(chain, first, draws):
+        rows = cumulative_rows(chain)
+        out = [list(first)]
+        for draw in draws:
+            out.append([first_reaching(rows[s], u) for s, u in zip(out[-1], draw)])
+        return np.array(out)
+
+    def test_two_keys_in_one_bucket_fall_back_to_the_keys(self):
+        eps = 1e-9  # cumulative 0.5 and 0.5 + eps share the bucket of 0.5
+        Q = [[0.5, eps, 0.5 - eps], [eps, 0.5, 0.5 - eps], [0.5 - eps, 0.5 - eps, 2 * eps]]
+        chain = ReversibleChain(Q, [1 / 3, 1 / 3, 1 / 3])
+        table = simulate._StepTable(chain)
+        bucket = 1 << (table.bits - 1)
+        assert table.keys[0, 0] >> (53 - table.bits) == bucket
+        assert table.keys[0, 1] >> (53 - table.bits) == bucket
+        assert table.table[bucket * chain.m] == -1
+        draws = np.array([[0.5, 0.5 + eps / 2, 0.5 + 2 * eps, 0.5 - 2.0 ** -53]])
+        first = np.zeros(4, dtype=np.int64)
+        got = table.walk(first, draws)
+        np.testing.assert_array_equal(got, [[0, 0, 0, 0], [0, 1, 2, 0]])
+        np.testing.assert_array_equal(got, self.walk_reference(chain, first, draws))
+
+    def test_cumulative_value_on_a_dyadic_draw(self):
+        chain = two_state(0.75, 0.25)  # row 0 is (0.25, 0.75): cumulative 0.25
+        table = simulate._StepTable(chain)
+        ulp = 2.0 ** -53
+        draws = np.array([[0.0, 0.25 - ulp, 0.25, 0.25 + ulp, 0.5, 1.0 - ulp]])
+        first = np.zeros(6, dtype=np.int64)
+        got = table.walk(first, draws)
+        np.testing.assert_array_equal(got[1], [0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(got, self.walk_reference(chain, first, draws))
+
+    def test_random_walks_match_the_reference(self):
+        rng = np.random.default_rng(12)
+        for seed in range(10):
+            chain, _ = random_chain_instance(seed, m_max=30)
+            first = rng.integers(0, chain.m, 16)
+            draws = rng.random((40, 16))
+            # draws of the form k * 2**-53 at and just above cumulative values
+            cum = np.array(cumulative_rows(chain))
+            picks = cum[rng.integers(0, chain.m, (40, 16)), rng.integers(0, chain.m, (40, 16))]
+            grid = np.minimum(np.floor(picks * 2.0 ** 53), 2.0 ** 53 - 2) * 2.0 ** -53
+            draws[::3] = grid[::3]
+            draws[1::3] = grid[1::3] + 2.0 ** -53
+            got = simulate._StepTable(chain).walk(first, draws)
+            np.testing.assert_array_equal(got, self.walk_reference(chain, first, draws))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 64, 65, 200, 1000])
+    def test_table_stays_within_eight_megabytes(self, m):
+        chain = lazy_ring(m, 0.5) if m > 1 else ReversibleChain([[1.0]], [1.0])
+        table = simulate._StepTable(chain)
+        assert table.table.nbytes <= 8 << 20
+        assert table.table.size == m << table.bits
+
+    def test_build_allocates_little_beyond_the_table(self):
+        import tracemalloc
+
+        chain = weighted_graph(np.ones((50, 50)))
+        tracemalloc.start()
+        try:
+            table = simulate._StepTable(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.table.nbytes == 50 << 17
+        assert peak <= table.table.nbytes + (1 << 20)
 
 class TestSeriesPath:
     def test_zero_weights_give_zero(self):
@@ -119,6 +246,20 @@ class TestSeriesPath:
                 w.eval(j) * powers.get(j)[traj.states[j]] for j in range(1, k + 1)
             )
             np.testing.assert_allclose(path[k - 1], direct, atol=1e-13)
+
+    def test_states_layout_never_changes_the_paths(self):
+        chain, f = random_chain_instance(71, m_max=9, dim=2)
+        w = WeightSequence.power(-0.5)
+        states = sample_trajectories(chain, 40, [1, 2, 3])
+        assert states.flags.c_contiguous and states.shape == (3, 41)
+        time_major = np.ascontiguousarray(states.T).T
+        np.testing.assert_array_equal(
+            series_paths(chain, f, w, time_major), series_paths(chain, f, w, states)
+        )
+        wide = states.astype(np.int64)
+        np.testing.assert_array_equal(
+            series_paths(chain, f, w, wide), series_paths(chain, f, w, states)
+        )
 
     def test_batch_matches_per_trajectory(self):
         from revmax.simulate import Trajectory
@@ -178,6 +319,18 @@ class TestOscillationDiagnostic:
         table = as_convergence_diagnostic(paths, [16, 32, 64, 128])
         assert table.consistent
         assert all(q == 0.0 for q in table.q95)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_matches_the_full_array_formula_bit_for_bit(self, dim):
+        chain, f = random_chain_instance(61, m_max=12, dim=dim)
+        paths = self.run_paths(chain, f, WeightSequence.power(-0.5), 256, 33, 6)
+        checkpoints = [8, 16, 32, 64, 128]
+        table = as_convergence_diagnostic(paths, checkpoints)
+        for c, median, q95 in zip(checkpoints, table.median, table.q95):
+            window = paths[:, c - 1 : 2 * c] - paths[:, c - 1 : c]
+            osc = np.linalg.norm(window, axis=2).max(axis=1)
+            assert median == float(np.quantile(osc, 0.5))
+            assert q95 == float(np.quantile(osc, 0.95))
 
     def test_too_few_trials_rejected(self):
         chain = two_state(0.25, 0.25)
@@ -274,3 +427,12 @@ class TestMcMaxMoment:
         values = (series_paths(chain, f, w, states) ** 2).sum(axis=2).max(axis=1)
         classic = values.std(ddof=1) / np.sqrt(500)
         assert out.standard_error == pytest.approx(classic, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_path_max_squares_matches_the_full_array_formula(self, dim):
+        chain, f = random_chain_instance(67, m_max=8, dim=dim)
+        states = sample_trajectories(chain, 100, range(7))
+        paths = series_paths(chain, f, WeightSequence.power(-0.5), states)
+        np.testing.assert_array_equal(
+            path_max_squares(paths), (paths ** 2).sum(axis=2).max(axis=1)
+        )

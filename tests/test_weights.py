@@ -45,6 +45,31 @@ class TestEval:
             for j in range(1, 41):
                 assert arr[j] == pytest.approx(w.eval(j), abs=0.0)
 
+    @pytest.mark.parametrize("w", [
+        WeightSequence.power(-0.5),
+        WeightSequence.power(-0.75),
+        WeightSequence.power(1.5),
+        WeightSequence.power(-2.0),
+        WeightSequence.constant(-2.5),
+        WeightSequence.alternating(WeightSequence.power(-0.5)),
+        WeightSequence.alternating(WeightSequence.alternating(WeightSequence.constant(-3.0))),
+    ], ids=lambda w: w.describe())
+    def test_range_is_bit_identical_to_eval_up_to_2_19(self, w):
+        # numpy's vectorised power differs from float ** float in the last
+        # bit on some indices, so the range must not use it
+        upto = 2 ** 19
+        expected = np.array([0.0] + [w.eval(j) for j in range(1, upto + 1)])
+        assert w.eval_range(upto).tobytes() == expected.tobytes()
+
+    def test_explicit_range_keeps_signed_zeros(self):
+        entries = [1.5, -0.0, 0.0, -2.0, 3.0]
+        for w in (WeightSequence.explicit(entries),
+                  WeightSequence.alternating(WeightSequence.explicit(entries))):
+            expected = np.array([0.0] + [w.eval(j) for j in range(1, 6)])
+            assert w.eval_range(5).tobytes() == expected.tobytes()
+            with pytest.raises(ValidationError, match="length 5"):
+                w.eval_range(6)
+
 
 class TestStats:
     def test_unit_weights_closed_forms(self):
