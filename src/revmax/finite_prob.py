@@ -10,11 +10,14 @@ per atom; ``DecreasingFiltration.from_blocks`` converts the block-list form
 used by the problem JSON.  Levels are indexed from 1 (the finest partition)
 through ``levels`` (the coarsest), matching the convention used throughout
 the package.
+
+Conditional expectations are computed as one read-only ``(rows, atoms, dim)``
+table whose row r is conditioned at its own level; ``cond_expect``,
+``reverse_mart_diff`` and the partial-sum identities read one or more rows of
+such a table.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -207,7 +210,7 @@ class RandomVector:
 
     def norms(self) -> np.ndarray:
         """Per-atom Euclidean norm."""
-        return np.linalg.norm(self.values, axis=1)
+        return _norms(self.values)
 
     def moment(self, p: float) -> float:
         """E |X|^p by exact enumeration."""
@@ -233,7 +236,10 @@ def _check_compatible(x: RandomVector, y: RandomVector):
 
 
 class AdaptedSequence:
-    """Terms X_1..X_n with X_j exactly constant on the level-j blocks."""
+    """Terms X_1..X_n with X_j exactly constant on the level-j blocks.
+
+    ``values`` stacks the terms as one read-only ``(n, atoms, dim)`` array.
+    """
 
     def __init__(self, filtration: DecreasingFiltration, terms):
         if not terms:
@@ -248,14 +254,20 @@ class AdaptedSequence:
                 raise ValidationError(f"term {j} lives on a different space")
             if term.dim != dim:
                 raise ValidationError(f"term {j} has dim {term.dim}, expected {dim}")
-            reps = filtration.representatives(j)
-            if not np.array_equal(term.values, term.values[reps]):
-                raise ValidationError(
-                    f"term {j} is not measurable at level {j}: "
-                    "values differ inside a block"
-                )
+        # term j must equal its values at the first atom of each level-j block
+        values = np.stack([term.values for term in terms])
+        reps = filtration._reps[: len(terms), :, None]
+        moved = (values != np.take_along_axis(values, reps, axis=1)).any(axis=(1, 2))
+        if moved.any():
+            j = int(np.argmax(moved)) + 1
+            raise ValidationError(
+                f"term {j} is not measurable at level {j}: "
+                "values differ inside a block"
+            )
+        values.flags.writeable = False
         self.filtration = filtration
         self.terms = tuple(terms)
+        self.values = values
         self.dim = dim
 
     def __len__(self) -> int:
@@ -266,6 +278,60 @@ class AdaptedSequence:
         return self.filtration.space
 
 
+def _cond_table(
+    filtration: DecreasingFiltration, values: np.ndarray, first_level: int = 1
+) -> np.ndarray:
+    """Row r of a ``(rows, atoms, dim)`` array conditioned at level ``first_level + r``.
+
+    Returns a read-only array of the same shape.  One bincount gives the
+    block probabilities of every row's level and one the block sums of every
+    row and coordinate, over labels offset per row and coordinate.  Each bin
+    adds its atoms in atom order, so every value is bit-identical to the
+    block average of that row alone.
+    """
+    rows, _, dim = values.shape
+    last = first_level + rows - 1
+    if first_level < 1 or last > filtration.levels:
+        bad = first_level if first_level < 1 else max(first_level, filtration.levels + 1)
+        raise ValidationError(f"level {bad} out of range 1..{filtration.levels}")
+    labels = filtration._labels[first_level - 1 : last]
+    k = filtration._n_blocks[first_level - 1 : last]
+    p = filtration.space.probs
+    offsets = np.cumsum(k) - k
+    blocks = labels + offsets[:, None]
+    block_prob = np.bincount(blocks.ravel(), weights=np.tile(p, rows))
+    # coordinate c of row r uses the row's bins after its first c * k_r
+    bins = (labels + dim * offsets[:, None])[:, :, None] + k[:, None, None] * np.arange(dim)
+    sums = np.bincount(bins.ravel(), weights=(p[:, None] * values).ravel())
+    table = sums[bins] / block_prob[blocks][:, :, None]
+    table.flags.writeable = False
+    return table
+
+
+def _norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: one row of atom norms per variable."""
+    return np.linalg.norm(values, axis=-1)
+
+
+def _moments(probs: np.ndarray, norms: np.ndarray, p: float) -> list:
+    """E |V_r|^p for each row of a ``(rows, atoms)`` norm stack.
+
+    One ``probs @`` dot product per row, as :meth:`RandomVector.moment` takes
+    it; a single matrix-vector product could add in another order.
+    """
+    return [float(probs @ row) for row in norms ** p]
+
+
+def _max_moment(probs: np.ndarray, norms: np.ndarray, p: float) -> float:
+    """E max_r |V_r|^p over the rows of a ``(rows, atoms)`` norm stack."""
+    return float(probs @ (norms.max(axis=0) ** p))
+
+
+def _check_space(X: RandomVector, filtration: DecreasingFiltration):
+    if X.space is not filtration.space:
+        raise ValidationError("random vector and filtration live on different spaces")
+
+
 def cond_expect(
     X: RandomVector, filtration: DecreasingFiltration, level: int
 ) -> RandomVector:
@@ -274,16 +340,8 @@ def cond_expect(
     On each block B the output equals sum_{w in B} P(w) X(w) / P(B); the
     result is exactly constant on blocks, hence measurable at that level.
     """
-    if X.space is not filtration.space:
-        raise ValidationError("random vector and filtration live on different spaces")
-    labels = filtration.labels(level)
-    k = filtration.n_blocks(level)
-    p = X.space.probs
-    block_prob = np.bincount(labels, weights=p)
-    # one bincount for all coordinates: coordinate c uses the labels shifted by c*k
-    shifted = labels[:, None] + k * np.arange(X.dim)
-    sums = np.bincount(shifted.ravel(), weights=(p[:, None] * X.values).ravel())
-    return RandomVector(X.space, (sums.reshape(X.dim, k) / block_prob).T[labels])
+    _check_space(X, filtration)
+    return RandomVector(X.space, _cond_table(filtration, X.values[None], level)[0])
 
 
 def reverse_mart_diff(
@@ -294,7 +352,17 @@ def reverse_mart_diff(
     The result has conditional expectation zero given the coarser level, so
     its block sums over the level+1 partition vanish.
     """
-    return cond_expect(X, filtration, level) - cond_expect(X, filtration, level + 1)
+    _check_space(X, filtration)
+    table = _cond_table(filtration, np.broadcast_to(X.values, (2, *X.values.shape)), level)
+    return RandomVector(X.space, table[0] - table[1])
+
+
+def _partial_sum_tables(seq: AdaptedSequence, n: int):
+    """S_1..S_n as one ``(n, atoms, dim)`` array, and E_k S_k in row k-1 of a table."""
+    if not 1 <= n <= len(seq):
+        raise ValidationError(f"n={n} exceeds sequence length {len(seq)}")
+    partial = np.cumsum(seq.values[:n], axis=0)
+    return partial, _cond_table(seq.filtration, partial)
 
 
 def adapted_partial_sums(seq: AdaptedSequence, n: int):
@@ -303,11 +371,11 @@ def adapted_partial_sums(seq: AdaptedSequence, n: int):
     Returns two lists of length n: ``[S_1..S_n]`` and ``[E_1 S_1 .. E_n S_n]``
     where ``E_k`` conditions at level k.
     """
-    if not 1 <= n <= len(seq):
-        raise ValidationError(f"n={n} exceeds sequence length {len(seq)}")
-    partial = list(accumulate(seq.terms[:n]))
-    conditioned = [cond_expect(s, seq.filtration, k) for k, s in enumerate(partial, 1)]
-    return partial, conditioned
+    partial, conditioned = _partial_sum_tables(seq, n)
+    return (
+        [RandomVector(seq.space, s) for s in partial],
+        [RandomVector(seq.space, c) for c in conditioned],
+    )
 
 
 def exact_max_moment(variables, p: float) -> float:
@@ -325,8 +393,7 @@ def exact_max_moment(variables, p: float) -> float:
     for v in variables:
         if v.space is not space or v.dim != dim:
             raise ValidationError("variables must share a space and dimension")
-    norms = np.stack([v.norms() for v in variables])
-    return space.expect(norms.max(axis=0) ** p)
+    return _max_moment(space.probs, np.stack([v.norms() for v in variables]), p)
 
 
 def decomposition_residual(seq: AdaptedSequence, n: int) -> float:
@@ -337,13 +404,11 @@ def decomposition_residual(seq: AdaptedSequence, n: int) -> float:
     Euclidean norm of the difference and stays below 1e-12 for every valid
     adapted sequence.
     """
-    partial, conditioned = adapted_partial_sums(seq, n)
-    recomposed = conditioned[n - 1].values.copy()
-    for i in range(1, n):
-        step = conditioned[i - 1] - cond_expect(partial[i - 1], seq.filtration, i + 1)
-        recomposed += step.values
-    gap = partial[n - 1].values - recomposed
-    return float(np.linalg.norm(gap, axis=1).max())
+    partial, conditioned = _partial_sum_tables(seq, n)
+    coarser = _cond_table(seq.filtration, partial[:-1], first_level=2)
+    recomposed = conditioned[n - 1] + (conditioned[:-1] - coarser).sum(axis=0)
+    gap = partial[n - 1] - recomposed
+    return float(_norms(gap).max())
 
 
 def orthogonality_gap(seq: AdaptedSequence, n: int):
@@ -360,14 +425,14 @@ def orthogonality_gap(seq: AdaptedSequence, n: int):
         raise ValidationError(
             f"filtration must extend to level {n + 1}; has {seq.filtration.levels}"
         )
-    partial, conditioned = adapted_partial_sums(seq, n)
-    total = np.zeros_like(partial[0].values)
-    rhs = 0.0
-    for i in range(1, n + 1):
-        coarser = cond_expect(partial[i - 1], seq.filtration, i + 1)
-        total += conditioned[i - 1].values - coarser.values
-        rhs += conditioned[i - 1].moment(2.0) - coarser.moment(2.0)
+    partial, conditioned = _partial_sum_tables(seq, n)
+    coarser = _cond_table(seq.filtration, partial, first_level=2)
+    probs = seq.space.probs
+    total = (conditioned - coarser).sum(axis=0)
     lhs = seq.space.expect((total ** 2).sum(axis=1))
+    fine_moments = _moments(probs, _norms(conditioned), 2.0)
+    coarse_moments = _moments(probs, _norms(coarser), 2.0)
+    rhs = sum(a - b for a, b in zip(fine_moments, coarse_moments))
     return float(lhs), float(rhs)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -32,10 +31,10 @@ from .finite_prob import (
     FiniteProbSpace,
     RandomVector,
     ValidationError,
-    adapted_partial_sums,
-    cond_expect,
-    exact_max_moment,
-    reverse_mart_diff,
+    _cond_table,
+    _max_moment,
+    _moments,
+    _norms,
 )
 from .weights import WeightSequence, compute_stats
 
@@ -292,52 +291,59 @@ def verify(
         raise ValidationError(f"n={n} out of range for instance with n={instance.n}")
     constant = traced_constant(check, p)
     filtration = instance.filtration
-    X = instance.sequence.terms[0]
+    probs = instance.space.probs
+    X = instance.sequence.values[0]
 
     if check in _WEIGHTED_IDS:
         if weights is None:
             raise ValidationError(f"{check.value} needs a weight sequence")
         stats = compute_stats(weights, n)
-        conditioned = [cond_expect(X, filtration, j) for j in range(1, n + 1)]
-        partials = list(accumulate(
-            conditioned[j - 1].scaled(weights.eval(j)) for j in range(1, n + 1)
-        ))
-        scaled_cond = [c.scaled(stats.s[k]) for k, c in enumerate(conditioned, 1)]
+        # row j-1 holds E_j X; the weighted sequence is a_j E_j X
+        conditioned = _cond_table(filtration, np.broadcast_to(X, (n, *X.shape)))
+        cond_norms = _norms(conditioned)
+        partial_norms = _norms(
+            np.cumsum(weights.eval_range(n)[1:, None, None] * conditioned, axis=0)
+        )
+        scaled_norms = _norms(stats.s[1 : n + 1, None, None] * conditioned)
         if check is InequalityId.WEIGHTED_MAX_VS_ENDPOINT:
-            lhs = exact_max_moment(partials, p)
-            rhs = exact_max_moment(scaled_cond, p) + partials[-1].moment(p)
+            lhs = _max_moment(probs, partial_norms, p)
+            rhs = (_max_moment(probs, scaled_norms, p)
+                   + _moments(probs, partial_norms[-1:], p)[0])
         elif check is InequalityId.WEIGHTED_MAX_VS_PROJECTIONS:
-            lhs = exact_max_moment(partials, p)
-            rhs = exact_max_moment(scaled_cond, p)
-            for i in range(1, n):
-                diff = reverse_mart_diff(X, filtration, i)
-                rhs += diff.scaled(stats.s[i]).moment(p)
+            lhs = _max_moment(probs, partial_norms, p)
+            rhs = _max_moment(probs, scaled_norms, p)
+            diffs = stats.s[1:n, None, None] * (conditioned[:-1] - conditioned[1:])
+            for moment in _moments(probs, _norms(diffs), p):
+                rhs += moment
         elif check is InequalityId.DYADIC_WEIGHTED_MAX:
-            lhs = exact_max_moment(scaled_cond, p)
+            lhs = _max_moment(probs, scaled_norms, p)
             rhs = 0.0
-            for k in range(1, n + 1):
-                rhs += stats.s_star[4 * k] ** p / k * conditioned[k - 1].moment(p)
+            for k, moment in enumerate(_moments(probs, cond_norms, p), 1):
+                rhs += stats.s_star[4 * k] ** p / k * moment
         else:  # SECOND_MOMENT_SERIES
-            lhs = exact_max_moment(partials, 2.0)
+            lhs = _max_moment(probs, partial_norms, 2.0)
             rhs = 0.0
-            for k in range(1, n + 1):
-                rhs += stats.b[k] * conditioned[k - 1].moment(2.0)
+            for k, moment in enumerate(_moments(probs, cond_norms, 2.0), 1):
+                rhs += stats.b[k] * moment
     elif check is InequalityId.SMOOTHNESS:
         if filtration.levels < n + 1:
             raise ValidationError("smoothness check needs levels >= n + 1")
-        diffs = [reverse_mart_diff(X, filtration, i) for i in range(1, n + 1)]
-        lhs = sum(diffs[1:], diffs[0]).moment(p)
-        rhs = sum(d.moment(p) for d in diffs)
+        conditioned = _cond_table(filtration, np.broadcast_to(X, (n + 1, *X.shape)))
+        diffs = conditioned[:-1] - conditioned[1:]
+        lhs = _moments(probs, _norms(np.cumsum(diffs, axis=0)[-1:]), p)[0]
+        rhs = sum(_moments(probs, _norms(diffs), p))
     else:
-        partial, conditioned = adapted_partial_sums(instance.sequence, n)
-        lhs = exact_max_moment(partial, p)
+        partial = np.cumsum(instance.sequence.values[:n], axis=0)
+        conditioned = _cond_table(filtration, partial)
+        partial_norms = _norms(partial)
+        lhs = _max_moment(probs, partial_norms, p)
+        rhs = _max_moment(probs, _norms(conditioned), p)
         if check is InequalityId.MAX_VS_ENDPOINT:
-            rhs = exact_max_moment(conditioned, p) + partial[-1].moment(p)
-        else:  # MAX_VS_PROJECTIONS
-            rhs = exact_max_moment(conditioned, p)
-            for i in range(1, n):
-                coarser = cond_expect(partial[i - 1], filtration, i + 1)
-                rhs += (conditioned[i - 1] - coarser).moment(p)
+            rhs += _moments(probs, partial_norms[-1:], p)[0]
+        else:  # MAX_VS_PROJECTIONS: E_k S_k - E_{k+1} S_k for k < n
+            coarser = _cond_table(filtration, partial[:-1], first_level=2)
+            for moment in _moments(probs, _norms(conditioned[:-1] - coarser), p):
+                rhs += moment
 
     return make_record(
         check.value, p, instance.descriptor() | {"horizon": n},

@@ -1,9 +1,23 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from revmax import SimConfig, WeightSequence, load_chain, load_observable, mc_max_moment
-from revmax.cli import run
+import revmax
+from revmax import (
+    SimConfig,
+    WeightSequence,
+    inequalities,
+    load_chain,
+    load_observable,
+    mc_max_moment,
+)
+from revmax.cli import _verdict_health, run
 
 
 def read(path):
@@ -156,6 +170,56 @@ class TestVerify:
         assert len(read(out).strip().splitlines()) == 11
 
 
+class TestVerifySidecar:
+    def test_sidecar_records_verdict_health(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run([
+            "verify", "--id", "max-vs-projections", "--p", "1.5", "--instances", "25",
+            "--seed", "4", "-o", str(out),
+        ]) == 0
+        meta = json.loads(read(str(out) + ".meta.json"))
+        rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+        margins = [float(r[6]) / (float(r[9]) * float(r[7])) for r in rows]
+        assert meta["violations"] == 0
+        assert meta["skipped"] == 0
+        assert meta["worst_margin"] == max(margins)
+        assert 0 < meta["worst_margin"] <= 1
+
+    def test_violations_counted_and_empty_batch_has_no_margin(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        # a planted constant far below the identity's ratio of 1 fails every row
+        planted = inequalities.TracedConstant("smoothness", 2.0, 1e-3, ())
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "traced_constant", lambda check, p: planted)
+            assert run([
+                "verify", "--id", "smoothness", "--p", "2", "--instances", "6",
+                "--seed", "1", "-o", str(out),
+            ]) == 1
+        meta = json.loads(read(str(out) + ".meta.json"))
+        assert meta["violations"] == 6
+        assert meta["worst_margin"] == pytest.approx(1e3)
+        assert run([
+            "verify", "--id", "smoothness", "--instances", "0", "-o", str(out),
+        ]) == 0
+        meta = json.loads(read(str(out) + ".meta.json"))
+        assert (meta["violations"], meta["skipped"], meta["worst_margin"]) == (0, 0, None)
+
+    def test_skipped_rows_leave_the_margin_and_zero_rhs_violations_are_inf(self):
+        skipped = inequalities.make_record("x", 2.0, {}, 0.0, 0.0, 4.0)
+        passed = inequalities.make_record("x", 2.0, {}, 1.0, 2.0, 4.0)
+        assert skipped.skipped and passed.passed
+        assert _verdict_health([skipped, passed]) == {
+            "violations": 0, "skipped": 1, "worst_margin": 0.125,
+        }
+        assert _verdict_health([skipped]) == {
+            "violations": 0, "skipped": 1, "worst_margin": None,
+        }
+        violated = inequalities.make_record("x", 2.0, {}, 1.0, 0.0, 4.0)
+        assert _verdict_health([passed, violated]) == {
+            "violations": 1, "skipped": 0, "worst_margin": "inf",
+        }
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--id", "max-vs-endpoint", "--n-max", "0"],
     ["verify", "--id", "max-vs-endpoint", "--atoms-max", "1"],
@@ -299,3 +363,58 @@ class TestReport:
         bad.write_text("a,b,c\n1,2,3\n")
         assert run(["report", "--input", str(bad), "--out-prefix",
                     str(tmp_path / "o")]) == 2
+
+
+def _outcome(rc, out, err, work: Path) -> tuple:
+    files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+    return rc, out, err, files
+
+
+def run_in_one_process(commands, work: Path, monkeypatch) -> list:
+    """Run the commands through ``run`` one after another in this process."""
+    monkeypatch.chdir(work)
+    outcomes = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        outcomes.append(_outcome(rc, out.getvalue(), err.getvalue(), work))
+    return outcomes
+
+
+def run_in_fresh_processes(commands, work: Path) -> list:
+    """Run each command in a new interpreter, all in the same directory."""
+    src = str(Path(revmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    outcomes = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from revmax.cli import run; sys.exit(run(sys.argv[1:]))",
+             *argv],
+            cwd=work, env=env, capture_output=True, text=True, timeout=120,
+        )
+        outcomes.append(_outcome(proc.returncode, proc.stdout, proc.stderr, work))
+    return outcomes
+
+
+@pytest.mark.parametrize("commands", [
+    [
+        ["verify", "--id", "max-vs-endpoint", "--p", "abc", "-o", "bad.csv"],
+        ["verify", "--id", "max-vs-endpoint", "--instances", "4", "-o", "r.csv"],
+    ],
+    [
+        ["verify-markov", "--id", "stein", "--chains", "3", "--seed", "9",
+         "--n-max", "4", "--weights", "power:-0.5", "-o", "m.csv"],
+        ["verify", "--id", "dyadic-weighted-max", "--instances", "3",
+         "--weights", "constant:1.0", "-o", "r.csv"],
+        ["verify", "--id", "smoothness", "--instances", "3", "-o", "s.csv"],
+    ],
+], ids=["parse-error-then-valid", "different-subcommands"])
+def test_one_process_behaves_like_fresh_processes(commands, tmp_path, monkeypatch):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    in_process = run_in_one_process(commands, shared, monkeypatch)
+    assert in_process == run_in_fresh_processes(commands, fresh)
+    assert in_process[0][0] == (2 if "abc" in commands[0] else 0)

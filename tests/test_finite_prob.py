@@ -16,6 +16,7 @@ from revmax import (
     random_instance,
     reverse_mart_diff,
 )
+from revmax.finite_prob import _cond_table
 
 
 def make_space(n):
@@ -41,6 +42,31 @@ def brute_block_average(space, filtration, values, level):
         avg = (space.probs[block][:, None] * out[block]).sum(axis=0) / weight
         result[block] = avg
     return result
+
+
+def per_level_block_average(filtration, values, level):
+    """Reference: one level's block averages by two bincounts, bins in atom order."""
+    labels = filtration.labels(level)
+    k = filtration.n_blocks(level)
+    p = filtration.space.probs
+    dim = values.shape[1]
+    block_prob = np.bincount(labels, weights=p)
+    shifted = labels[:, None] + k * np.arange(dim)
+    sums = np.bincount(shifted.ravel(), weights=(p[:, None] * values).ravel())
+    return (sums.reshape(dim, k) / block_prob).T[labels]
+
+
+def random_filtration(rng, atoms, levels):
+    """Singletons, then each level maps the blocks before it onto 1..k blocks."""
+    raw = rng.uniform(0.2, 1.0, atoms)
+    space = FiniteProbSpace(raw / raw.sum())
+    rows = [np.arange(atoms)]
+    for _ in range(levels - 1):
+        k = int(rows[-1].max()) + 1
+        k_new = int(rng.integers(1, k + 1))
+        onto = rng.permutation(np.r_[np.arange(k_new), rng.integers(0, k_new, k - k_new)])
+        rows.append(onto[rows[-1]])
+    return space, DecreasingFiltration(space, rows)
 
 
 class TestConstruction:
@@ -145,6 +171,48 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="not measurable"):
             AdaptedSequence(filt, [ok, bad])
 
+    def test_first_bad_term_in_the_middle_is_named(self):
+        def first_bad_by_term(filt, terms):
+            for j, term in enumerate(terms, start=1):
+                if not np.array_equal(term.values, term.values[filt.representatives(j)]):
+                    return j
+            return None
+
+        inst = random_instance(17, atoms=12, levels=7, n=6, dim=2)
+        filt = inst.filtration
+        for bad_terms in ((3,), (4, 6), (2, 3, 5)):
+            terms = list(inst.sequence.terms)
+            for j in bad_terms:
+                reps = filt.representatives(j)
+                atom = int(np.argmax(reps != np.arange(12)))
+                values = terms[j - 1].values.copy()
+                values[atom, 1] = np.nextafter(values[atom, 1], np.inf)
+                terms[j - 1] = RandomVector(inst.space, values)
+            first = first_bad_by_term(filt, terms)
+            assert first == bad_terms[0]
+            with pytest.raises(ValidationError,
+                               match=f"term {first} is not measurable at level {first}:"):
+                AdaptedSequence(filt, terms)
+
+    def test_stacked_values_are_read_only_terms(self):
+        inst = random_instance(4, atoms=9, levels=5, n=4, dim=3)
+        seq = inst.sequence
+        assert seq.values.shape == (4, 9, 3)
+        for term, row in zip(seq.terms, seq.values):
+            np.testing.assert_array_equal(term.values, row)
+        with pytest.raises(ValueError):
+            seq.values[0, 0, 0] = 1.0
+
+    def test_dim_and_space_checked_before_measurability(self):
+        space = make_space(4)
+        filt = three_level(space)
+        ok = RandomVector(space, [1.0, 1.0, 2.0, 2.0])
+        unmeasurable = RandomVector(space, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValidationError, match="term 3 has dim 2, expected 1"):
+            AdaptedSequence(filt, [ok, unmeasurable, RandomVector(space, np.ones((4, 2)))])
+        with pytest.raises(ValidationError, match="term 2 lives on a different space"):
+            AdaptedSequence(filt, [ok, RandomVector(make_space(4), np.ones(4))])
+
 
 class TestCondExpect:
     def test_equal_atoms_pair_blocks(self):
@@ -238,6 +306,73 @@ class TestCondExpect:
                     later <= earlier + 1e-12
                     for earlier, later in zip(moments, moments[1:])
                 )
+
+
+class TestCondTable:
+    def test_rows_match_brute_force_block_averages(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            atoms = int(rng.integers(2, 30))
+            levels = int(rng.integers(2, 9))
+            dim = int(rng.integers(1, 4))
+            space, filt = random_filtration(rng, atoms, levels)
+            for first in range(1, levels + 1):
+                values = rng.standard_normal((levels - first + 1, atoms, dim))
+                table = _cond_table(filt, values, first)
+                assert table.shape == values.shape
+                for r, row in enumerate(table):
+                    want = brute_block_average(space, filt, values[r], first + r)
+                    np.testing.assert_allclose(row, want, atol=1e-14)
+
+    def test_rows_equal_per_level_averages_byte_for_byte(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            atoms = int(rng.integers(2, 40))
+            levels = int(rng.integers(2, 9))
+            dim = int(rng.integers(1, 10))
+            _, filt = random_filtration(rng, atoms, levels)
+            first = int(rng.integers(1, levels + 1))
+            values = rng.standard_normal((levels - first + 1, atoms, dim))
+            table = _cond_table(filt, values, first)
+            for r, row in enumerate(table):
+                want = per_level_block_average(filt, values[r], first + r)
+                assert row.tobytes() == want.tobytes()
+
+    def test_one_row_equals_cond_expect(self):
+        inst = random_instance(8, atoms=15, levels=6, n=5, dim=3)
+        X = inst.sequence.terms[0]
+        for level in range(1, 7):
+            table = _cond_table(inst.filtration, X.values[None], level)
+            want = cond_expect(X, inst.filtration, level).values
+            assert table[0].tobytes() == want.tobytes()
+
+    def test_broadcast_input_and_empty_table(self):
+        inst = random_instance(9, atoms=10, levels=5, n=4, dim=2)
+        X = inst.sequence.terms[0].values
+        table = _cond_table(inst.filtration, np.broadcast_to(X, (5, *X.shape)))
+        for level in range(1, 6):
+            want = cond_expect(inst.sequence.terms[0], inst.filtration, level).values
+            assert table[level - 1].tobytes() == want.tobytes()
+        assert _cond_table(inst.filtration, np.empty((0, 10, 2)), 6).shape == (0, 10, 2)
+
+    def test_table_is_read_only(self):
+        inst = random_instance(2, atoms=8, levels=4, n=3, dim=1)
+        table = _cond_table(inst.filtration, inst.sequence.values)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+    def test_row_past_the_last_level_rejected(self):
+        inst = random_instance(2, atoms=8, levels=4, n=3, dim=1)
+        values = np.zeros((2, 8, 1))
+        with pytest.raises(ValidationError, match="level 5 out of range 1..4"):
+            _cond_table(inst.filtration, values, 4)
+        with pytest.raises(ValidationError, match="level 7 out of range 1..4"):
+            _cond_table(inst.filtration, values, 7)
+        with pytest.raises(ValidationError, match="level 0 out of range 1..4"):
+            _cond_table(inst.filtration, values, 0)
+        with pytest.raises(ValidationError, match="level 5 out of range 1..4"):
+            reverse_mart_diff(inst.sequence.terms[0], inst.filtration, 4)
 
 
 class TestReverseMartDiff:
