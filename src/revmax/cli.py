@@ -103,8 +103,10 @@ def _require_minimums(args, minimums: dict):
 
 
 def _tol_override(args) -> float | None:
-    tol = getattr(args, "tol_override", None)
+    tol = args.tol_override
     if tol is not None:
+        if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"--tol-override must be a finite number >= 0, got {tol}")
         print(
             f"WARNING: pass tolerance overridden to {tol!r}; "
             "records no longer reflect the committed contract",
@@ -266,8 +268,10 @@ def _cmd_verify_markov(args, argv) -> int:
         record.descriptor["atoms"] = chain.m
         records.append(record)
     _write_text(args.out, _records_to_csv(records))
-    _write_sidecar(args.out, argv, seed=args.seed, extra={"check": check.value})
-    failures = sum(1 for r in records if not r.passed)
+    health = _verdict_health(records)
+    _write_sidecar(args.out, argv, seed=args.seed,
+                   extra={"check": check.value, **health})
+    failures = health["violations"]
     print(f"{check.value}: {len(records)} chains, {failures} violations")
     return 1 if failures else 0
 
@@ -389,8 +393,8 @@ _SCHEMAS = """file schemas:
   simulation CSVs   trial,k,T_k  and  checkpoint,median_osc,q95_osc
   sidecars          every output gets <name>.meta.json with argv/seed/version;
                     spectrum and check-conditions add jacobi_sweeps,
-                    offdiag_residual and parseval_defect; verify adds
-                    violations, skipped and worst_margin (lhs / (C*rhs))
+                    offdiag_residual, parseval_defect; verify and verify-markov
+                    add violations, skipped and worst_margin (lhs / (C*rhs))
 """
 
 

@@ -149,9 +149,11 @@ class DecreasingFiltration:
         labels = np.full((len(partitions), n), -1, dtype=np.int64)
         for j, (row, part) in enumerate(zip(labels, partitions), start=1):
             for b, block in enumerate(part):
-                if len(block) == 0:
+                idx = np.asarray(block)
+                if idx.shape == (0,):
                     raise ValidationError(f"level {j} block {b} is empty")
-                idx = np.asarray(block, dtype=np.int64)
+                if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                    raise ValidationError(f"level {j} block {b} is not a list of integer atoms")
                 if idx.min() < 0 or idx.max() >= n:
                     raise ValidationError(
                         f"level {j} block {b} has atom index out of range"
@@ -216,66 +218,60 @@ class RandomVector:
         """E |X|^p by exact enumeration."""
         return self.space.expect(self.norms() ** p)
 
-    def __add__(self, other: "RandomVector") -> "RandomVector":
-        _check_compatible(self, other)
-        return RandomVector(self.space, self.values + other.values)
-
-    def __sub__(self, other: "RandomVector") -> "RandomVector":
-        _check_compatible(self, other)
-        return RandomVector(self.space, self.values - other.values)
-
-    def scaled(self, c: float) -> "RandomVector":
-        return RandomVector(self.space, c * self.values)
-
-
-def _check_compatible(x: RandomVector, y: RandomVector):
-    if x.space is not y.space:
-        raise ValidationError("random vectors live on different spaces")
-    if x.dim != y.dim:
-        raise ValidationError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
 
 class AdaptedSequence:
     """Terms X_1..X_n with X_j exactly constant on the level-j blocks.
 
-    ``values`` stacks the terms as one read-only ``(n, atoms, dim)`` array.
+    ``values`` holds term j in row j-1 of one ``(n, atoms, dim)`` float array;
+    a 2-D ``(n, atoms)`` array is read as dim 1.  The sequence keeps a
+    read-only copy.
     """
 
-    def __init__(self, filtration: DecreasingFiltration, terms):
-        if not terms:
-            raise ValidationError("adapted sequence needs at least one term")
-        if len(terms) > filtration.levels:
-            raise ValidationError(
-                f"{len(terms)} terms but only {filtration.levels} levels"
-            )
-        dim = terms[0].dim
-        for j, term in enumerate(terms, start=1):
-            if term.space is not filtration.space:
-                raise ValidationError(f"term {j} lives on a different space")
-            if term.dim != dim:
-                raise ValidationError(f"term {j} has dim {term.dim}, expected {dim}")
+    def __init__(self, filtration: DecreasingFiltration, values):
+        v = np.array(values, dtype=float)
+        if v.ndim == 2:
+            v = v[:, :, None]
+        atoms = filtration.space.n_atoms
+        if v.ndim != 3 or v.shape[1] != atoms or v.shape[2] < 1:
+            raise ValidationError(f"values shape {v.shape} is not (n, {atoms}, dim >= 1)")
+        n = v.shape[0]
+        if not 1 <= n <= filtration.levels:
+            raise ValidationError(f"{n} terms; an adapted sequence needs 1..{filtration.levels}")
+        finite = np.isfinite(v).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"term {int(np.argmin(finite)) + 1} has non-finite values")
         # term j must equal its values at the first atom of each level-j block
-        values = np.stack([term.values for term in terms])
-        reps = filtration._reps[: len(terms), :, None]
-        moved = (values != np.take_along_axis(values, reps, axis=1)).any(axis=(1, 2))
+        reps = filtration._reps[:n, :, None]
+        moved = (v != np.take_along_axis(v, reps, axis=1)).any(axis=(1, 2))
         if moved.any():
             j = int(np.argmax(moved)) + 1
             raise ValidationError(
                 f"term {j} is not measurable at level {j}: "
                 "values differ inside a block"
             )
-        values.flags.writeable = False
+        v.flags.writeable = False
         self.filtration = filtration
-        self.terms = tuple(terms)
-        self.values = values
-        self.dim = dim
+        self.values = v
+        self.dim = v.shape[2]
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.values.shape[0]
 
     @property
     def space(self) -> FiniteProbSpace:
         return self.filtration.space
+
+    @property
+    def terms(self) -> tuple:
+        """Each term as a ``RandomVector`` over its read-only row of ``values``."""
+        return tuple(_view(self.space, row) for row in self.values)
+
+
+def _view(space: FiniteProbSpace, values: np.ndarray) -> RandomVector:
+    """A ``RandomVector`` over validated read-only values, without a copy."""
+    X = RandomVector.__new__(RandomVector)
+    X.space, X.values, X.dim = space, values, values.shape[1]
+    return X
 
 
 def _cond_table(
@@ -436,6 +432,17 @@ def orthogonality_gap(seq: AdaptedSequence, n: int):
     return float(lhs), float(rhs)
 
 
+def _numbers(raw, field: str) -> np.ndarray:
+    """A (nested) JSON list of numbers as a float array; anything else names ``field``."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{field} must be a rectangular list of numbers")
+    return arr.astype(float)
+
+
 def load_problem(obj: dict):
     """Build (space, filtration, sequence-or-None) from the JSON problem schema.
 
@@ -447,20 +454,24 @@ def load_problem(obj: dict):
         raise ValidationError("missing field 'probs'")
     if "partitions" not in obj:
         raise ValidationError("missing field 'partitions'")
-    space = FiniteProbSpace(obj["probs"])
+    space = FiniteProbSpace(_numbers(obj["probs"], "probs"))
     filtration = DecreasingFiltration.from_blocks(space, obj["partitions"])
-    if "terms" not in obj or obj["terms"] is None:
+    if obj.get("terms") is None:
         return space, filtration, None
-    dim = int(obj.get("dim", 1))
-    terms = []
-    for j, raw in enumerate(obj["terms"], start=1):
-        values = np.asarray(raw, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape != (space.n_atoms, dim):
+    dim = obj.get("dim", 1)
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(obj["terms"], list):
+        raise ValidationError("terms must be a list with one entry per term")
+    values = np.empty((len(obj["terms"]), space.n_atoms, dim))
+    for j, raw in enumerate(obj["terms"]):
+        term = _numbers(raw, f"terms[{j}]")
+        if term.ndim == 1:
+            term = term[:, None]
+        if term.shape != values.shape[1:]:
             raise ValidationError(
-                f"terms[{j - 1}] has shape {values.shape}, "
+                f"terms[{j}] has shape {term.shape}, "
                 f"expected ({space.n_atoms}, {dim})"
             )
-        terms.append(RandomVector(space, values))
-    return space, filtration, AdaptedSequence(filtration, terms)
+        values[j] = term
+    return space, filtration, AdaptedSequence(filtration, values)

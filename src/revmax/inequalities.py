@@ -29,7 +29,6 @@ from .finite_prob import (
     AdaptedSequence,
     DecreasingFiltration,
     FiniteProbSpace,
-    RandomVector,
     ValidationError,
     _cond_table,
     _max_moment,
@@ -197,24 +196,19 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
 
 @dataclass(frozen=True)
 class Instance:
-    """A generated finite instance: space, filtration, adapted sequence."""
+    """An adapted sequence and the seed that generated it."""
 
-    space: FiniteProbSpace
-    filtration: DecreasingFiltration
     sequence: AdaptedSequence
     seed: int
-    atoms: int
-    levels: int
-    n: int
-    dim: int
+    filtration = property(lambda self: self.sequence.filtration)
+    space = property(lambda self: self.sequence.space)
+    atoms = property(lambda self: self.space.n_atoms)
+    levels = property(lambda self: self.filtration.levels)
+    n = property(lambda self: len(self.sequence))
+    dim = property(lambda self: self.sequence.dim)
 
     def descriptor(self) -> dict:
-        return {
-            "seed": self.seed,
-            "atoms": self.atoms,
-            "n": self.n,
-            "dim": self.dim,
-        }
+        return {"seed": self.seed, "atoms": self.atoms, "n": self.n, "dim": self.dim}
 
 
 def random_instance(
@@ -253,21 +247,11 @@ def random_instance(
         labels[level] = row - (row > j)
     filtration = DecreasingFiltration(space, labels)
 
-    terms = []
-    for j in range(1, n + 1):
-        draws = rng.standard_normal((filtration.n_blocks(j), dim))
-        terms.append(RandomVector(space, draws[labels[j - 1]]))
-    sequence = AdaptedSequence(filtration, terms)
-    return Instance(
-        space=space,
-        filtration=filtration,
-        sequence=sequence,
-        seed=int(seed),
-        atoms=atoms,
-        levels=levels,
-        n=n,
-        dim=dim,
-    )
+    values = np.empty((n, atoms, dim))
+    for j, row in enumerate(values):
+        draws = rng.standard_normal((filtration.n_blocks(j + 1), dim))
+        np.take(draws, labels[j], axis=0, out=row)
+    return Instance(sequence=AdaptedSequence(filtration, values), seed=int(seed))
 
 
 def verify(

@@ -15,6 +15,7 @@ from revmax import (
     inequalities,
     load_chain,
     load_observable,
+    markov,
     mc_max_moment,
 )
 from revmax.cli import _verdict_health, run
@@ -235,6 +236,22 @@ def test_out_of_range_flag_exits_two_naming_it(argv, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["verify", "verify-markov"])
+def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    check = "smoothness" if command == "verify" else "stein"
+    count = "--instances" if command == "verify" else "--chains"
+    assert run([
+        command, "--id", check, count, "6", "--seed", "1",
+        "--tol-override", value, "-o", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --tol-override must be a finite number >= 0, got {float(value)}" in err
+    assert "WARNING" not in err
+    assert not out.exists()
+
+
 class TestVerifyMarkov:
     def test_batch_passes(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -266,6 +283,43 @@ class TestVerifyMarkov:
             "-o", str(tmp_path / "m.csv"),
         ]) == 0
         assert capsys.readouterr().err.count("WARNING: pass tolerance overridden") == 1
+
+
+class TestVerifyMarkovSidecar:
+    def test_sidecar_records_verdict_health(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run([
+            "verify-markov", "--id", "weighted-power-max", "--chains", "12",
+            "--seed", "3", "--m-max", "12", "--n-max", "24", "-o", str(out),
+        ]) == 0
+        meta = json.loads(read(str(out) + ".meta.json"))
+        rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+        margins = [float(r[6]) / (float(r[9]) * float(r[7]))
+                   for r in rows if r[10] != "skipped"]
+        assert meta["check"] == "weighted-power-max"
+        assert meta["violations"] == sum(r[10] == "false" for r in rows) == 0
+        assert meta["skipped"] == sum(r[10] == "skipped" for r in rows)
+        assert meta["worst_margin"] == max(margins)
+        assert 0 < meta["worst_margin"] <= 1
+
+    def test_planted_constant_gives_violations(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "m.csv"
+        planted = inequalities.TracedConstant("unit-weight-power-max", 2.0, 1e-9, ())
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "markov_traced_constant", lambda check: planted)
+            assert run([
+                "verify-markov", "--id", "unit-weight-power-max", "--chains", "5",
+                "--seed", "1", "--m-max", "8", "--n-max", "8", "-o", str(out),
+            ]) == 1
+        meta = json.loads(read(str(out) + ".meta.json"))
+        rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+        assert meta["violations"] == sum(r[10] == "false" for r in rows) == 5
+        assert meta["skipped"] == 0
+        assert meta["worst_margin"] == max(
+            float(r[6]) / (float(r[9]) * float(r[7])) for r in rows
+        )
+        assert meta["worst_margin"] > 1
+        assert "5 chains, 5 violations" in capsys.readouterr().out
 
 
 class TestSimulate:

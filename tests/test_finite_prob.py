@@ -165,29 +165,27 @@ class TestConstruction:
     def test_measurability_enforced_exactly(self):
         space = make_space(4)
         filt = three_level(space)
-        ok = RandomVector(space, [1.0, 1.0, 2.0, 2.0])
+        ok = [1.0, 1.0, 2.0, 2.0]
         AdaptedSequence(filt, [ok, ok])
-        bad = RandomVector(space, [1.0, 1.0 + 1e-15, 2.0, 2.0])
+        bad = [1.0, 1.0 + 1e-15, 2.0, 2.0]
         with pytest.raises(ValidationError, match="not measurable"):
             AdaptedSequence(filt, [ok, bad])
 
     def test_first_bad_term_in_the_middle_is_named(self):
         def first_bad_by_term(filt, terms):
             for j, term in enumerate(terms, start=1):
-                if not np.array_equal(term.values, term.values[filt.representatives(j)]):
+                if not np.array_equal(term, term[filt.representatives(j)]):
                     return j
             return None
 
         inst = random_instance(17, atoms=12, levels=7, n=6, dim=2)
         filt = inst.filtration
         for bad_terms in ((3,), (4, 6), (2, 3, 5)):
-            terms = list(inst.sequence.terms)
+            terms = inst.sequence.values.copy()
             for j in bad_terms:
                 reps = filt.representatives(j)
                 atom = int(np.argmax(reps != np.arange(12)))
-                values = terms[j - 1].values.copy()
-                values[atom, 1] = np.nextafter(values[atom, 1], np.inf)
-                terms[j - 1] = RandomVector(inst.space, values)
+                terms[j - 1, atom, 1] = np.nextafter(terms[j - 1, atom, 1], np.inf)
             first = first_bad_by_term(filt, terms)
             assert first == bad_terms[0]
             with pytest.raises(ValidationError,
@@ -198,20 +196,52 @@ class TestConstruction:
         inst = random_instance(4, atoms=9, levels=5, n=4, dim=3)
         seq = inst.sequence
         assert seq.values.shape == (4, 9, 3)
+        assert len(seq.terms) == len(seq) == 4
         for term, row in zip(seq.terms, seq.values):
+            assert term.space is inst.space and term.dim == 3
+            assert np.shares_memory(term.values, seq.values)
             np.testing.assert_array_equal(term.values, row)
+            with pytest.raises(ValueError):
+                term.values[0, 0] = 1.0
         with pytest.raises(ValueError):
             seq.values[0, 0, 0] = 1.0
 
     def test_dim_and_space_checked_before_measurability(self):
-        space = make_space(4)
-        filt = three_level(space)
-        ok = RandomVector(space, [1.0, 1.0, 2.0, 2.0])
-        unmeasurable = RandomVector(space, [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ValidationError, match="term 3 has dim 2, expected 1"):
-            AdaptedSequence(filt, [ok, unmeasurable, RandomVector(space, np.ones((4, 2)))])
-        with pytest.raises(ValidationError, match="term 2 lives on a different space"):
-            AdaptedSequence(filt, [ok, RandomVector(make_space(4), np.ones(4))])
+        # the atom axis must match the filtration's space, and dim must be
+        # positive, before any term is checked for measurability
+        filt = three_level(make_space(4))
+        unmeasurable = np.arange(8.0).reshape(2, 4, 1)
+        for shape in ((2, 5, 1), (2, 4, 0)):
+            with pytest.raises(ValidationError, match=rf"values shape \({shape[0]}, {shape[1]}, "
+                               rf"{shape[2]}\) is not \(n, 4, dim >= 1\)"):
+                AdaptedSequence(filt, np.zeros(shape))
+        with pytest.raises(ValidationError, match="term 2 has non-finite values"):
+            AdaptedSequence(filt, np.concatenate([unmeasurable[:1], np.full((1, 4, 1), np.nan)]))
+        with pytest.raises(ValidationError, match="term 2 is not measurable"):
+            AdaptedSequence(filt, unmeasurable)
+
+    def test_two_dimensional_values_are_dim_one_and_copied(self):
+        filt = three_level(make_space(4))
+        raw = np.array([[1.0, 1.0, 2.0, 2.0], [3.0, 3.0, 3.0, 3.0]])
+        seq = AdaptedSequence(filt, raw)
+        assert seq.values.shape == (2, 4, 1) and seq.dim == 1
+        raw[0, 0] = 9.0
+        np.testing.assert_array_equal(seq.values[0, :, 0], [1.0, 1.0, 2.0, 2.0])
+
+    def test_term_count_must_fit_the_levels(self):
+        filt = three_level(make_space(4))
+        AdaptedSequence(filt, np.ones((3, 4, 2)))
+        for n in (0, 4):
+            with pytest.raises(ValidationError, match=f"{n} terms; an adapted sequence needs 1..3"):
+                AdaptedSequence(filt, np.ones((n, 4, 2)))
+
+    def test_non_finite_term_is_named(self):
+        filt = three_level(make_space(4))
+        for bad in (np.inf, -np.inf, np.nan):
+            values = np.ones((3, 4, 2))
+            values[2, 1, 1] = bad
+            with pytest.raises(ValidationError, match="term 3 has non-finite values"):
+                AdaptedSequence(filt, values)
 
 
 class TestCondExpect:
@@ -424,8 +454,7 @@ class TestPartialSums:
     def test_zero_terms_give_zero(self):
         space = make_space(4)
         filt = three_level(space)
-        zero = RandomVector(space, np.zeros(4))
-        seq = AdaptedSequence(filt, [zero, zero])
+        seq = AdaptedSequence(filt, np.zeros((2, 4)))
         partial, conditioned = adapted_partial_sums(seq, 2)
         for v in partial + conditioned:
             np.testing.assert_array_equal(v.values, 0.0)
@@ -458,7 +487,7 @@ class TestExactMaxMoment:
     def test_scaled_constant_pair(self):
         space = make_space(3)
         c = RandomVector(space, np.ones(3))
-        assert exact_max_moment([c, c.scaled(2.0)], 2.0) == pytest.approx(4.0)
+        assert exact_max_moment([c, RandomVector(space, 2.0 * c.values)], 2.0) == pytest.approx(4.0)
 
     def test_two_pass_recomputation_oracle(self):
         rng = np.random.default_rng(29)
@@ -490,8 +519,8 @@ class TestDecomposition:
         space = make_space(4)
         part = [[[0, 1], [2, 3]]] * 4
         filt = DecreasingFiltration.from_blocks(space, part)
-        X = RandomVector(space, [1.0, 1.0, -2.0, -2.0])
-        seq = AdaptedSequence(filt, [X, X.scaled(0.5), X.scaled(-1.0)])
+        X = np.array([1.0, 1.0, -2.0, -2.0])
+        seq = AdaptedSequence(filt, np.outer([1.0, 0.5, -1.0], X))
         assert decomposition_residual(seq, 3) <= 1e-13
 
     def test_residual_below_contract_on_random_instances(self):
@@ -510,8 +539,7 @@ class TestOrthogonality:
     def test_constant_terms_give_zero(self):
         space = make_space(4)
         filt = DecreasingFiltration.from_blocks(space, [[[0, 1, 2, 3]]] * 4)
-        c = RandomVector(space, np.full(4, 2.5))
-        seq = AdaptedSequence(filt, [c, c, c])
+        seq = AdaptedSequence(filt, np.full((3, 4), 2.5))
         lhs, rhs = orthogonality_gap(seq, 2)
         assert lhs == pytest.approx(0.0, abs=1e-15)
         assert rhs == pytest.approx(0.0, abs=1e-15)
@@ -561,6 +589,7 @@ class TestProblemJson:
         assert space.n_atoms == 4
         assert filt.levels == 2
         assert len(seq) == 2
+        np.testing.assert_array_equal(seq.values[:, :, 0], [[1, 2, 3, 4], [1, 1, 5, 5]])
 
     def test_errors_name_the_offending_field(self):
         with pytest.raises(ValidationError, match="probs"):
@@ -579,3 +608,29 @@ class TestProblemJson:
         }
         with pytest.raises(ValidationError, match=r"terms\[0\]"):
             load_problem(bad_term)
+
+
+GOOD_PROBLEM = {
+    "probs": [0.5, 0.25, 0.25],
+    "partitions": [[[0], [1], [2]], [[0, 1], [2]]],
+    "dim": 1,
+    "terms": [[1.0, 2.0, 3.0], [[4.0], [4.0], [5.0]]],
+}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("probs", ["a", "b", "c"], "probs must be a rectangular list of numbers"),
+    ("probs", [[0.5], [0.25, 0.25]], "probs must be a rectangular list of numbers"),
+    ("terms", [[[1.0], [2.0, 2.0], [3.0]]], r"terms\[0\] must be a rectangular list of numbers"),
+    ("terms", [[1.0, 2.0, 3.0], [4.0, "x", 5.0]], r"terms\[1\] must be a rectangular list of numbers"),
+    ("dim", "x", "dim must be a positive integer, got 'x'"),
+    ("partitions", [[[0], [1], [2]], [0, 1, 2]],
+     "level 2 block 0 is not a list of integer atoms"),
+    ("partitions", [[[0.5], [1], [2]], [[0, 1], [2]]],
+     "level 1 block 0 is not a list of integer atoms"),
+], ids=["non-numeric-probs", "ragged-probs", "ragged-term", "non-numeric-term",
+        "non-integer-dim", "flat-level", "non-integer-atom"])
+def test_malformed_problem_field_is_named(field, value, message):
+    load_problem(GOOD_PROBLEM)
+    with pytest.raises(ValidationError, match=message):
+        load_problem({**GOOD_PROBLEM, field: value})

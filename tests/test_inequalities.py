@@ -110,6 +110,30 @@ class TestRandomInstance:
             for level in range(1, levels + 1):
                 np.testing.assert_array_equal(inst.filtration.labels(level), want[level - 1])
 
+    def test_term_array_matches_a_per_term_draw_loop(self):
+        # reference: one standard-normal draw per level-j block, gathered
+        # through the level-j labels, term by term
+        shapes = np.random.default_rng(59)
+        for seed in range(50):
+            dim = seed % 9 + 1
+            atoms = int(shapes.integers(2, 65))
+            levels = int(shapes.integers(2, atoms + 1))
+            n = int(shapes.integers(1, levels))
+            inst = random_instance(seed, atoms=atoms, levels=levels, n=n, dim=dim)
+            rng = np.random.default_rng(seed)
+            rng.uniform(0.2, 1.0, atoms)
+            for level in range(1, levels):  # the merge draws come before the terms
+                rng.choice(atoms - level + 1, size=2, replace=False)
+            want = np.stack([
+                rng.standard_normal((inst.filtration.n_blocks(j), dim))[
+                    inst.filtration.labels(j)
+                ]
+                for j in range(1, n + 1)
+            ])
+            np.testing.assert_array_equal(inst.sequence.values, want)
+            assert inst.descriptor() == {"seed": seed, "atoms": atoms, "n": n, "dim": dim}
+            assert inst.levels == levels
+
     def test_infeasible_shapes_rejected(self):
         with pytest.raises(ValidationError, match="infeasible"):
             random_instance(3, atoms=4, levels=5, n=4, dim=1)
@@ -153,7 +177,8 @@ class TestVerify:
         partial, conditioned = adapted_partial_sums(inst.sequence, 10)
         for i in range(1, 10):
             coarser = cond_expect(partial[i - 1], inst.filtration, i + 1)
-            proj = (conditioned[i - 1] - coarser).moment(2.0)
+            increment = conditioned[i - 1].values - coarser.values
+            proj = RandomVector(inst.space, increment).moment(2.0)
             drop = conditioned[i - 1].moment(2.0) - coarser.moment(2.0)
             assert proj == pytest.approx(drop, abs=1e-12)
 
@@ -178,16 +203,14 @@ class TestVerify:
         stats = compute_stats(w, 7)
         X = inst.sequence.terms[0]
         terms = [
-            cond_expect(X, inst.filtration, j).scaled(w.eval(j)) for j in range(1, 8)
+            w.eval(j) * cond_expect(X, inst.filtration, j).values for j in range(1, 8)
         ]
         running = terms[0]
         for k in range(2, 8):
             running = running + terms[k - 1]
-            cond_of_sum = cond_expect(running, inst.filtration, k)
-            direct = cond_expect(X, inst.filtration, k).scaled(stats.s[k])
-            np.testing.assert_allclose(
-                cond_of_sum.values, direct.values, atol=1e-12
-            )
+            cond_of_sum = cond_expect(RandomVector(inst.space, running), inst.filtration, k)
+            direct = stats.s[k] * cond_expect(X, inst.filtration, k).values
+            np.testing.assert_allclose(cond_of_sum.values, direct, atol=1e-12)
 
 
 class TestPropertySuite:
@@ -214,13 +237,13 @@ class TestPropertySuite:
         rng = np.random.default_rng(3)
         X = RandomVector(space, rng.standard_normal(8))
         w = WeightSequence.explicit([4.0 ** -j for j in range(1, 31)])
-        terms = [
-            cond_expect(X, filt, j).scaled(w.eval(j)) for j in range(1, 31)
-        ]
+        terms = [w.eval(j) * cond_expect(X, filt, j).values for j in range(1, 31)]
         seq = AdaptedSequence(filt, terms)
         partial, _ = adapted_partial_sums(seq, 30)
         distances = [
-            exact_max_moment([partial[-1] - partial[m]], 2.0) ** 0.5
+            exact_max_moment(
+                [RandomVector(space, partial[-1].values - partial[m].values)], 2.0
+            ) ** 0.5
             for m in range(14, 29)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(distances, distances[1:]))
