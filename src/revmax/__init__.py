@@ -72,12 +72,14 @@ from .markov import (
 from .simulate import (
     MaxMomentEstimate,
     OscillationTable,
+    PathReductions,
     SimConfig,
     Trajectory,
     as_convergence_diagnostic,
     derive_trial_seed,
     enumerate_max_moment,
     mc_max_moment,
+    reduce_series_paths,
     sample_trajectories,
     sample_trajectory,
     series_path,

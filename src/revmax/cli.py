@@ -33,12 +33,12 @@ from .markov import (
     verify_markov_inequality,
 )
 from .simulate import (
+    MIN_DIAGNOSTIC_TRIALS,
+    MIN_ESTIMATE_TRIALS,
     SimConfig,
-    as_convergence_diagnostic,
     jackknife_mean,
-    path_max_squares,
+    reduce_series_paths,
     sample_trajectories,
-    series_paths,
 )
 from .weights import parse_weight_spec
 
@@ -277,32 +277,42 @@ def _cmd_verify_markov(args, argv) -> int:
 
 
 def _cmd_simulate(args, argv) -> int:
-    chain = load_chain(_load_json(args.chain, "chain"))
-    f = load_observable(_load_json(args.observable, "observable"))
-    w = parse_weight_spec(args.weights)
+    _require_minimums(args, {"--paths-limit": 0})
     config = SimConfig(
         master_seed=args.master_seed,
         trials=args.trials,
         horizon=args.n,
         threads=args.threads,
     )
-    seeds = [config.trial_seed(i) for i in range(config.trials)]
-    powers = ChainPowers(chain, f)
-    states = sample_trajectories(chain, args.n, seeds)
-    paths = series_paths(chain, f, w, states, powers)
-
     checkpoints = []
     c = 8
     while 2 * c <= args.n:
         checkpoints.append(c)
         c *= 2
+    if args.osc_out and (not checkpoints or config.trials < MIN_DIAGNOSTIC_TRIALS):
+        raise ValidationError(
+            "oscillation table needs horizon >= 16 and at least "
+            f"{MIN_DIAGNOSTIC_TRIALS} trials"
+        )
+    if args.estimate_out and config.trials < MIN_ESTIMATE_TRIALS:
+        raise ValidationError(
+            f"--estimate-out needs --trials >= {MIN_ESTIMATE_TRIALS}, got {config.trials}"
+        )
+    chain = load_chain(_load_json(args.chain, "chain"))
+    f = load_observable(_load_json(args.observable, "observable"))
+    w = parse_weight_spec(args.weights)
+    seeds = [config.trial_seed(i) for i in range(config.trials)]
+    powers = ChainPowers(chain, f)
+    states = sample_trajectories(chain, args.n, seeds)
+    reductions = reduce_series_paths(
+        chain, f, w, states, powers,
+        checkpoints=checkpoints if args.osc_out else (),
+        norms_limit=args.paths_limit if args.paths_out else 0,
+    )
+
     exit_code = 0
     if args.osc_out:
-        if len(checkpoints) < 1 or config.trials < 30:
-            raise ValidationError(
-                "oscillation table needs horizon >= 16 and at least 30 trials"
-            )
-        table = as_convergence_diagnostic(paths, checkpoints)
+        table = reductions.oscillation
         lines = ["checkpoint,median_osc,q95_osc"]
         for cp, med, q in zip(table.checkpoints, table.median, table.q95):
             lines.append(f"{cp},{_fmt(med)},{_fmt(q)}")
@@ -315,15 +325,14 @@ def _cmd_simulate(args, argv) -> int:
 
     if args.paths_out:
         lines = ["trial,k,T_k"]
-        norms = np.linalg.norm(paths[: args.paths_limit], axis=2)
-        for trial in range(min(config.trials, args.paths_limit)):
+        for trial, norms in enumerate(reductions.norms):
             for k in range(args.n):
-                lines.append(f"{trial},{k + 1},{_fmt(norms[trial, k])}")
+                lines.append(f"{trial},{k + 1},{_fmt(norms[k])}")
         _write_text(args.paths_out, "\n".join(lines) + "\n")
         _write_sidecar(args.paths_out, argv, seed=args.master_seed)
 
-    if config.trials >= 100:
-        estimate, se = jackknife_mean(path_max_squares(paths))
+    if config.trials >= MIN_ESTIMATE_TRIALS:
+        estimate, se = jackknife_mean(reductions.max_squares)
         moments = powers.second_moments(args.n)[1:]
         series_bound = (
             traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
@@ -343,7 +352,12 @@ def _cmd_simulate(args, argv) -> int:
                 "within_bound": within,
             }
             _write_text(args.estimate_out, json.dumps(payload, indent=2) + "\n")
-            _write_sidecar(args.estimate_out, argv, seed=args.master_seed)
+            margin = estimate / series_bound if series_bound else math.inf
+            _write_sidecar(
+                args.estimate_out, argv, seed=args.master_seed,
+                extra={"violations": int(not within), "skipped": 0,
+                       "worst_margin": _json_number(margin)},
+            )
         if not within:
             exit_code = 1
     return exit_code

@@ -144,10 +144,14 @@ class DecreasingFiltration:
         gets label ``b``.  Every atom must lie in exactly one block.
         """
         n = space.n_atoms
+        if not isinstance(partitions, (list, tuple)):
+            raise ValidationError("partitions must be a list of levels")
         if not partitions:
             raise ValidationError("filtration needs at least one partition")
         labels = np.full((len(partitions), n), -1, dtype=np.int64)
         for j, (row, part) in enumerate(zip(labels, partitions), start=1):
+            if not isinstance(part, (list, tuple)):
+                raise ValidationError(f"level {j} must be a list of blocks")
             for b, block in enumerate(part):
                 idx = np.asarray(block)
                 if idx.shape == (0,):

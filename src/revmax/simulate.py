@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "series_paths",
     "OscillationTable",
     "as_convergence_diagnostic",
+    "PathReductions",
+    "reduce_series_paths",
     "MaxMomentEstimate",
     "path_max_squares",
     "jackknife_mean",
@@ -231,32 +233,54 @@ def series_paths(
 ) -> np.ndarray:
     """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
 
-    The result is built in one buffer, one trial at a time: the trial's table
-    rows are gathered, scaled by the weights and summed along the path in
-    place.
+    Each trial's path is built in place in its row of the result; commands
+    that only reduce the paths use ``reduce_series_paths`` instead.
     """
+    out = np.empty((states.shape[0], _steps(states), f.dim))
+    for _ in _each_path(chain, f, w, states, powers, out):
+        pass
+    return out
+
+
+def _steps(states: np.ndarray) -> int:
     n = states.shape[1] - 1
     if n < 1:
         raise ValidationError("trajectory must have at least one step")
+    return n
+
+
+def _each_path(chain, f, w, states, powers, out=None):
+    """Yield each trial's partial-sum path, built in the next buffer of ``out``.
+
+    The trial's table rows are gathered, scaled by the weights and summed
+    along the path in place.  Without ``out`` every trial reuses one
+    ``(n, dim)`` buffer, so a yielded path lasts until the next one.
+    """
+    n = _steps(states)
     if powers is None:
         powers = ChainPowers(chain, f)
     table = powers.table(n)
     flat = table.reshape(-1, table.shape[2])  # row j * m + i holds (Q^j f)(i)
     steps = np.arange(1, n + 1) * chain.m
     weights = w.eval_range(n)[1:, None]
-    out = np.empty((states.shape[0], n, table.shape[2]))
+    if out is None:
+        out = repeat(np.empty((n, table.shape[2])))
     index = np.empty(n, dtype=np.intp)
     for trial, path in zip(states, out):
         np.add(steps, trial[1:], out=index)
         np.take(flat, index, axis=0, out=path)
         path *= weights
         np.cumsum(path, axis=0, out=path)
-    return out
+        yield path
 
 
 # A diagnostic threshold, not a theorem: finite runs cannot certify
 # almost-sure convergence, only exhibit or break the expected Cauchy trend.
 DECAY_FACTOR = 1.2
+# Fewest trials whose oscillation quantiles, or whose jackknife error bar,
+# mean anything.
+MIN_DIAGNOSTIC_TRIALS = 30
+MIN_ESTIMATE_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -287,8 +311,16 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
     if arr.ndim != 3:
         raise ValidationError("paths must have shape (trials, n) or (trials, n, dim)")
     trials, length, _ = arr.shape
-    if trials < 30:
-        raise ValidationError(f"need at least 30 trials, got {trials}")
+    checkpoints = _diagnostic_checkpoints(checkpoints, trials, length)
+    squares = np.empty((len(checkpoints), trials))
+    for t, path in enumerate(arr):
+        _oscillation_squares(path, checkpoints, squares[:, t])
+    return _oscillation_table(squares, checkpoints)
+
+
+def _diagnostic_checkpoints(checkpoints, trials: int, length: int) -> list:
+    if trials < MIN_DIAGNOSTIC_TRIALS:
+        raise ValidationError(f"need at least {MIN_DIAGNOSTIC_TRIALS} trials, got {trials}")
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
         raise ValidationError("need at least one checkpoint")
@@ -297,13 +329,20 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
             raise ValidationError(
                 f"checkpoint {c} needs path length >= {2 * c}, have {length}"
             )
-    # max_k |T_k - T_n|^2 per trial; the root of the max is the max of the
-    # roots bit for bit, since sqrt is correctly rounded and monotone
-    squares = np.empty((len(checkpoints), trials))
-    for t, path in enumerate(arr):
-        for i, c in enumerate(checkpoints):
-            window = path[c - 1 : 2 * c] - path[c - 1]
-            squares[i, t] = squared_norms(window).max()
+    return checkpoints
+
+
+def _oscillation_squares(path: np.ndarray, checkpoints, out: np.ndarray):
+    """``out[i] = max_{c<=k<=2c} |T_k - T_c|^2`` of one path, c = checkpoints[i]."""
+    for i, c in enumerate(checkpoints):
+        window = path[c - 1 : 2 * c] - path[c - 1]
+        out[i] = squared_norms(window).max()
+
+
+def _oscillation_table(squares: np.ndarray, checkpoints) -> OscillationTable:
+    """Quantiles and trend verdict from ``(checkpoints, trials)`` squared oscillations."""
+    # the root of the max is the max of the roots bit for bit, since sqrt is
+    # correctly rounded and monotone
     osc = np.sqrt(squares)
     medians = [float(np.quantile(row, 0.5)) for row in osc]
     q95s = [float(np.quantile(row, 0.95)) for row in osc]
@@ -322,6 +361,54 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
         q95=tuple(q95s),
         consistent=consistent,
     )
+
+
+@dataclass(frozen=True)
+class PathReductions:
+    """The per-trial reductions of a batch of series paths.
+
+    ``max_squares[t]`` is max_k |T_k|^2 of trial t, ``oscillation`` the
+    diagnostic at the requested checkpoints (None without any), and
+    ``norms[t, k - 1]`` is |T_k| for each of the first ``norms.shape[0]``
+    trials.
+    """
+
+    max_squares: np.ndarray
+    oscillation: OscillationTable | None
+    norms: np.ndarray
+
+
+def reduce_series_paths(
+    chain: ReversibleChain,
+    f: Observable,
+    w: WeightSequence,
+    states: np.ndarray,
+    powers: ChainPowers | None = None,
+    checkpoints=(),
+    norms_limit: int = 0,
+) -> PathReductions:
+    """Reduce each trajectory's series path in turn, holding one path at a time.
+
+    Bit for bit, the results equal ``path_max_squares`` and
+    ``as_convergence_diagnostic`` of ``series_paths(chain, f, w, states)``
+    and ``np.linalg.norm(paths[:norms_limit], axis=2)``, without the
+    ``(trials, n, dim)`` array.
+    """
+    trials, n = states.shape[0], _steps(states)
+    if norms_limit < 0:
+        raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
+    checkpoints = _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
+    max_squares = np.empty(trials)
+    osc_squares = np.empty((len(checkpoints), trials))
+    norms = np.empty((min(trials, norms_limit), n))
+    for t, path in enumerate(_each_path(chain, f, w, states, powers)):
+        squares = squared_norms(path)
+        max_squares[t] = squares.max()
+        _oscillation_squares(path, checkpoints, osc_squares[:, t])
+        if t < len(norms):
+            np.sqrt(squares, out=norms[t])
+    oscillation = _oscillation_table(osc_squares, checkpoints) if checkpoints else None
+    return PathReductions(max_squares, oscillation, norms)
 
 
 @dataclass(frozen=True)
@@ -358,10 +445,13 @@ def mc_max_moment(
 
     Trials are deterministic per-trial streams; the thread budget only chunks
     the trial axis, so the estimate is bit-identical for any thread count.
+    Each chunk builds and reduces its series paths one at a time.
     The standard error is the leave-one-out jackknife of the mean.
     """
-    if config.trials < 100:
-        raise ValidationError("need at least 100 trials for a usable error bar")
+    if config.trials < MIN_ESTIMATE_TRIALS:
+        raise ValidationError(
+            f"need at least {MIN_ESTIMATE_TRIALS} trials for a usable error bar"
+        )
     if n > config.horizon:
         raise ValidationError("n exceeds the configured horizon")
     powers = ChainPowers(chain, f)
@@ -375,7 +465,7 @@ def mc_max_moment(
     def run(bounds):
         lo, hi = bounds
         states = sample_trajectories(chain, n, seeds[lo:hi])
-        return path_max_squares(series_paths(chain, f, w, states, powers))
+        return reduce_series_paths(chain, f, w, states, powers).max_squares
 
     if config.threads == 1 or len(ranges) == 1:
         pieces = [run(r) for r in ranges]

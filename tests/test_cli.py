@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from revmax import (
     markov,
     mc_max_moment,
 )
+from revmax import cli
 from revmax.cli import _verdict_health, run
 
 
@@ -394,6 +396,75 @@ class TestSimulate:
         lines = read(paths).strip().splitlines()
         assert lines[0] == "trial,k,T_k"
         assert len(lines) == 1 + 3 * 16
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "4096", "--trials", "20", "--osc-out", "out"], "at least 30 trials"),
+        (["--n", "8", "--trials", "40", "--osc-out", "out"], "horizon >= 16"),
+        (["--paths-limit", "-3", "--paths-out", "out"], "--paths-limit must be >= 0"),
+        (["--trials", "50", "--estimate-out", "out"], "--estimate-out needs --trials >= 100"),
+    ], ids=["osc-few-trials", "osc-short-horizon", "negative-paths-limit",
+            "estimate-few-trials"])
+    def test_bad_flags_exit_two_before_sampling(self, chain_files, tmp_path, monkeypatch,
+                                                capsys, flags, message):
+        chain, f, _ = chain_files
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the flags were checked")
+
+        monkeypatch.setattr(cli, "sample_trajectories", no_sampling)
+        out = tmp_path / "out"
+        flags = [str(out) if flag == "out" else flag for flag in flags]
+        assert run([
+            "simulate", "--chain", str(chain), "--observable", str(f),
+            "--weights", "power:-0.5", "--n", "64", "--trials", "100", *flags,
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_sidecar_records_verdict_health(self, chain_files, tmp_path,
+                                                     monkeypatch):
+        chain, f, _ = chain_files
+        base = ["simulate", "--chain", str(chain), "--observable", str(f),
+                "--n", "32", "--trials", "120", "--master-seed", "6"]
+        est = tmp_path / "est.json"
+        assert run([*base, "--weights", "power:-0.5", "--estimate-out", str(est)]) == 0
+        payload, meta = json.loads(read(est)), json.loads(read(str(est) + ".meta.json"))
+        assert meta["violations"] == 0 and meta["skipped"] == 0
+        assert meta["worst_margin"] == payload["estimate"] / payload["series_bound"]
+        assert 0 < meta["worst_margin"] < 1
+
+        zero = tmp_path / "zero.json"
+        assert run([*base, "--weights", "constant:0.0", "--estimate-out", str(zero)]) == 0
+        meta = json.loads(read(str(zero) + ".meta.json"))
+        assert json.loads(read(zero))["series_bound"] == 0.0
+        assert (meta["violations"], meta["worst_margin"]) == (0, "inf")
+
+        planted = inequalities.TracedConstant("second-moment-series", 2.0, 1e-9, ())
+        monkeypatch.setattr(cli, "traced_constant", lambda check, p: planted)
+        low = tmp_path / "low.json"
+        assert run([*base, "--weights", "power:-0.5", "--estimate-out", str(low)]) == 1
+        payload, meta = json.loads(read(low)), json.loads(read(str(low) + ".meta.json"))
+        assert not payload["within_bound"]
+        assert meta["violations"] == 1
+        assert meta["worst_margin"] == payload["estimate"] / payload["series_bound"] > 1
+
+    def test_holds_one_path_at_a_time(self, tmp_path, capsys):
+        # the (200, 2**14, 2) path array alone would take 52.4 MB
+        data = Path(__file__).parent / "data" / "simulate"
+        argv = [
+            "simulate", "--chain", str(data / "graph.json"),
+            "--observable", str(data / "graph-f.json"), "--weights", "power:-0.5",
+            "--n", str(2 ** 14), "--trials", "200", "--master-seed", "3",
+            "--osc-out", str(tmp_path / "osc.csv"),
+            "--estimate-out", str(tmp_path / "est.json"),
+        ]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestReport:

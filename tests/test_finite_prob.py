@@ -628,8 +628,12 @@ GOOD_PROBLEM = {
      "level 2 block 0 is not a list of integer atoms"),
     ("partitions", [[[0.5], [1], [2]], [[0, 1], [2]]],
      "level 1 block 0 is not a list of integer atoms"),
+    ("partitions", [[[0], [1], [2]], 5], "level 2 must be a list of blocks"),
+    ("partitions", 5, "partitions must be a list of levels"),
+    ("partitions", {"level": [[0, 1, 2]]}, "partitions must be a list of levels"),
 ], ids=["non-numeric-probs", "ragged-probs", "ragged-term", "non-numeric-term",
-        "non-integer-dim", "flat-level", "non-integer-atom"])
+        "non-integer-dim", "flat-level", "non-integer-atom", "scalar-level",
+        "scalar-partitions", "mapping-partitions"])
 def test_malformed_problem_field_is_named(field, value, message):
     load_problem(GOOD_PROBLEM)
     with pytest.raises(ValidationError, match=message):

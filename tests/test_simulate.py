@@ -1,3 +1,7 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,11 @@ from revmax import (
     derive_trial_seed,
     enumerate_max_moment,
     lazy_ring,
+    load_chain,
+    load_observable,
     mc_max_moment,
     random_chain_instance,
+    reduce_series_paths,
     sample_trajectories,
     sample_trajectory,
     series_path,
@@ -24,6 +31,16 @@ from revmax import simulate
 from revmax.markov import ChainPowers, ReversibleChain
 from revmax.simulate import path_max_squares
 from revmax.weights import compute_stats
+
+
+DATA = Path(__file__).parent / "data" / "simulate"
+
+
+def graph_instance():
+    """The 50-state weighted graph and its centered dim-2 observable."""
+    chain = load_chain(json.loads((DATA / "graph.json").read_text()))
+    f = load_observable(json.loads((DATA / "graph-f.json").read_text()))
+    return chain, f
 
 
 def first_reaching(cum, u):
@@ -347,7 +364,51 @@ class TestOscillationDiagnostic:
             as_convergence_diagnostic(paths, [40])
 
 
+class TestPathReductions:
+    @pytest.mark.parametrize("limit", [0, 1, 50])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_equal_the_batch_reductions_bit_for_bit(self, dim, limit):
+        chain, f = random_chain_instance(71, m_max=12, dim=dim)
+        w = WeightSequence.power(-0.5)
+        states = sample_trajectories(chain, 300, range(33))
+        checkpoints = [8, 16, 32, 64, 128]
+        out = reduce_series_paths(chain, f, w, states, checkpoints=checkpoints,
+                                  norms_limit=limit)
+        paths = series_paths(chain, f, w, states)
+        np.testing.assert_array_equal(out.max_squares, path_max_squares(paths))
+        assert out.oscillation == as_convergence_diagnostic(paths, checkpoints)
+        np.testing.assert_array_equal(out.norms, np.linalg.norm(paths[:limit], axis=2))
+
+    def test_no_checkpoints_give_no_table(self):
+        chain, f = random_chain_instance(73, m_max=6)
+        states = sample_trajectories(chain, 20, range(5))
+        out = reduce_series_paths(chain, f, WeightSequence.constant(1.0), states)
+        assert out.oscillation is None
+        assert out.norms.shape == (0, 20)
+
+    def test_diagnostic_and_limit_checks(self):
+        chain, f = random_chain_instance(79, m_max=6)
+        w = WeightSequence.constant(1.0)
+        states = sample_trajectories(chain, 64, range(10))
+        with pytest.raises(ValidationError, match="30 trials"):
+            reduce_series_paths(chain, f, w, states, checkpoints=[8, 16])
+        with pytest.raises(ValidationError, match="norms limit"):
+            reduce_series_paths(chain, f, w, states, norms_limit=-1)
+
+
 class TestMcMaxMoment:
+    def test_holds_one_path_at_a_time(self):
+        # the (200, 2**14, 2) path array alone would take 52.4 MB
+        chain, f = graph_instance()
+        config = SimConfig(master_seed=3, trials=200, horizon=2 ** 14)
+        tracemalloc.start()
+        try:
+            mc_max_moment(chain, f, WeightSequence.power(-0.5), 2 ** 14, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_identity_kernel_has_zero_variance(self):
         chain = lazy_ring(2, 1.0)
         f = Observable([1.0, -1.0])
