@@ -74,7 +74,6 @@ from .simulate import (
     OscillationTable,
     PathReductions,
     SimConfig,
-    Trajectory,
     as_convergence_diagnostic,
     derive_trial_seed,
     enumerate_max_moment,

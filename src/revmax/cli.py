@@ -4,7 +4,7 @@ Exit codes: 0 all checks passed, 1 at least one inequality or equivalence
 violated (the interesting outcome), 2 malformed input or bad flags.  Every
 run writes a JSON sidecar next to its primary output recording the command
 line, the seeds, and the tool version; primary outputs are byte-identical
-across reruns and thread counts.
+across reruns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .finite_prob import ValidationError
+from .finite_prob import ValidationError, _numbers
 from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
 from .markov import (
     ChainPowers,
@@ -69,6 +69,10 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"cannot read {what} file {path!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}")
+
+
+def _load_numbers(path: str, what: str) -> np.ndarray:
+    return _numbers(_load_json(path, what), what)
 
 
 def _records_to_csv(records) -> str:
@@ -131,7 +135,7 @@ def _cmd_gen_chain(args, argv) -> int:
         params = {"m": args.m, "laziness": args.laziness}
     elif args.model == "weighted-graph":
         if args.weights_file:
-            params = {"weights": _load_json(args.weights_file, "weight matrix")}
+            params = {"weights": _load_numbers(args.weights_file, "weight matrix")}
         elif args.m is not None:
             params = {"m": args.m}
         else:
@@ -140,8 +144,8 @@ def _cmd_gen_chain(args, argv) -> int:
         if not args.target_file or not args.proposal_file:
             raise ValidationError("metropolis needs --target-file and --proposal-file")
         params = {
-            "target": _load_json(args.target_file, "target"),
-            "proposal": _load_json(args.proposal_file, "proposal"),
+            "target": _load_numbers(args.target_file, "target"),
+            "proposal": _load_numbers(args.proposal_file, "proposal"),
         }
     chain = make_chain(args.model, params, seed=args.seed)
     if not chain.connected:
@@ -210,7 +214,8 @@ def _cmd_check_conditions(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     check = InequalityId(args.check)
     _require_minimums(
-        args, {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1}
+        args,
+        {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1, "--threads": 1},
     )
     weights = parse_weight_spec(args.weights) if args.weights else None
     records = verify_batch(
@@ -252,7 +257,7 @@ def _verdict_health(records) -> dict:
 
 def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
-    _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1})
+    _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1, "--threads": 1})
     weights = parse_weight_spec(args.weights) if args.weights else None
     tol_override = _tol_override(args)
     master = np.random.default_rng(args.seed)
@@ -277,13 +282,8 @@ def _cmd_verify_markov(args, argv) -> int:
 
 
 def _cmd_simulate(args, argv) -> int:
-    _require_minimums(args, {"--paths-limit": 0})
-    config = SimConfig(
-        master_seed=args.master_seed,
-        trials=args.trials,
-        horizon=args.n,
-        threads=args.threads,
-    )
+    _require_minimums(args, {"--paths-limit": 0, "--threads": 1})
+    config = SimConfig(master_seed=args.master_seed, trials=args.trials, horizon=args.n)
     checkpoints = []
     c = 8
     while 2 * c <= args.n:
@@ -294,10 +294,16 @@ def _cmd_simulate(args, argv) -> int:
             "oscillation table needs horizon >= 16 and at least "
             f"{MIN_DIAGNOSTIC_TRIALS} trials"
         )
-    if args.estimate_out and config.trials < MIN_ESTIMATE_TRIALS:
-        raise ValidationError(
-            f"--estimate-out needs --trials >= {MIN_ESTIMATE_TRIALS}, got {config.trials}"
-        )
+    if config.trials < MIN_ESTIMATE_TRIALS:
+        if args.estimate_out:
+            raise ValidationError(
+                f"--estimate-out needs --trials >= {MIN_ESTIMATE_TRIALS}, got {config.trials}"
+            )
+        if not (args.osc_out or args.paths_out):
+            raise ValidationError(
+                f"nothing to write: below {MIN_ESTIMATE_TRIALS} trials no estimate is "
+                "printed, so pass --osc-out or --paths-out"
+            )
     chain = load_chain(_load_json(args.chain, "chain"))
     f = load_observable(_load_json(args.observable, "observable"))
     w = parse_weight_spec(args.weights)
@@ -420,6 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="accepted and ignored; the command runs in one thread")
 
     gen = sub.add_parser(
         "gen-chain",
@@ -459,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
+        parents=[threads],
         help="filtration inequalities on generated instances, CSV report",
     )
     ver.add_argument("--id", dest="check", required=True,
@@ -472,14 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--atoms-max", type=int, default=64)
     ver.add_argument("--n-max", type=int, default=32)
     ver.add_argument("--dim-max", type=int, default=3)
-    ver.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; the batch runs in one thread")
     ver.add_argument("--tol-override", type=float, default=None,
                      help="expert-only pass slack override (logged loudly)")
     ver.add_argument("-o", "--out", required=True)
 
     vmk = sub.add_parser(
         "verify-markov",
+        parents=[threads],
         help="chain inequalities on generated chains, CSV report",
     )
     vmk.add_argument("--id", dest="check", required=True,
@@ -489,13 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     vmk.add_argument("--weights", default=None)
     vmk.add_argument("--m-max", type=int, default=50)
     vmk.add_argument("--n-max", type=int, default=128)
-    vmk.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; the batch runs in one thread")
     vmk.add_argument("--tol-override", type=float, default=None)
     vmk.add_argument("-o", "--out", required=True)
 
     sim = sub.add_parser(
         "simulate",
+        parents=[threads],
         help="stationary-path series diagnostics and Monte Carlo max moment",
     )
     sim.add_argument("--chain", required=True)
@@ -504,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--trials", type=int, default=200)
     sim.add_argument("--master-seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; the trials run in one thread")
     sim.add_argument("--osc-out", help="CSV: checkpoint,median_osc,q95_osc")
     sim.add_argument("--paths-out", help="CSV: trial,k,T_k")
     sim.add_argument("--paths-limit", type=int, default=32,

@@ -447,6 +447,14 @@ def _numbers(raw, field: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _dim(obj: dict) -> int:
+    """The optional JSON ``dim`` field: an integer >= 1, and 1 when absent."""
+    dim = obj.get("dim", 1)
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    return dim
+
+
 def load_problem(obj: dict):
     """Build (space, filtration, sequence-or-None) from the JSON problem schema.
 
@@ -462,9 +470,7 @@ def load_problem(obj: dict):
     filtration = DecreasingFiltration.from_blocks(space, obj["partitions"])
     if obj.get("terms") is None:
         return space, filtration, None
-    dim = obj.get("dim", 1)
-    if type(dim) is not int or dim < 1:
-        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    dim = _dim(obj)
     if not isinstance(obj["terms"], list):
         raise ValidationError("terms must be a list with one entry per term")
     values = np.empty((len(obj["terms"]), space.n_atoms, dim))

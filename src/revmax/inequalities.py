@@ -422,20 +422,14 @@ class SeriesVerdict:
     increments: tuple
 
 
-def series_criterion(
-    weights: WeightSequence,
-    second_moments,
-    horizon: int,
-    tail_bound: float | None = None,
-) -> SeriesVerdict:
+def series_criterion(weights: WeightSequence, second_moments, horizon: int) -> SeriesVerdict:
     """Partial sums of sum_k b_k m_k and a convergence verdict.
 
     ``second_moments`` must be non-negative and non-increasing (the natural
     shape for conditional second moments along a decreasing filtration);
-    increasing sequences are rejected.  A finite ``tail_bound`` on the missing
-    tail certifies convergence outright.  Otherwise the verdict compares the
-    last two dyadic windows of partial-sum increments: geometric-type decay
-    reads as convergent, flat increments as divergent, anything in between as
+    increasing sequences are rejected.  The verdict compares the last two
+    dyadic windows of partial-sum increments: geometric-type decay reads as
+    convergent, flat increments as divergent, anything in between as
     inconclusive.
     """
     if horizon < 1:
@@ -460,8 +454,6 @@ def series_criterion(
     partial = float(partials[-1])
 
     if partial == 0.0:
-        return SeriesVerdict(partial, "converges", ())
-    if tail_bound is not None and math.isfinite(tail_bound):
         return SeriesVerdict(partial, "converges", ())
     if horizon < 8:
         return SeriesVerdict(partial, "inconclusive", ())

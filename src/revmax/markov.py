@@ -13,12 +13,13 @@ inequalities) is evaluated exactly from the kernel and that measure.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_prob import ValidationError
+from .finite_prob import ValidationError, _dim, _numbers
 from .inequalities import TracedConstant, VerificationRecord, make_record
 from .weights import WeightSequence, even_odd_stats
 
@@ -62,6 +63,10 @@ MASS_TOL = 1e-14
 UNIT_EIGENVALUE_TOL = 1e-12
 EIGENVALUE_CLAMP_TOL = 1e-10
 ATOM_MERGE_TOL = 1e-10
+# Jacobi stops once the off-diagonal norm is within this share of the
+# input's norm, and gives up after this many sweeps.
+JACOBI_REL_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
 
 
 class EigensolverError(RuntimeError):
@@ -131,7 +136,11 @@ class ReversibleChain:
         self.states = tuple(range(m)) if states is None else tuple(states)
         if len(self.states) != m:
             raise ValidationError("state labels do not match kernel size")
-        self.connected = _is_connected(Q)
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        """Whether every state is reachable from state 0."""
+        return _is_connected(self.transition)
 
     def __repr__(self):  # pragma: no cover
         return f"ReversibleChain(m={self.m}, connected={self.connected})"
@@ -386,13 +395,9 @@ class ChainPowers:
         return out
 
 
-def apply_power(
-    chain: ReversibleChain, f: Observable, k: int, powers: ChainPowers | None = None
-) -> Observable:
+def apply_power(chain: ReversibleChain, f: Observable, k: int) -> Observable:
     """k-fold application of the kernel to an observable."""
-    if powers is None:
-        powers = ChainPowers(chain, f)
-    return Observable(powers.get(k))
+    return Observable(ChainPowers(chain, f).get(k))
 
 
 def autocovariance(
@@ -440,7 +445,7 @@ def _rotation_tangents(app, aqq, apq):
     return t
 
 
-def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigendecomposition(matrix):
     """Cyclic Jacobi diagonalization of a symmetric matrix, round-robin ordering.
 
     Each sweep is n - 1 rounds of the parallel ordering of Brent & Luk
@@ -449,11 +454,12 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
     once, so one round is a handful of array operations, and a sweep rotates
     every pair ``p < q`` once.  Pairs whose entry is exactly zero are
     skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
-    ``rel_tol`` times the Frobenius norm of the input.
+    ``JACOBI_REL_TOL`` times the Frobenius norm of the input.
 
     Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
     in columns, both unsorted, the number of sweeps run and the final
-    off-diagonal norm.  Raises :class:`EigensolverError` past the sweep cap.
+    off-diagonal norm.  Raises :class:`EigensolverError` past
+    ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     A = np.array(matrix, dtype=float)
     n = A.shape[0]
@@ -464,7 +470,7 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
     A = (A + A.T) / 2.0
     if n == 1:
         return A.diagonal().copy(), np.eye(1), 0, 0.0
-    threshold = rel_tol * np.linalg.norm(A)
+    threshold = JACOBI_REL_TOL * np.linalg.norm(A)
     diag_mask = ~np.eye(n, dtype=bool)
 
     def off_norm() -> float:
@@ -488,7 +494,7 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
     Vt = np.eye(n)
     At = np.empty_like(A)
     rounds = _round_robin(n)
-    for sweep in range(max_sweeps):
+    for sweep in range(JACOBI_MAX_SWEEPS):
         residual = off_norm()
         if residual <= threshold:
             return A.diagonal().copy(), Vt.T, sweep, residual
@@ -512,7 +518,7 @@ def jacobi_eigendecomposition(matrix, rel_tol: float = 1e-12, max_sweeps: int = 
             A[p, q] = 0.0
             A[q, p] = 0.0
             rotate_rows(Vt, p, q, w)
-    raise EigensolverError(off_norm(), max_sweeps)
+    raise EigensolverError(off_norm(), JACOBI_MAX_SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -625,14 +631,11 @@ def dl_integral(sm: SpectralMeasure) -> float:
     return total
 
 
-def variance_growth(
-    chain: ReversibleChain, f: Observable, n: int, powers: ChainPowers | None = None
-) -> float:
+def variance_growth(chain: ReversibleChain, f: Observable, n: int) -> float:
     """E S_n^2 / n for the stationary partial sums of f, from autocovariances."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if powers is None:
-        powers = ChainPowers(chain, f)
+    powers = ChainPowers(chain, f)
     total = autocovariance(chain, f, 0, powers)
     for k in range(1, n):
         total += 2.0 * (n - k) / n * autocovariance(chain, f, k, powers)
@@ -994,9 +997,12 @@ def load_chain(obj: dict) -> ReversibleChain:
     """Build a chain from the JSON schema {"states", "pi" (optional), "Q"}."""
     if "Q" not in obj:
         raise ValidationError("missing field 'Q'")
-    states = obj.get("states")
-    pi = obj.get("pi")
-    return ReversibleChain(np.asarray(obj["Q"], dtype=float), pi, states)
+    pi, states = obj.get("pi"), obj.get("states")
+    if pi is not None:
+        pi = _numbers(pi, "pi")
+    if states is not None and not isinstance(states, list):
+        raise ValidationError("states must be a list of state labels")
+    return ReversibleChain(_numbers(obj["Q"], "Q"), pi, states)
 
 
 def dump_chain(chain: ReversibleChain) -> dict:
@@ -1011,8 +1017,8 @@ def load_observable(obj: dict) -> Observable:
     """Build an observable from the JSON schema {"dim", "values"}."""
     if "values" not in obj:
         raise ValidationError("missing field 'values'")
-    values = np.asarray(obj["values"], dtype=float)
-    dim = int(obj.get("dim", 1))
+    values = _numbers(obj["values"], "values")
+    dim = _dim(obj)
     if values.ndim == 1:
         values = values[:, None]
     if values.ndim != 2 or values.shape[1] != dim:

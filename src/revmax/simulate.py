@@ -2,7 +2,7 @@
 
 Every trial owns an RNG stream derived from the master seed and the trial
 index by a fixed 64-bit mixer, and results are reduced in trial order, so
-outputs depend on the master seed only, never on thread count or scheduling.
+outputs depend on the master seed only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .weights import WeightSequence
 
 __all__ = [
     "SimConfig",
-    "Trajectory",
     "derive_trial_seed",
     "sample_trajectory",
     "sample_trajectories",
@@ -62,33 +61,20 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run parameters; threads only affect wall-clock time."""
+    """Simulation run parameters: the master seed, trial count and horizon."""
 
     master_seed: int
     trials: int
     horizon: int
-    threads: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
     def trial_seed(self, index: int) -> int:
         return derive_trial_seed(self.master_seed, index)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States xi_0 .. xi_n of one stationary run."""
-
-    states: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.states.size)
 
 
 def _cumulative_rows(chain: ReversibleChain) -> np.ndarray:
@@ -103,6 +89,8 @@ _DRAW_BITS = 53
 # Memory budget of the bucket table, and its widest bucket index.
 _TABLE_BYTES = 8 << 20
 _MAX_BUCKET_BITS = 16
+# Steps drawn and walked at a time; the draws do not depend on it.
+_STEP_BLOCK = 4096
 
 
 def _state_dtype(m: int):
@@ -166,13 +154,11 @@ class _StepTable:
         return out
 
 
-def sample_trajectories(
-    chain: ReversibleChain, n: int, seeds, step_block: int = 4096
-) -> np.ndarray:
+def sample_trajectories(chain: ReversibleChain, n: int, seeds) -> np.ndarray:
     """Stationary trajectories for several seeds, one row per seed.
 
     Each row consumes its own PCG64 stream: one uniform for the stationary
-    start, then one per step, ``step_block`` steps at a time; the consumed
+    start, then one per step, ``_STEP_BLOCK`` steps at a time; the consumed
     values do not depend on the block size.  A draw is u = k * 2**-53 for an
     integer k, and the next state is the number of entries c of the current
     cumulative row (the row's running sum, its last entry set to 1) with
@@ -198,7 +184,7 @@ def sample_trajectories(
     states[:, 0] = np.searchsorted(cum_pi, start, side="left")
     done = 0
     while done < n:
-        block = min(step_block, n - done)
+        block = min(_STEP_BLOCK, n - done)
         draws = np.stack([g.random(block) for g in gens], axis=1)
         steps = lookup.walk(states[:, done], draws)
         states[:, done + 1 : done + block + 1] = steps[1:].T
@@ -206,30 +192,22 @@ def sample_trajectories(
     return states
 
 
-def sample_trajectory(chain: ReversibleChain, n: int, seed: int) -> Trajectory:
-    """One stationary trajectory, deterministic in the seed."""
+def sample_trajectory(chain: ReversibleChain, n: int, seed: int) -> np.ndarray:
+    """Read-only states xi_0 .. xi_n of one stationary run, fixed by the seed."""
     states = sample_trajectories(chain, n, [seed])[0]
     states.flags.writeable = False
-    return Trajectory(states=states)
+    return states
 
 
 def series_path(
-    chain: ReversibleChain,
-    f: Observable,
-    w: WeightSequence,
-    traj: Trajectory,
-    powers: ChainPowers | None = None,
+    chain: ReversibleChain, f: Observable, w: WeightSequence, states: np.ndarray
 ) -> np.ndarray:
-    """Partial sums T_k = sum_{j<=k} a_j (Q^j f)(xi_j), shape (n, dim)."""
-    return series_paths(chain, f, w, traj.states[None, :], powers)[0]
+    """Partial sums T_k = sum_{j<=k} a_j (Q^j f)(xi_j) of one run, shape (n, dim)."""
+    return series_paths(chain, f, w, states[None, :])[0]
 
 
 def series_paths(
-    chain: ReversibleChain,
-    f: Observable,
-    w: WeightSequence,
-    states: np.ndarray,
-    powers: ChainPowers | None = None,
+    chain: ReversibleChain, f: Observable, w: WeightSequence, states: np.ndarray
 ) -> np.ndarray:
     """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
 
@@ -237,7 +215,7 @@ def series_paths(
     that only reduce the paths use ``reduce_series_paths`` instead.
     """
     out = np.empty((states.shape[0], _steps(states), f.dim))
-    for _ in _each_path(chain, f, w, states, powers, out):
+    for _ in _each_path(w, states, ChainPowers(chain, f), out):
         pass
     return out
 
@@ -249,7 +227,7 @@ def _steps(states: np.ndarray) -> int:
     return n
 
 
-def _each_path(chain, f, w, states, powers, out=None):
+def _each_path(w, states, powers, out=None):
     """Yield each trial's partial-sum path, built in the next buffer of ``out``.
 
     The trial's table rows are gathered, scaled by the weights and summed
@@ -257,11 +235,9 @@ def _each_path(chain, f, w, states, powers, out=None):
     ``(n, dim)`` buffer, so a yielded path lasts until the next one.
     """
     n = _steps(states)
-    if powers is None:
-        powers = ChainPowers(chain, f)
     table = powers.table(n)
     flat = table.reshape(-1, table.shape[2])  # row j * m + i holds (Q^j f)(i)
-    steps = np.arange(1, n + 1) * chain.m
+    steps = np.arange(1, n + 1) * powers.chain.m
     weights = w.eval_range(n)[1:, None]
     if out is None:
         out = repeat(np.empty((n, table.shape[2])))
@@ -401,7 +377,9 @@ def reduce_series_paths(
     max_squares = np.empty(trials)
     osc_squares = np.empty((len(checkpoints), trials))
     norms = np.empty((min(trials, norms_limit), n))
-    for t, path in enumerate(_each_path(chain, f, w, states, powers)):
+    if powers is None:
+        powers = ChainPowers(chain, f)
+    for t, path in enumerate(_each_path(w, states, powers)):
         squares = squared_norms(path)
         max_squares[t] = squares.max()
         _oscillation_squares(path, checkpoints, osc_squares[:, t])
@@ -443,10 +421,9 @@ def mc_max_moment(
 ) -> MaxMomentEstimate:
     """Monte Carlo estimate of E max_{k<=n} |T_k|^2 over stationary runs.
 
-    Trials are deterministic per-trial streams; the thread budget only chunks
-    the trial axis, so the estimate is bit-identical for any thread count.
-    Each chunk builds and reduces its series paths one at a time.
-    The standard error is the leave-one-out jackknife of the mean.
+    Each trial samples its own seeded stream, and the series paths are built
+    and reduced one at a time, in trial order.  The standard error is the
+    leave-one-out jackknife of the mean.
     """
     if config.trials < MIN_ESTIMATE_TRIALS:
         raise ValidationError(
@@ -454,29 +431,9 @@ def mc_max_moment(
         )
     if n > config.horizon:
         raise ValidationError("n exceeds the configured horizon")
-    powers = ChainPowers(chain, f)
     seeds = [config.trial_seed(i) for i in range(config.trials)]
-    chunk = max(1, math.ceil(config.trials / config.threads))
-    ranges = [
-        (lo, min(lo + chunk, config.trials))
-        for lo in range(0, config.trials, chunk)
-    ]
-
-    def run(bounds):
-        lo, hi = bounds
-        states = sample_trajectories(chain, n, seeds[lo:hi])
-        return reduce_series_paths(chain, f, w, states, powers).max_squares
-
-    if config.threads == 1 or len(ranges) == 1:
-        pieces = [run(r) for r in ranges]
-    else:
-        # imported here: no CLI command fans out, and the import costs every
-        # process about 0.6 MB
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            pieces = list(pool.map(run, ranges))
-    values = np.concatenate(pieces)
+    states = sample_trajectories(chain, n, seeds)
+    values = reduce_series_paths(chain, f, w, states).max_squares
     mean, se = jackknife_mean(values)
     return MaxMomentEstimate(estimate=mean, standard_error=se, trials=values.size)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_prob import ValidationError
+from .finite_prob import ValidationError, _numbers
 
 __all__ = [
     "WeightSequence",
@@ -209,9 +209,7 @@ def parse_weight_spec(text: str) -> WeightSequence:
             raise ValidationError(f"cannot read weight file {rest[1:]!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"weight file {rest[1:]!r} is not JSON: {exc}")
-        if not isinstance(entries, list):
-            raise ValidationError(f"weight file {rest[1:]!r} must hold a JSON list")
-        return WeightSequence.explicit(entries)
+        return WeightSequence.explicit(_numbers(entries, f"weight file {rest[1:]!r}"))
     if head == "alternating":
         return WeightSequence.alternating(parse_weight_spec(rest))
     raise ValidationError(f"unknown weight kind in spec {text!r}")

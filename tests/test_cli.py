@@ -82,6 +82,52 @@ class TestSpectrum:
         assert code == 2
 
 
+GOOD_CHAIN = {"Q": [[0.75, 0.25], [0.25, 0.75]], "pi": [0.5, 0.5]}
+GOOD_OBSERVABLE = {"dim": 1, "values": [[1.0], [-1.0]]}
+
+
+@pytest.mark.parametrize("chain,observable,message", [
+    ({}, {"dim": "x"}, "dim must be a positive integer, got 'x'"),
+    ({}, {"dim": 2.5}, "dim must be a positive integer, got 2.5"),
+    ({}, {"dim": "2"}, "dim must be a positive integer, got '2'"),
+    ({}, {"values": [[1.0], ["a"]]}, "values must be a rectangular list of numbers"),
+    ({"Q": [[0.75, 0.25], [0.25]]}, {}, "Q must be a rectangular list of numbers"),
+    ({"Q": "ab"}, {}, "Q must be a rectangular list of numbers"),
+    ({"pi": ["a", "b"]}, {}, "pi must be a rectangular list of numbers"),
+    ({"states": 5}, {}, "states must be a list of state labels"),
+], ids=["text-dim", "fractional-dim", "quoted-dim", "non-numeric-values",
+        "ragged-Q", "text-Q", "non-numeric-pi", "scalar-states"])
+def test_malformed_chain_or_observable_exits_two_naming_the_field(
+    chain, observable, message, tmp_path, capsys
+):
+    chain_path, f_path = tmp_path / "c.json", tmp_path / "f.json"
+    chain_path.write_text(json.dumps({**GOOD_CHAIN, **chain}))
+    f_path.write_text(json.dumps({**GOOD_OBSERVABLE, **observable}))
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", str(chain_path), str(f_path), "-o", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("files,message", [
+    ({"--weights-file": [[1.0, 1.0], [1.0]]}, "weight matrix must be"),
+    ({"--target-file": "ab", "--proposal-file": [[0.5, 0.5], [0.5, 0.5]]}, "target must be"),
+    ({"--target-file": [1.0, 2.0], "--proposal-file": [[0.5, 0.5], ["a", 0.5]]},
+     "proposal must be"),
+], ids=["ragged-weights", "text-target", "non-numeric-proposal"])
+def test_malformed_gen_chain_file_exits_two_naming_it(files, message, tmp_path, capsys):
+    model = "weighted-graph" if "--weights-file" in files else "metropolis"
+    flags = []
+    for flag, payload in files.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(payload))
+        flags += [flag, str(path)]
+    out = tmp_path / "c.json"
+    assert run(["gen-chain", "--model", model, *flags, "-o", str(out)]) == 2
+    assert f"error: {message} a rectangular list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def assert_spectral_health(meta):
     assert meta["jacobi_sweeps"] == 1  # one sweep diagonalises a 2 x 2 matrix
     assert 0.0 <= meta["offdiag_residual"] <= 1e-12
@@ -231,6 +277,8 @@ class TestVerifySidecar:
     ["verify-markov", "--id", "stein", "--n-max", "0"],
     ["verify-markov", "--id", "stein", "--m-max", "1"],
     ["verify-markov", "--id", "stein", "--chains", "-1"],
+    ["verify", "--id", "max-vs-endpoint", "--threads", "0"],
+    ["verify-markov", "--id", "stein", "--threads", "0"],
 ])
 def test_out_of_range_flag_exits_two_naming_it(argv, tmp_path, capsys):
     assert run(argv + ["-o", str(tmp_path / "r.csv")]) == 2
@@ -402,8 +450,10 @@ class TestSimulate:
         (["--n", "8", "--trials", "40", "--osc-out", "out"], "horizon >= 16"),
         (["--paths-limit", "-3", "--paths-out", "out"], "--paths-limit must be >= 0"),
         (["--trials", "50", "--estimate-out", "out"], "--estimate-out needs --trials >= 100"),
+        (["--threads", "0", "--osc-out", "out"], "--threads must be >= 1, got 0"),
+        (["--trials", "50"], "pass --osc-out or --paths-out"),
     ], ids=["osc-few-trials", "osc-short-horizon", "negative-paths-limit",
-            "estimate-few-trials"])
+            "estimate-few-trials", "zero-threads", "nothing-to-write"])
     def test_bad_flags_exit_two_before_sampling(self, chain_files, tmp_path, monkeypatch,
                                                 capsys, flags, message):
         chain, f, _ = chain_files

@@ -276,13 +276,6 @@ class TestSeriesCriterion:
         )
         assert verdict.verdict == "diverges"
 
-    def test_tail_bound_certifies_convergence(self):
-        moments = 4.0 ** -np.arange(1, 9)
-        verdict = series_criterion(
-            WeightSequence.constant(1.0), moments, horizon=8, tail_bound=1e-3
-        )
-        assert verdict.verdict == "converges"
-
     def test_increasing_moments_rejected(self):
         with pytest.raises(ValidationError, match="increase"):
             series_criterion(

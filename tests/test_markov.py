@@ -300,10 +300,14 @@ class TestJacobi:
         with pytest.raises(ValidationError, match="symmetric"):
             jacobi_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
+        from revmax import markov
+
+        monkeypatch.setattr(markov, "JACOBI_REL_TOL", 0.0)
+        monkeypatch.setattr(markov, "JACOBI_MAX_SWEEPS", 0)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(EigensolverError, match="residual"):
-            jacobi_eigendecomposition(A, rel_tol=0.0, max_sweeps=0)
+            jacobi_eigendecomposition(A)
 
     def test_converges_within_sweep_budget_at_200_states(self):
         rng = np.random.default_rng(23)

@@ -106,36 +106,39 @@ class TestTrajectories:
     def test_identity_kernel_is_constant(self):
         chain = lazy_ring(5, 1.0)
         traj = sample_trajectory(chain, 50, seed=3)
-        assert np.all(traj.states == traj.states[0])
+        assert np.all(traj == traj[0])
 
     def test_deterministic_in_seed(self):
         chain = two_state(0.25, 0.25)
         a = sample_trajectory(chain, 200, seed=11)
         b = sample_trajectory(chain, 200, seed=11)
-        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a, b)
+        assert not a.flags.writeable
 
     def test_batch_rows_match_single_runs(self):
         chain, _ = random_chain_instance(5, m_max=8)
         seeds = [7, 8, 9]
         batch = sample_trajectories(chain, 64, seeds)
         for row, seed in zip(batch, seeds):
-            np.testing.assert_array_equal(row, sample_trajectory(chain, 64, seed).states)
+            np.testing.assert_array_equal(row, sample_trajectory(chain, 64, seed))
 
-    def test_block_size_never_changes_the_draw(self):
+    def test_block_size_never_changes_the_draw(self, monkeypatch):
         chain, _ = random_chain_instance(13, m_max=6)
-        a = sample_trajectories(chain, 100, [1, 2], step_block=7)
-        b = sample_trajectories(chain, 100, [1, 2], step_block=4096)
+        b = sample_trajectories(chain, 100, [1, 2])
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", 7)
+        a = sample_trajectories(chain, 100, [1, 2])
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("step_block", [7, 4096])
-    def test_matches_stepwise_reference_loop(self, step_block):
+    def test_matches_stepwise_reference_loop(self, step_block, monkeypatch):
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", step_block)
         chains = [random_chain_instance(seed, m_max=60)[0] for seed in range(20)]
         chains += [lazy_ring(m, 0.0) for m in (2, 9, 200)]
         # zero-probability moves repeat cumulative values within each row
         chains.append(birth_death([0.3, 0.5, 0.0001, 0.2], [0.25, 0.5, 0.4, 0.1]))
         seeds = [derive_trial_seed(6, i) for i in range(4)]
         for chain in chains:
-            got = sample_trajectories(chain, 300, seeds, step_block=step_block)
+            got = sample_trajectories(chain, 300, seeds)
             np.testing.assert_array_equal(got, reference_trajectories(chain, 300, seeds))
 
     def test_chain_too_large_for_int16_uses_int32(self, monkeypatch):
@@ -144,9 +147,10 @@ class TestTrajectories:
         # a dense chain of 2**15 + 1 states does not fit in memory here, so the
         # int32 path runs on a small chain
         monkeypatch.setattr(simulate, "_state_dtype", lambda m: np.int32)
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", 64)
         chain, _ = random_chain_instance(3, m_max=40)
         seeds = [derive_trial_seed(2, i) for i in range(5)]
-        got = sample_trajectories(chain, 200, seeds, step_block=64)
+        got = sample_trajectories(chain, 200, seeds)
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, reference_trajectories(chain, 200, seeds))
 
@@ -154,7 +158,7 @@ class TestTrajectories:
     def test_stay_probability_matches_kernel(self):
         chain = two_state(0.25, 0.25)
         traj = sample_trajectory(chain, 100_000, seed=2024)
-        stays = float(np.mean(traj.states[1:] == traj.states[:-1]))
+        stays = float(np.mean(traj[1:] == traj[:-1]))
         se = np.sqrt(0.75 * 0.25 / 100_000)
         assert abs(stays - 0.75) <= 3 * se
 
@@ -248,7 +252,7 @@ class TestSeriesPath:
         traj = sample_trajectory(chain, 16, seed=9)
         path = series_path(chain, f, w, traj)
         sums = np.cumsum([w.eval(j) for j in range(1, 17)])
-        expected = sums[:, None] * f.values[traj.states[0]]
+        expected = sums[:, None] * f.values[traj[0]]
         np.testing.assert_allclose(path, expected, atol=1e-13)
 
     def test_cumulative_matches_termwise_recomputation(self):
@@ -260,7 +264,7 @@ class TestSeriesPath:
         powers = ChainPowers(chain, f)
         for k in (1, 7, 23, 40):
             direct = sum(
-                w.eval(j) * powers.get(j)[traj.states[j]] for j in range(1, k + 1)
+                w.eval(j) * powers.get(j)[traj[j]] for j in range(1, k + 1)
             )
             np.testing.assert_allclose(path[k - 1], direct, atol=1e-13)
 
@@ -279,15 +283,13 @@ class TestSeriesPath:
         )
 
     def test_batch_matches_per_trajectory(self):
-        from revmax.simulate import Trajectory
-
         for dim in (1, 2):
             chain, f = random_chain_instance(23, m_max=7, dim=dim)
             w = WeightSequence.power(-0.5)
             states = sample_trajectories(chain, 32, [4, 5])
             batch = series_paths(chain, f, w, states)
             for row, state_row in zip(batch, states):
-                single = series_path(chain, f, w, Trajectory(states=state_row))
+                single = series_path(chain, f, w, state_row)
                 np.testing.assert_array_equal(row, single)
 
     @pytest.mark.parametrize("spec", [
@@ -440,19 +442,6 @@ class TestMcMaxMoment:
         config = SimConfig(master_seed=41, trials=4000, horizon=5)
         out = mc_max_moment(chain, f, w, 5, config)
         assert abs(out.estimate - exact) <= 3 * out.standard_error
-
-    def test_thread_count_never_changes_the_estimate(self):
-        chain, f = random_chain_instance(43, m_max=6)
-        w = WeightSequence.power(-0.5)
-        outs = [
-            mc_max_moment(
-                chain, f, w, 6,
-                SimConfig(master_seed=5, trials=300, horizon=6, threads=threads),
-            )
-            for threads in (1, 2, 8)
-        ]
-        assert outs[0].estimate == outs[1].estimate == outs[2].estimate
-        assert outs[0].standard_error == outs[1].standard_error == outs[2].standard_error
 
     def test_estimate_respects_the_series_bound(self):
         # transported second-moment series bound: 36 * sum b_k E|Q^k f|^2

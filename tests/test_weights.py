@@ -183,3 +183,8 @@ class TestParser:
         missing = tmp_path / "missing.json"
         with pytest.raises(ValidationError, match="cannot read"):
             parse_weight_spec(f"explicit:@{missing}")
+        for entries in ([1.0, "a"], [[1.0], [2.0, 3.0]], {"a": 1.0}):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(entries))
+            with pytest.raises(ValidationError, match="must be a rectangular list of numbers"):
+                parse_weight_spec(f"explicit:@{path}")
