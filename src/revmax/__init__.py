@@ -65,6 +65,7 @@ from .markov import (
     spectral_measure,
     two_state,
     variance_growth,
+    verify_markov_batch,
     verify_markov_inequality,
     weighted_graph,
     weighted_series,

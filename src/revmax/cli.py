@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .finite_prob import ValidationError, _numbers
+from .finite_prob import ValidationError, _load_json, _numbers
 from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
 from .markov import (
     ChainPowers,
@@ -28,9 +28,8 @@ from .markov import (
     load_chain,
     load_observable,
     make_chain,
-    random_chain_instance,
     spectral_measure,
-    verify_markov_inequality,
+    verify_markov_batch,
 )
 from .simulate import (
     MIN_DIAGNOSTIC_TRIALS,
@@ -61,16 +60,6 @@ def _write_sidecar(path: str, argv, seed=None, extra=None):
     _write_text(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}")
-
-
 def _load_numbers(path: str, what: str) -> np.ndarray:
     return _numbers(_load_json(path, what), what)
 
@@ -79,23 +68,11 @@ def _records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         d = r.descriptor
-        lines.append(
-            ",".join(
-                [
-                    r.check,
-                    _fmt(r.p),
-                    str(d.get("seed", "")),
-                    str(d.get("atoms", d.get("states", ""))),
-                    str(d.get("horizon", d.get("n", ""))),
-                    str(d.get("dim", "")),
-                    _fmt(r.lhs),
-                    _fmt(r.rhs),
-                    _fmt(r.ratio),
-                    _fmt(r.constant),
-                    "skipped" if r.skipped else str(r.passed).lower(),
-                ]
-            )
-        )
+        lines.append(",".join([
+            r.check, _fmt(r.p), str(d["seed"]), str(d["atoms"]), str(d["n"]), str(d["dim"]),
+            _fmt(r.lhs), _fmt(r.rhs), _fmt(r.ratio), _fmt(r.constant),
+            "skipped" if r.skipped else str(r.passed).lower(),
+        ]))
     return "\n".join(lines) + "\n"
 
 
@@ -213,29 +190,18 @@ def _cmd_check_conditions(args, argv) -> int:
 
 def _cmd_verify(args, argv) -> int:
     check = InequalityId(args.check)
-    _require_minimums(
-        args,
-        {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1, "--threads": 1},
-    )
+    _require_minimums(args, {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1,
+                             "--threads": 1})
+    try:
+        traced_constant(check, args.p)
+    except ValidationError as exc:
+        raise ValidationError(f"--p: {exc}") from None
     weights = parse_weight_spec(args.weights) if args.weights else None
     records = verify_batch(
-        check,
-        p=args.p,
-        count=args.instances,
-        seed=args.seed,
-        weights=weights,
-        atoms_max=args.atoms_max,
-        n_max=args.n_max,
-        dim_max=args.dim_max,
-        tol_override=_tol_override(args),
+        check, args.p, args.instances, args.seed, weights,
+        args.atoms_max, args.n_max, args.dim_max, _tol_override(args),
     )
-    _write_text(args.out, _records_to_csv(records))
-    health = _verdict_health(records)
-    _write_sidecar(args.out, argv, seed=args.seed,
-                   extra={"check": check.value, **health})
-    failures = health["violations"]
-    print(f"{check.value}: {len(records)} instances, {failures} violations")
-    return 1 if failures else 0
+    return _report_batch(args, argv, check, records, "instances")
 
 
 def _verdict_health(records) -> dict:
@@ -259,25 +225,20 @@ def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
     _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1, "--threads": 1})
     weights = parse_weight_spec(args.weights) if args.weights else None
-    tol_override = _tol_override(args)
-    master = np.random.default_rng(args.seed)
-    records = []
-    for _ in range(args.chains):
-        inst_seed = int(master.integers(0, 2**63 - 1))
-        chain, f = random_chain_instance(inst_seed, m_max=args.m_max)
-        n = int(master.integers(1, args.n_max + 1))
-        record = verify_markov_inequality(
-            check, chain, f, n, weights=weights, tol_override=tol_override
-        )
-        record.descriptor["seed"] = inst_seed
-        record.descriptor["atoms"] = chain.m
-        records.append(record)
+    records = verify_markov_batch(
+        check, args.chains, args.seed, weights, args.m_max, args.n_max, _tol_override(args)
+    )
+    return _report_batch(args, argv, check, records, "chains")
+
+
+def _report_batch(args, argv, check, records, noun: str) -> int:
+    """Write a batch's CSV and sidecar, print its summary line, give its exit code."""
     _write_text(args.out, _records_to_csv(records))
     health = _verdict_health(records)
     _write_sidecar(args.out, argv, seed=args.seed,
                    extra={"check": check.value, **health})
     failures = health["violations"]
-    print(f"{check.value}: {len(records)} chains, {failures} violations")
+    print(f"{check.value}: {len(records)} {noun}, {failures} violations")
     return 1 if failures else 0
 
 
@@ -379,10 +340,16 @@ def _cmd_report(args, argv) -> int:
         raise ValidationError(
             f"report input {args.input!r} does not carry the verification header"
         )
+    width = CSV_HEADER.count(",") + 1
     rows = [line.split(",") for line in lines[1:]]
     dat = ["# index ratio constant pass"]
     summary: dict[tuple, list] = {}
     for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError(
+                f"report input {args.input!r} line {i + 2} has {len(row)} fields,"
+                f" expected {width}"
+            )
         check, p, ratio, constant, flag = row[0], row[1], row[8], row[9], row[10]
         dat.append(f"{i} {ratio} {constant} {1 if flag == 'true' else 0}")
         key = (check, p)

@@ -19,6 +19,8 @@ such a table.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 __all__ = [
@@ -434,6 +436,17 @@ def orthogonality_gap(seq: AdaptedSequence, n: int):
     coarse_moments = _moments(probs, _norms(coarser), 2.0)
     rhs = sum(a - b for a, b in zip(fine_moments, coarse_moments))
     return float(lhs), float(rhs)
+
+
+def _load_json(path: str, what: str):
+    """The JSON value in a file; an unreadable or malformed file names ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}")
 
 
 def _numbers(raw, field: str) -> np.ndarray:

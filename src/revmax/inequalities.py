@@ -104,16 +104,16 @@ class VerificationRecord:
 
 
 def doob_factor(p: float) -> float:
-    """L_p maximal-inequality constant (p/(p-1))^p; needs p > 1."""
-    if p <= 1:
-        raise ValidationError(f"Doob factor needs p > 1, got {p}")
+    """L_p maximal-inequality constant (p/(p-1))^p; needs 1 < p < inf."""
+    if not 1 < p < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"Doob factor needs 1 < p < inf, got {p}")
     return (p / (p - 1.0)) ** p
 
 
 def triangle_factor(p: float) -> float:
-    """Two-term convexity constant 2^(p-1); needs p >= 1."""
-    if p < 1:
-        raise ValidationError(f"triangle factor needs p >= 1, got {p}")
+    """Two-term convexity constant 2^(p-1); needs 1 <= p < inf."""
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"triangle factor needs 1 <= p < inf, got {p}")
     return 2.0 ** (p - 1.0)
 
 
@@ -127,12 +127,13 @@ def smoothness_factor(p: float) -> float:
 def traced_constant(check: InequalityId, p: float) -> TracedConstant:
     """The committed constant for an inequality at exponent p.
 
-    Raises when p lies outside the inequality's validity range.
+    Raises when p lies outside the inequality's validity range; NaN and
+    infinite exponents lie outside every range.
     """
     check = InequalityId(check)
     if check in (InequalityId.MAX_VS_ENDPOINT, InequalityId.WEIGHTED_MAX_VS_ENDPOINT):
-        if p <= 1:
-            raise ValidationError(f"{check.value} needs p > 1")
+        if not 1 < p < math.inf:
+            raise ValidationError(f"{check.value} needs 1 < p < inf, got {p}")
         q = doob_factor(p)
         value = triangle_factor(p) + 8.0 ** (p - 1.0) * (1.0 + q)
         steps = (
@@ -146,7 +147,7 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
         InequalityId.WEIGHTED_MAX_VS_PROJECTIONS,
     ):
         if not 1 < p <= 2:
-            raise ValidationError(f"{check.value} needs 1 < p <= 2")
+            raise ValidationError(f"{check.value} needs 1 < p <= 2, got {p}")
         q = doob_factor(p)
         d = smoothness_factor(p)
         value = 4.0 ** (p - 1.0) * (1.0 + q) * d
@@ -157,8 +158,8 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
             f"assembled coefficient max: 4^(p-1)*(1+{q:g})*{d:g} = {value:g}",
         )
     elif check is InequalityId.DYADIC_WEIGHTED_MAX:
-        if p <= 1:
-            raise ValidationError(f"{check.value} needs p > 1")
+        if not 1 < p < math.inf:
+            raise ValidationError(f"{check.value} needs 1 < p < inf, got {p}")
         q = doob_factor(p)
         value = 2.0 * q
         steps = (
@@ -168,7 +169,7 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
         )
     elif check is InequalityId.SECOND_MOMENT_SERIES:
         if p != 2:
-            raise ValidationError(f"{check.value} is a p = 2 statement")
+            raise ValidationError(f"{check.value} is a p = 2 statement, got {p}")
         q = doob_factor(2.0)
         max_route = 2.0 * (2.0 * q)
         proj_route = 4.0 * (1.0 + q) * smoothness_factor(2.0)
@@ -182,7 +183,7 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
         )
     elif check is InequalityId.SMOOTHNESS:
         if not 1 < p <= 2:
-            raise ValidationError(f"{check.value} needs 1 < p <= 2")
+            raise ValidationError(f"{check.value} needs 1 < p <= 2, got {p}")
         value = smoothness_factor(p)
         steps = (
             "p = 2: orthogonality of martingale differences, constant 1"
@@ -330,7 +331,7 @@ def verify(
                 rhs += moment
 
     return make_record(
-        check.value, p, instance.descriptor() | {"horizon": n},
+        check.value, p, instance.descriptor() | {"n": n},
         lhs, rhs, constant.value, tol_override,
     )
 
@@ -395,9 +396,11 @@ def verify_batch(
 
     Instance shapes and per-instance seeds are drawn from a master generator
     seeded with ``seed``; records come back in instance order, so the batch
-    is reproducible and order-independent of any execution scheduling.
+    is reproducible and order-independent of any execution scheduling.  An
+    exponent outside the check's range raises before any instance is drawn.
     """
     check = InequalityId(check)
+    traced_constant(check, p)
     if check in _WEIGHTED_IDS and weights is None:
         weights = WeightSequence.constant(1.0)
     master = np.random.default_rng(seed)

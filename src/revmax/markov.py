@@ -15,12 +15,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .finite_prob import ValidationError, _dim, _numbers
-from .inequalities import TracedConstant, VerificationRecord, make_record
+from .inequalities import (
+    InequalityId, TracedConstant, VerificationRecord, make_record, traced_constant,
+)
 from .weights import WeightSequence, even_odd_stats
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "weighted_series",
     "markov_traced_constant",
     "verify_markov_inequality",
+    "verify_markov_batch",
     "inspect_growth_weights",
     "even_odd_split_residual",
     "load_chain",
@@ -805,43 +808,49 @@ _SCALAR_ONLY = {MarkovCheck.PAIRED_POWER_MAX, MarkovCheck.STEIN, MarkovCheck.SUP
 
 
 def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
-    """Committed constants for the chain inequalities (all at p = 2)."""
+    """Committed constants for the chain inequalities (all at p = 2).
+
+    Each is assembled from the second-moment series constant C of the
+    filtration checks, so the derivation text quotes C as computed.
+    """
     check = MarkovCheck(check)
+    series = traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
+    weighted = 3.0 * (series + 1.0 + series)
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
-        value = 219.0
+        value = weighted
         steps = (
             "split the doubled-horizon max into the even half, the leading odd"
             " term, and the shifted odd half: factor 3 on squares",
             "even and shifted odd halves each bounded by the second-moment"
-            " series inequality: constant 36 apiece",
+            f" series inequality: constant {series:g} apiece",
             "leading odd term is the first weight times the one-step image,"
             " absorbed by the first odd coefficient",
             "shifted odd coefficients dominated by the odd b coefficients for"
             " constant-sign or non-increasing-magnitude weights",
-            "assembled: 3 * (36 + 1 + 36) = 219",
+            f"assembled: 3 * ({series:g} + 1 + {series:g}) = {value:g}",
         )
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        value = 219.0 * 16.0
+        value = weighted * 16.0
         steps = (
             "unit weights give even/odd coefficients exactly 16k",
             "doubled-horizon reduction keeps the sum inside the stated range",
-            "assembled: 219 * 16 = 3504",
+            f"assembled: {weighted:g} * 16 = {value:g}",
         )
     elif check is MarkovCheck.INV_SQRT_POWER_MAX:
-        value = 219.0 * 8.0
+        value = weighted * 8.0
         steps = (
             "inverse square-root weights keep every even/odd coefficient <= 8",
-            "assembled: 219 * 8 = 1752",
+            f"assembled: {weighted:g} * 8 = {value:g}",
         )
     elif check is MarkovCheck.PAIRED_POWER_MAX:
-        value = 2.0 * 219.0 * 16.0
+        value = 2.0 * weighted * 16.0
         steps = (
-            "apply the unit-weight bound to f + Qf: constant 3504",
+            f"apply the unit-weight bound to f + Qf: constant {weighted * 16.0:g}",
             "self-adjointness converts paired second moments into signed"
             " autocovariance partial sums; the spectral algebra costs a"
             " factor 2 on the families generated here (positive-leaning"
             " spectra); adversarial near-unit cancellations are excluded",
-            "assembled: 2 * 3504 = 7008",
+            f"assembled: 2 * {weighted * 16.0:g} = {value:g}",
         )
     elif check is MarkovCheck.STEIN:
         value = 1.0
@@ -851,10 +860,10 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
             " near-unit components",
         )
     else:  # SUP_POWER_MAX
-        value = 219.0 * 8.0
+        value = weighted * 8.0
         steps = (
             "inverse square-root weighted max at doubled horizon, coefficients <= 8",
-            "assembled: 219 * 8 = 1752",
+            f"assembled: {weighted:g} * 8 = {value:g}",
         )
     return TracedConstant(check=check.value, p=2.0, value=value, derivation=steps)
 
@@ -870,7 +879,8 @@ def verify_markov_inequality(
     """Evaluate one chain inequality exactly and compare to its constant.
 
     ``weights`` only matters for the general weighted check and defaults to
-    unit weights there; the other checks fix their own weighting.
+    unit weights there; the other checks fix their own weighting.  The
+    descriptor's ``seed`` is None: the chain came from no seed here.
     """
     check = MarkovCheck(check)
     powers = ChainPowers(chain, f)
@@ -879,7 +889,7 @@ def verify_markov_inequality(
     if check in _SCALAR_ONLY and f.dim != 1:
         raise ValidationError(f"{check.value} takes a scalar observable")
     constant = markov_traced_constant(check)
-    descriptor = {"states": chain.m, "horizon": n, "dim": f.dim}
+    descriptor = {"seed": None, "atoms": chain.m, "n": n, "dim": f.dim}
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
         w = weights if weights is not None else WeightSequence.constant(1.0)
@@ -888,7 +898,6 @@ def verify_markov_inequality(
         _, lhs = weighted_series(chain, f, w, 2 * n, powers)
         moments = powers.second_moments(n)
         rhs = sum(b_star[j] * moments[j] for j in range(1, n + 1))
-        descriptor["weights"] = w.describe()
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
         _, lhs = weighted_series(chain, f, WeightSequence.constant(1.0), n, powers)
         moments = powers.second_moments(n)
@@ -911,6 +920,24 @@ def verify_markov_inequality(
     return make_record(
         check.value, 2.0, descriptor, lhs, rhs, constant.value, tol_override
     )
+
+
+def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: WeightSequence | None,
+                        m_max: int, n_max: int, tol_override: float | None):
+    """Run one chain inequality over ``count`` chains of at most ``m_max`` states.
+
+    A master generator seeded with ``seed`` draws each chain's seed and then
+    its horizon in 1..n_max; each record carries its chain's seed.
+    """
+    master = np.random.default_rng(seed)
+    records = []
+    for _ in range(count):
+        chain_seed = int(master.integers(0, 2**63 - 1))
+        chain, f = random_chain_instance(chain_seed, m_max=m_max)
+        n = int(master.integers(1, n_max + 1))
+        record = verify_markov_inequality(check, chain, f, n, weights, tol_override)
+        records.append(replace(record, descriptor=record.descriptor | {"seed": chain_seed}))
+    return records
 
 
 def inspect_growth_weights(chain: ReversibleChain, f: Observable, n: int):

@@ -30,7 +30,6 @@ __all__ = [
     "PathReductions",
     "reduce_series_paths",
     "MaxMomentEstimate",
-    "path_max_squares",
     "jackknife_mean",
     "mc_max_moment",
     "enumerate_max_moment",
@@ -365,10 +364,9 @@ def reduce_series_paths(
 ) -> PathReductions:
     """Reduce each trajectory's series path in turn, holding one path at a time.
 
-    Bit for bit, the results equal ``path_max_squares`` and
-    ``as_convergence_diagnostic`` of ``series_paths(chain, f, w, states)``
-    and ``np.linalg.norm(paths[:norms_limit], axis=2)``, without the
-    ``(trials, n, dim)`` array.
+    With ``paths = series_paths(chain, f, w, states)``, the results equal
+    ``(paths ** 2).sum(axis=2).max(axis=1)``, ``as_convergence_diagnostic``
+    and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
     """
     trials, n = states.shape[0], _steps(states)
     if norms_limit < 0:
@@ -396,11 +394,6 @@ class MaxMomentEstimate:
     estimate: float
     standard_error: float
     trials: int
-
-
-def path_max_squares(paths: np.ndarray) -> np.ndarray:
-    """max_k |T_k|^2 for each trial of a (trials, n, dim) path batch."""
-    return np.array([squared_norms(path).max() for path in paths])
 
 
 def jackknife_mean(values: np.ndarray):

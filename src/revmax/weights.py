@@ -9,12 +9,11 @@ up to 4n, and ``even_odd_stats(w, n)`` needs it up to 8n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_prob import ValidationError, _numbers
+from .finite_prob import ValidationError, _load_json, _numbers
 
 __all__ = [
     "WeightSequence",
@@ -202,13 +201,7 @@ def parse_weight_spec(text: str) -> WeightSequence:
             raise ValidationError(
                 f"explicit weight spec must point at a JSON file: {text!r}"
             )
-        try:
-            with open(rest[1:], "r", encoding="utf-8") as fh:
-                entries = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read weight file {rest[1:]!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"weight file {rest[1:]!r} is not JSON: {exc}")
+        entries = _load_json(rest[1:], "weight")
         return WeightSequence.explicit(_numbers(entries, f"weight file {rest[1:]!r}"))
     if head == "alternating":
         return WeightSequence.alternating(parse_weight_spec(rest))

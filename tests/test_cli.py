@@ -302,6 +302,23 @@ def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, 
     assert not out.exists()
 
 
+EXPONENT_CASES = [
+    (check.value, p, "2") for check in inequalities.InequalityId for p in ("nan", "inf", "1")
+] + [("max-vs-endpoint", "0.5", "0")]
+
+
+@pytest.mark.parametrize("check,p,instances", EXPONENT_CASES)
+def test_exponent_outside_the_domain_exits_two_naming_it(check, p, instances, tmp_path,
+                                                         capsys):
+    assert run([
+        "verify", "--id", check, "--p", p, "--instances", instances,
+        "-o", str(tmp_path / "r.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyMarkov:
     def test_batch_passes(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -538,6 +555,17 @@ class TestReport:
         bad.write_text("a,b,c\n1,2,3\n")
         assert run(["report", "--input", str(bad), "--out-prefix",
                     str(tmp_path / "o")]) == 2
+
+    def test_row_of_the_wrong_width_exits_two_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "x.csv"
+        row = "smoothness,2,1,4,2,1,1,1,1,1,true"
+        bad.write_text(f"{cli.CSV_HEADER}\n{row}\nfoo,2\n")
+        assert run(["report", "--input", str(bad), "--out-prefix",
+                    str(tmp_path / "o")]) == 2
+        assert f"report input {str(bad)!r} line 3 has 2 fields, expected 11" in (
+            capsys.readouterr().err
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def _outcome(rc, out, err, work: Path) -> tuple:

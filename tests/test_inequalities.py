@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from revmax import (
     cond_expect,
     doob_factor,
     exact_max_moment,
+    inequalities,
     random_instance,
     series_criterion,
     smoothness_factor,
@@ -68,6 +71,27 @@ class TestTracedConstants:
             traced_constant(InequalityId.MAX_VS_PROJECTIONS, 3.0)
         with pytest.raises(ValidationError):
             traced_constant(InequalityId.SECOND_MOMENT_SERIES, 1.5)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", list(InequalityId))
+    def test_non_finite_exponents_have_no_constant(self, check, p):
+        with pytest.raises(ValidationError):
+            traced_constant(check, p)
+
+    @pytest.mark.parametrize("factor", [doob_factor, triangle_factor])
+    def test_non_finite_exponents_have_no_factor(self, factor):
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                factor(p)
+
+    def test_batch_checks_the_exponent_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew an instance before checking p")
+
+        monkeypatch.setattr(inequalities, "random_instance", no_draws)
+        for count in (0, 3):
+            with pytest.raises(ValidationError, match="1 < p < inf, got nan"):
+                verify_batch(InequalityId.MAX_VS_ENDPOINT, p=math.nan, count=count, seed=1)
 
 
 class TestRandomInstance:

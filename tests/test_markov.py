@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from revmax import (
     spectral_measure,
     two_state,
     variance_growth,
+    verify_markov_batch,
     verify_markov_inequality,
     weighted_graph,
     weighted_series,
@@ -582,6 +584,38 @@ class TestMarkovInequalities:
             assert np.isfinite(tc.value) and tc.value >= 1.0
             assert len(tc.derivation) >= 1
         assert markov_traced_constant(MarkovCheck.STEIN).value == 1.0
+
+    def test_constants_derive_from_the_series_constant(self):
+        values = {check: markov_traced_constant(check).value for check in MarkovCheck}
+        assert values == {
+            MarkovCheck.WEIGHTED_POWER_MAX: 219.0,
+            MarkovCheck.UNIT_WEIGHT_POWER_MAX: 3504.0,
+            MarkovCheck.INV_SQRT_POWER_MAX: 1752.0,
+            MarkovCheck.PAIRED_POWER_MAX: 7008.0,
+            MarkovCheck.STEIN: 1.0,
+            MarkovCheck.SUP_POWER_MAX: 1752.0,
+        }
+
+    def test_constants_follow_the_series_constant(self, monkeypatch):
+        planted = markov.TracedConstant("second-moment-series", 2.0, 10.0, ())
+        monkeypatch.setattr(markov, "traced_constant", lambda check, p: planted)
+        tc = markov_traced_constant(MarkovCheck.WEIGHTED_POWER_MAX)
+        assert tc.value == 63.0
+        assert tc.derivation[-1] == "assembled: 3 * (10 + 1 + 10) = 63"
+        assert markov_traced_constant(MarkovCheck.PAIRED_POWER_MAX).value == 2 * 63 * 16
+
+    def test_batch_records_carry_the_csv_fields(self):
+        records = verify_markov_batch(MarkovCheck.STEIN, 4, 5, None, 10, 12, None)
+        master = np.random.default_rng(5)
+        for record in records:
+            seed = int(master.integers(0, 2**63 - 1))
+            chain, f = random_chain_instance(seed, m_max=10)
+            n = int(master.integers(1, 13))
+            assert record.descriptor == {"seed": seed, "atoms": chain.m, "n": n, "dim": 1}
+            assert record == replace(
+                verify_markov_inequality(MarkovCheck.STEIN, chain, f, n),
+                descriptor=record.descriptor,
+            )
 
     def test_stein_eigenvector_benchmark(self):
         chain = two_state(0.25, 0.25)

@@ -29,7 +29,6 @@ from revmax import (
 )
 from revmax import simulate
 from revmax.markov import ChainPowers, ReversibleChain
-from revmax.simulate import path_max_squares
 from revmax.weights import compute_stats
 
 
@@ -377,7 +376,8 @@ class TestPathReductions:
         out = reduce_series_paths(chain, f, w, states, checkpoints=checkpoints,
                                   norms_limit=limit)
         paths = series_paths(chain, f, w, states)
-        np.testing.assert_array_equal(out.max_squares, path_max_squares(paths))
+        np.testing.assert_array_equal(out.max_squares,
+                                      (paths ** 2).sum(axis=2).max(axis=1))
         assert out.oscillation == as_convergence_diagnostic(paths, checkpoints)
         np.testing.assert_array_equal(out.norms, np.linalg.norm(paths[:limit], axis=2))
 
@@ -477,12 +477,3 @@ class TestMcMaxMoment:
         values = (series_paths(chain, f, w, states) ** 2).sum(axis=2).max(axis=1)
         classic = values.std(ddof=1) / np.sqrt(500)
         assert out.standard_error == pytest.approx(classic, rel=1e-12)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
-    def test_path_max_squares_matches_the_full_array_formula(self, dim):
-        chain, f = random_chain_instance(67, m_max=8, dim=dim)
-        states = sample_trajectories(chain, 100, range(7))
-        paths = series_paths(chain, f, WeightSequence.power(-0.5), states)
-        np.testing.assert_array_equal(
-            path_max_squares(paths), (paths ** 2).sum(axis=2).max(axis=1)
-        )
