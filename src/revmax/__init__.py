@@ -80,6 +80,7 @@ from .simulate import (
     enumerate_max_moment,
     mc_max_moment,
     reduce_series_paths,
+    reduce_trials,
     sample_trajectories,
     sample_trajectory,
     series_path,

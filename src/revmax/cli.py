@@ -36,8 +36,7 @@ from .simulate import (
     MIN_ESTIMATE_TRIALS,
     SimConfig,
     jackknife_mean,
-    reduce_series_paths,
-    sample_trajectories,
+    reduce_trials,
 )
 from .weights import parse_weight_spec
 
@@ -48,8 +47,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _open_text(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
 
 
@@ -197,10 +200,18 @@ def _cmd_verify(args, argv) -> int:
     except ValidationError as exc:
         raise ValidationError(f"--p: {exc}") from None
     weights = parse_weight_spec(args.weights) if args.weights else None
-    records = verify_batch(
-        check, args.p, args.instances, args.seed, weights,
-        args.atoms_max, args.n_max, args.dim_max, _tol_override(args),
-    )
+    # a side that overflows is reported below as an unusable --p
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = verify_batch(
+            check, args.p, args.instances, args.seed, weights,
+            args.atoms_max, args.n_max, args.dim_max, _tol_override(args),
+        )
+    for r in records:
+        if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
+            raise ValidationError(
+                f"--p: {check.value} at p={args.p} overflows double precision"
+                f" on instance seed {r.descriptor['seed']} (lhs {r.lhs!r}, rhs {r.rhs!r})"
+            )
     return _report_batch(args, argv, check, records, "instances")
 
 
@@ -270,11 +281,19 @@ def _cmd_simulate(args, argv) -> int:
     w = parse_weight_spec(args.weights)
     seeds = [config.trial_seed(i) for i in range(config.trials)]
     powers = ChainPowers(chain, f)
-    states = sample_trajectories(chain, args.n, seeds)
-    reductions = reduce_series_paths(
-        chain, f, w, states, powers,
+    estimating = config.trials >= MIN_ESTIMATE_TRIALS
+
+    def compute_series_bound():
+        moments = powers.second_moments(args.n)[1:]
+        return (traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
+                * series_criterion(w, moments, args.n).partial)
+
+    reductions, series_bound = reduce_trials(
+        chain, f, w, args.n, seeds, powers,
         checkpoints=checkpoints if args.osc_out else (),
         norms_limit=args.paths_limit if args.paths_out else 0,
+        workers=args.threads,
+        meanwhile=compute_series_bound if estimating else None,
     )
 
     exit_code = 0
@@ -291,20 +310,15 @@ def _cmd_simulate(args, argv) -> int:
         print(f"oscillation trend consistent with a.s. convergence: {table.consistent}")
 
     if args.paths_out:
-        lines = ["trial,k,T_k"]
-        for trial, norms in enumerate(reductions.norms):
-            for k in range(args.n):
-                lines.append(f"{trial},{k + 1},{_fmt(norms[k])}")
-        _write_text(args.paths_out, "\n".join(lines) + "\n")
+        with _open_text(args.paths_out) as fh:
+            fh.write("trial,k,T_k\n")
+            for trial, norms in enumerate(reductions.norms):
+                fh.write("".join([f"{trial},{k},{_fmt(x)}\n"
+                                  for k, x in enumerate(norms.tolist(), 1)]))
         _write_sidecar(args.paths_out, argv, seed=args.master_seed)
 
-    if config.trials >= MIN_ESTIMATE_TRIALS:
+    if estimating:
         estimate, se = jackknife_mean(reductions.max_squares)
-        moments = powers.second_moments(args.n)[1:]
-        series_bound = (
-            traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
-            * series_criterion(w, moments, args.n).partial
-        )
         within = bool(estimate <= series_bound + 3.0 * se)
         print(
             f"max-moment estimate {estimate:.6g} (se {se:.3g}); "
@@ -395,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=int, default=1,
-                         help="accepted and ignored; the command runs in one thread")
+                         help="accepted, but the command runs in one process: its "
+                              "batches are too short to pay for starting workers")
 
     gen = sub.add_parser(
         "gen-chain",
@@ -470,9 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser(
         "simulate",
-        parents=[threads],
         help="stationary-path series diagnostics and Monte Carlo max moment",
     )
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes that sample and reduce the trials, at most "
+                          "one per CPU; the outputs are identical for any value")
     sim.add_argument("--chain", required=True)
     sim.add_argument("--observable", "--f", dest="observable", required=True)
     sim.add_argument("--weights", required=True)

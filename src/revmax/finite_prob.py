@@ -310,6 +310,18 @@ def _cond_table(
     return table
 
 
+def _left_sum(values):
+    """Sum from left to right with one rounding per addition.
+
+    The builtin ``sum`` compensates additions of ``float`` objects from
+    Python 3.12 on, so its result would depend on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis: one row of atom norms per variable."""
     return np.linalg.norm(values, axis=-1)
@@ -434,7 +446,7 @@ def orthogonality_gap(seq: AdaptedSequence, n: int):
     lhs = seq.space.expect((total ** 2).sum(axis=1))
     fine_moments = _moments(probs, _norms(conditioned), 2.0)
     coarse_moments = _moments(probs, _norms(coarser), 2.0)
-    rhs = sum(a - b for a, b in zip(fine_moments, coarse_moments))
+    rhs = _left_sum(a - b for a, b in zip(fine_moments, coarse_moments))
     return float(lhs), float(rhs)
 
 

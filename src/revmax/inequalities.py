@@ -31,6 +31,7 @@ from .finite_prob import (
     FiniteProbSpace,
     ValidationError,
     _cond_table,
+    _left_sum,
     _max_moment,
     _moments,
     _norms,
@@ -135,7 +136,12 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
         if not 1 < p < math.inf:
             raise ValidationError(f"{check.value} needs 1 < p < inf, got {p}")
         q = doob_factor(p)
-        value = triangle_factor(p) + 8.0 ** (p - 1.0) * (1.0 + q)
+        try:
+            value = triangle_factor(p) + 8.0 ** (p - 1.0) * (1.0 + q)
+        except OverflowError:
+            raise ValidationError(
+                f"{check.value} constant overflows double precision at p={p}"
+            ) from None
         steps = (
             f"split max|S| <= max|cond| + max|tail sums|: factor {triangle_factor(p):g}",
             f"tail sums via full-sum split then Doob: factor 2^(p-1)*(1+{q:g})",
@@ -316,7 +322,7 @@ def verify(
         conditioned = _cond_table(filtration, np.broadcast_to(X, (n + 1, *X.shape)))
         diffs = conditioned[:-1] - conditioned[1:]
         lhs = _moments(probs, _norms(np.cumsum(diffs, axis=0)[-1:]), p)[0]
-        rhs = sum(_moments(probs, _norms(diffs), p))
+        rhs = _left_sum(_moments(probs, _norms(diffs), p))
     else:
         partial = np.cumsum(instance.sequence.values[:n], axis=0)
         conditioned = _cond_table(filtration, partial)
@@ -347,7 +353,8 @@ def make_record(
 ) -> VerificationRecord:
     """Record for lhs <= constant * rhs, judged with the pass slack.
 
-    A zero rhs needs lhs <= 1e-12 and marks the record skipped.
+    A zero rhs needs lhs <= 1e-12 and marks the record skipped.  A record
+    with a side that is not finite never passes.
     """
     slack = PASS_SLACK if tol_override is None else tol_override
     bound = constant * rhs
@@ -357,7 +364,8 @@ def make_record(
         ratio = math.nan
     else:
         skipped = False
-        passed = lhs <= bound + slack * (1.0 + abs(bound))
+        passed = (math.isfinite(lhs) and math.isfinite(rhs)
+                  and lhs <= bound + slack * (1.0 + abs(bound)))
         ratio = lhs / rhs
     return VerificationRecord(
         check=check,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .finite_prob import ValidationError, _dim, _numbers
+from .finite_prob import ValidationError, _dim, _left_sum, _numbers
 from .inequalities import (
     InequalityId, TracedConstant, VerificationRecord, make_record, traced_constant,
 )
@@ -731,7 +731,7 @@ def check_conditions(
     a_bounded = not has_unit
 
     growth = [
-        float(sum(m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)))
+        float(_left_sum(m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)))
         for n in grid
     ]
     b_sup = max(growth)
@@ -897,20 +897,22 @@ def verify_markov_inequality(
         b_star = np.maximum(even.b, odd.b)
         _, lhs = weighted_series(chain, f, w, 2 * n, powers)
         moments = powers.second_moments(n)
-        rhs = sum(b_star[j] * moments[j] for j in range(1, n + 1))
+        rhs = _left_sum(b_star[j] * moments[j] for j in range(1, n + 1))
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
         _, lhs = weighted_series(chain, f, WeightSequence.constant(1.0), n, powers)
         moments = powers.second_moments(n)
-        rhs = sum(j * moments[j] for j in range(1, n + 1))
+        rhs = _left_sum(j * moments[j] for j in range(1, n + 1))
     elif check in (MarkovCheck.INV_SQRT_POWER_MAX, MarkovCheck.SUP_POWER_MAX):
         horizon = 2 * n if check is MarkovCheck.SUP_POWER_MAX else n
         _, lhs = weighted_series(chain, f, WeightSequence.power(-0.5), horizon, powers)
         moments = powers.second_moments(n)
-        rhs = sum(moments[j] for j in range(1, n + 1))
+        rhs = _left_sum(moments[j] for j in range(1, n + 1))
     elif check is MarkovCheck.PAIRED_POWER_MAX:
         paired = Observable(f.values + powers.get(1))
         _, lhs = weighted_series(chain, paired, WeightSequence.constant(1.0), 2 * n)
-        signed = sum(j * autocovariance(chain, f, j, powers) for j in range(1, 2 * n + 1))
+        signed = _left_sum(
+            j * autocovariance(chain, f, j, powers) for j in range(1, 2 * n + 1)
+        )
         rhs = abs(signed) + autocovariance(chain, f, 2, powers)
     else:  # STEIN
         best = (powers.table(2 * n + 1)[2:] ** 2).sum(axis=2).max(axis=0)
@@ -949,7 +951,7 @@ def inspect_growth_weights(chain: ReversibleChain, f: Observable, n: int):
     powers = ChainPowers(chain, f)
     _, lhs = weighted_series(chain, f, WeightSequence.power(0.5), n, powers)
     moments = powers.second_moments(n)
-    rhs = sum(moments[j] for j in range(1, n + 1))
+    rhs = _left_sum(moments[j] for j in range(1, n + 1))
     return lhs, rhs
 
 

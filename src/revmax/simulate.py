@@ -8,8 +8,10 @@ outputs depend on the master seed only.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import product, repeat
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "as_convergence_diagnostic",
     "PathReductions",
     "reduce_series_paths",
+    "reduce_trials",
     "MaxMomentEstimate",
     "jackknife_mean",
     "mc_max_moment",
@@ -353,6 +356,41 @@ class PathReductions:
     norms: np.ndarray
 
 
+def _checked_checkpoints(checkpoints, trials: int, n: int, norms_limit: int) -> list:
+    if norms_limit < 0:
+        raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
+    return _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
+
+
+def _reduce_paths(w, states, powers, checkpoints, norms_rows: int):
+    """Max squares, oscillation squares and the first ``norms_rows`` norm rows.
+
+    Each trajectory's series path is built and reduced in turn, so one path
+    is held at a time.  Returns arrays of shapes ``(trials,)``,
+    ``(len(checkpoints), trials)`` and ``(norms_rows, n)``.
+    """
+    trials, n = states.shape[0], _steps(states)
+    max_squares = np.empty(trials)
+    osc_squares = np.empty((len(checkpoints), trials))
+    norms = np.empty((norms_rows, n))
+    for t, path in enumerate(_each_path(w, states, powers)):
+        squares = squared_norms(path)
+        max_squares[t] = squares.max()
+        _oscillation_squares(path, checkpoints, osc_squares[:, t])
+        if t < norms_rows:
+            np.sqrt(squares, out=norms[t])
+    return max_squares, osc_squares, norms
+
+
+def _combine(parts, checkpoints) -> PathReductions:
+    """Join per-range ``_reduce_paths`` results, given in trial order."""
+    max_squares, osc_squares, norms = zip(*parts)
+    oscillation = None
+    if checkpoints:
+        oscillation = _oscillation_table(np.concatenate(osc_squares, axis=1), checkpoints)
+    return PathReductions(np.concatenate(max_squares), oscillation, np.concatenate(norms))
+
+
 def reduce_series_paths(
     chain: ReversibleChain,
     f: Observable,
@@ -369,22 +407,112 @@ def reduce_series_paths(
     and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
     """
     trials, n = states.shape[0], _steps(states)
-    if norms_limit < 0:
-        raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
-    checkpoints = _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
-    max_squares = np.empty(trials)
-    osc_squares = np.empty((len(checkpoints), trials))
-    norms = np.empty((min(trials, norms_limit), n))
+    checkpoints = _checked_checkpoints(checkpoints, trials, n, norms_limit)
     if powers is None:
         powers = ChainPowers(chain, f)
-    for t, path in enumerate(_each_path(w, states, powers)):
-        squares = squared_norms(path)
-        max_squares[t] = squares.max()
-        _oscillation_squares(path, checkpoints, osc_squares[:, t])
-        if t < len(norms):
-            np.sqrt(squares, out=norms[t])
-    oscillation = _oscillation_table(osc_squares, checkpoints) if checkpoints else None
-    return PathReductions(max_squares, oscillation, norms)
+    part = _reduce_paths(w, states, powers, checkpoints, min(trials, norms_limit))
+    return _combine([part], checkpoints)
+
+
+def _sample_and_reduce(chain, w, powers, n, seeds, checkpoints, norms_limit, lo, hi):
+    """``_reduce_paths`` of the trajectories of trials lo .. hi - 1."""
+    states = sample_trajectories(chain, n, seeds[lo:hi])
+    norms_rows = max(0, min(hi, norms_limit) - lo)
+    return _reduce_paths(w, states, powers, checkpoints, norms_rows)
+
+
+def _range_count(workers: int, trials: int) -> int:
+    """Ranges to split the trials into: ``min(workers, cpu_count, trials)``.
+
+    Workers are forked, so that they share the parent's table of kernel
+    powers; where ``fork`` is unavailable every trial runs in-process.
+    """
+    count = min(workers, os.cpu_count() or 1, trials)
+    if count > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return count
+    return 1
+
+
+# The range job of the reduce_trials call that forked this worker process.
+_worker_job = None
+
+
+def _adopt_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _run_adopted_job(lo: int, hi: int):
+    return _worker_job(lo, hi)
+
+
+def _run_ranges(job, bounds, meanwhile):
+    """``[job(lo, hi) for each range]`` in forked workers, and ``meanwhile()`` here.
+
+    The job reaches the workers through the fork, not by pickling; only the
+    range bounds and the per-range results travel between the processes.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        len(bounds) - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_job, initargs=(job,),
+    ) as pool:
+        futures = [pool.submit(_run_adopted_job, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        extra = meanwhile() if meanwhile is not None else None
+        return [future.result() for future in futures], extra
+
+
+def reduce_trials(
+    chain: ReversibleChain,
+    f: Observable,
+    w: WeightSequence,
+    n: int,
+    seeds,
+    powers: ChainPowers | None = None,
+    checkpoints=(),
+    norms_limit: int = 0,
+    workers: int = 1,
+    meanwhile=None,
+):
+    """Sample one trajectory per seed and reduce its series path.
+
+    Returns ``(reductions, extra)``, where ``reductions`` equals
+    ``reduce_series_paths`` on ``sample_trajectories(chain, n, seeds)`` bit
+    for bit, and ``extra`` is ``meanwhile()``, or None without it.
+
+    The trials are split into ``min(workers, os.cpu_count(), trials)``
+    contiguous ranges.  One range runs in this process; more run in as many
+    forked worker processes, each sampling and reducing its own range,
+    while this process calls ``meanwhile``.  Every trial draws from its own
+    seed and the ranges are joined in trial order, so the results do not
+    depend on ``workers``.  Before any fork the table of kernel powers is
+    built here, and the workers read it without copying; one range builds
+    it after sampling, when the sampler's buffers are gone.
+    """
+    seeds = list(seeds)
+    trials = len(seeds)
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+    if n < 1:
+        raise ValidationError("trajectory must have at least one step")
+    checkpoints = _checked_checkpoints(checkpoints, trials, n, norms_limit)
+    if powers is None:
+        powers = ChainPowers(chain, f)
+    job = partial(_sample_and_reduce, chain, w, powers, n, seeds, checkpoints, norms_limit)
+    count = _range_count(workers, trials)
+    if count == 1:
+        parts = [job(0, trials)]
+        extra = meanwhile() if meanwhile is not None else None
+    else:
+        powers.table(n)
+        bounds = [trials * i // count for i in range(count + 1)]
+        parts, extra = _run_ranges(job, bounds, meanwhile)
+    return _combine(parts, checkpoints), extra
 
 
 @dataclass(frozen=True)
@@ -425,8 +553,7 @@ def mc_max_moment(
     if n > config.horizon:
         raise ValidationError("n exceeds the configured horizon")
     seeds = [config.trial_seed(i) for i in range(config.trials)]
-    states = sample_trajectories(chain, n, seeds)
-    values = reduce_series_paths(chain, f, w, states).max_squares
+    values = reduce_trials(chain, f, w, n, seeds)[0].max_squares
     mean, se = jackknife_mean(values)
     return MaxMomentEstimate(estimate=mean, standard_error=se, trials=values.size)
 

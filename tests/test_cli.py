@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import revmax
 from revmax import (
     SimConfig,
+    ValidationError,
     WeightSequence,
     inequalities,
     load_chain,
@@ -19,7 +21,7 @@ from revmax import (
     markov,
     mc_max_moment,
 )
-from revmax import cli
+from revmax import cli, simulate
 from revmax.cli import _verdict_health, run
 
 
@@ -304,7 +306,11 @@ def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, 
 
 EXPONENT_CASES = [
     (check.value, p, "2") for check in inequalities.InequalityId for p in ("nan", "inf", "1")
-] + [("max-vs-endpoint", "0.5", "0")]
+] + [("max-vs-endpoint", "0.5", "0")] + [
+    # the constant overflows, or the moments of the first instance do
+    (check, p, "2") for check in ("max-vs-endpoint", "weighted-max-vs-endpoint",
+                                  "dyadic-weighted-max") for p in ("400", "2000")
+]
 
 
 @pytest.mark.parametrize("check,p,instances", EXPONENT_CASES)
@@ -405,19 +411,43 @@ class TestSimulate:
         assert meta["seed"] == 9
 
     def test_threads_keep_outputs_identical(self, chain_files, tmp_path):
+        # 101 trials do not split evenly, and the 40 path rows cross the split
         chain, f, _ = chain_files
         texts = []
         for threads in (1, 2, 8):
             osc = tmp_path / f"osc{threads}.csv"
             est = tmp_path / f"est{threads}.json"
+            paths = tmp_path / f"paths{threads}.csv"
             assert run([
                 "simulate", "--chain", str(chain), "--observable", str(f),
-                "--weights", "constant:1.0", "--n", "64", "--trials", "150",
+                "--weights", "constant:1.0", "--n", "64", "--trials", "101",
                 "--master-seed", "4", "--threads", str(threads),
                 "--osc-out", str(osc), "--estimate-out", str(est),
+                "--paths-out", str(paths), "--paths-limit", "60",
             ]) == 0
-            texts.append(read(osc) + read(est))
+            texts.append(read(osc) + read(est) + read(paths))
         assert texts[0] == texts[1] == texts[2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_exits_as_in_one_process(self, chain_files, tmp_path,
+                                                  monkeypatch, capsys):
+        chain, f, _ = chain_files
+
+        def failing(chain, n, seeds):
+            raise ValidationError(f"cannot sample {len(seeds)} trials")
+
+        monkeypatch.setattr(simulate, "sample_trajectories", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        osc = tmp_path / "osc.csv"
+        for threads in ("1", "2"):
+            assert run([
+                "simulate", "--chain", str(chain), "--observable", str(f),
+                "--weights", "constant:1.0", "--n", "64", "--trials", "101",
+                "--threads", threads, "--osc-out", str(osc),
+            ]) == 2
+            assert "error: cannot sample" in capsys.readouterr().err
+            assert multiprocessing.active_children() == []
+        assert not osc.exists()
 
     def test_estimate_with_exactly_4n_explicit_weights(self, chain_files, tmp_path):
         # the series bound reads a_1..a_4n and nothing further
@@ -478,7 +508,7 @@ class TestSimulate:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the flags were checked")
 
-        monkeypatch.setattr(cli, "sample_trajectories", no_sampling)
+        monkeypatch.setattr(cli, "reduce_trials", no_sampling)
         out = tmp_path / "out"
         flags = [str(out) if flag == "out" else flag for flag in flags]
         assert run([

@@ -16,7 +16,7 @@ from revmax import (
     random_instance,
     reverse_mart_diff,
 )
-from revmax.finite_prob import _cond_table
+from revmax.finite_prob import _cond_table, _left_sum
 
 
 def make_space(n):
@@ -638,3 +638,14 @@ def test_malformed_problem_field_is_named(field, value, message):
     load_problem(GOOD_PROBLEM)
     with pytest.raises(ValidationError, match=message):
         load_problem({**GOOD_PROBLEM, field: value})
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([0.1] * 10, 0.9999999999999999),
+    ([1e100, 1.0, -1e100], 0.0),
+    (np.full(10, 0.1), 0.9999999999999999),
+])
+def test_left_sum_rounds_each_addition(values, expected):
+    # a compensated sum, like the builtin sum over floats from Python 3.12,
+    # gives 1.0 for both lists
+    assert _left_sum(values) == expected

@@ -78,6 +78,20 @@ class TestTracedConstants:
         with pytest.raises(ValidationError):
             traced_constant(check, p)
 
+    @pytest.mark.parametrize("p", [400.0, 2000.0])
+    @pytest.mark.parametrize("check", [InequalityId.MAX_VS_ENDPOINT,
+                                       InequalityId.WEIGHTED_MAX_VS_ENDPOINT])
+    def test_overflowing_constant_is_a_validation_error(self, check, p):
+        with pytest.raises(ValidationError, match="overflows double precision"):
+            traced_constant(check, p)
+
+    @pytest.mark.parametrize("lhs,rhs", [
+        (math.inf, math.inf), (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0),
+    ])
+    def test_a_side_that_is_not_finite_never_passes(self, lhs, rhs):
+        record = inequalities.make_record("x", 2.0, {}, lhs, rhs, 4.0)
+        assert not record.passed and not record.skipped
+
     @pytest.mark.parametrize("factor", [doob_factor, triangle_factor])
     def test_non_finite_exponents_have_no_factor(self, factor):
         for p in (math.nan, math.inf):

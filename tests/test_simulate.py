@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from revmax import (
     mc_max_moment,
     random_chain_instance,
     reduce_series_paths,
+    reduce_trials,
     sample_trajectories,
     sample_trajectory,
     series_path,
@@ -396,6 +400,79 @@ class TestPathReductions:
             reduce_series_paths(chain, f, w, states, checkpoints=[8, 16])
         with pytest.raises(ValidationError, match="norms limit"):
             reduce_series_paths(chain, f, w, states, norms_limit=-1)
+
+
+class TestReduceTrials:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_the_reductions_of_the_sampled_batch(self, workers):
+        # 33 trials in two ranges split 16 / 17, and norm rows cross the split
+        chain, f = random_chain_instance(71, m_max=12, dim=2)
+        w = WeightSequence.power(-0.5)
+        seeds = [derive_trial_seed(5, i) for i in range(33)]
+        checkpoints = [8, 16, 32, 64]
+        out, extra = reduce_trials(chain, f, w, 128, seeds, checkpoints=checkpoints,
+                                   norms_limit=20, workers=workers, meanwhile=lambda: "done")
+        states = sample_trajectories(chain, 128, seeds)
+        expected = reduce_series_paths(chain, f, w, states, checkpoints=checkpoints,
+                                       norms_limit=20)
+        np.testing.assert_array_equal(out.max_squares, expected.max_squares)
+        assert out.oscillation == expected.oscillation
+        np.testing.assert_array_equal(out.norms, expected.norms)
+        assert extra == "done"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers,cpus,trials,ranges", [
+        (8, 3, 100, 3), (2, 3, 100, 2), (8, 3, 2, 2),
+        (1, 3, 100, None), (8, 1, 100, None), (8, None, 100, None), (4, 4, 1, None),
+    ])
+    def test_range_count_is_min_of_workers_cpus_and_trials(self, monkeypatch, workers,
+                                                           cpus, trials, ranges):
+        requested = []
+
+        class NoPool(Exception):
+            pass
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, **kwargs):
+                requested.append(max_workers)
+                raise NoPool
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        seeds = range(trials)
+        if ranges is None:
+            out, _ = reduce_trials(chain, f, WeightSequence.constant(1.0), 4, seeds,
+                                   workers=workers)
+            assert out.max_squares.shape == (trials,) and requested == []
+        else:
+            with pytest.raises(NoPool):
+                reduce_trials(chain, f, WeightSequence.constant(1.0), 4, seeds,
+                              workers=workers)
+            assert requested == [ranges]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def failing(chain, n, seeds):
+            raise ValidationError(f"no trajectories for {len(seeds)} seeds")
+
+        monkeypatch.setattr(simulate, "sample_trajectories", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        for workers in (1, 2):
+            with pytest.raises(ValidationError, match="no trajectories"):
+                reduce_trials(chain, f, WeightSequence.constant(1.0), 4, range(10),
+                              workers=workers)
+            assert multiprocessing.active_children() == []
+
+    def test_bad_arguments_rejected(self):
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        w = WeightSequence.constant(1.0)
+        with pytest.raises(ValidationError, match="at least one trial"):
+            reduce_trials(chain, f, w, 4, [])
+        with pytest.raises(ValidationError, match="at least one step"):
+            reduce_trials(chain, f, w, 0, [1])
+        with pytest.raises(ValidationError, match="norms limit"):
+            reduce_trials(chain, f, w, 4, [1], norms_limit=-1)
 
 
 class TestMcMaxMoment:
