@@ -13,77 +13,36 @@ from .finite_prob import (
     FiniteProbSpace,
     RandomVector,
     ValidationError,
-    adapted_partial_sums,
     cond_expect,
     decomposition_residual,
-    exact_max_moment,
-    load_problem,
     orthogonality_gap,
     reverse_mart_diff,
 )
-from .weights import WeightSequence, WeightStats, compute_stats, even_odd_stats, parse_weight_spec
-from .inequalities import (
-    InequalityId,
-    Instance,
-    SeriesVerdict,
-    TracedConstant,
-    VerificationRecord,
-    doob_factor,
-    random_instance,
-    series_criterion,
-    smoothness_factor,
-    traced_constant,
-    triangle_factor,
-    verify,
-    verify_batch,
-)
+from .weights import WeightSequence
+from .inequalities import InequalityId, random_instance, traced_constant, verify, verify_batch
 from .markov import (
-    ChainPowers,
-    ConditionReport,
-    EigensolverError,
     MarkovCheck,
     Observable,
     ReversibleChain,
-    SpectralMeasure,
-    apply_power,
-    autocovariance,
     birth_death,
     check_conditions,
     dl_integral,
-    dump_chain,
-    dump_observable,
     even_odd_split_residual,
-    inspect_growth_weights,
-    jacobi_eigendecomposition,
-    lazy_ring,
-    load_chain,
-    load_observable,
-    make_chain,
-    markov_traced_constant,
     metropolis_chain,
     random_chain_instance,
     spectral_measure,
     two_state,
     variance_growth,
-    verify_markov_batch,
     verify_markov_inequality,
     weighted_graph,
-    weighted_series,
 )
 from .simulate import (
-    MaxMomentEstimate,
-    OscillationTable,
-    PathReductions,
     SimConfig,
     as_convergence_diagnostic,
     derive_trial_seed,
     enumerate_max_moment,
     mc_max_moment,
-    reduce_series_paths,
-    reduce_trials,
     sample_trajectories,
-    sample_trajectory,
-    series_path,
     series_paths,
 )
 

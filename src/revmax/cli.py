@@ -19,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .finite_prob import ValidationError, _load_json, _numbers
-from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
+from .inequalities import (
+    _WEIGHTED_IDS, InequalityId, series_criterion, traced_constant, verify_batch,
+)
 from .markov import (
     ChainPowers,
     MarkovCheck,
@@ -86,6 +88,19 @@ def _require_minimums(args, minimums: dict):
             raise ValidationError(f"{flag} must be >= {low}, got {value}")
 
 
+def _weights(spec: str, upto: int):
+    """Parse a ``--weights`` spec and evaluate a_upto, which an explicit list must reach.
+
+    Only power weights can overflow, and those that can grow with the index.
+    """
+    try:
+        w = parse_weight_spec(spec)
+        w.eval(upto)
+    except ValidationError as exc:
+        raise ValidationError(f"--weights: {exc}") from None
+    return w
+
+
 def _tol_override(args) -> float | None:
     tol = args.tol_override
     if tol is not None:
@@ -117,6 +132,7 @@ def _cmd_gen_chain(args, argv) -> int:
         if args.weights_file:
             params = {"weights": _load_numbers(args.weights_file, "weight matrix")}
         elif args.m is not None:
+            _require_minimums(args, {"--m": 1})
             params = {"m": args.m}
         else:
             raise ValidationError("weighted-graph needs --weights-file or --m")
@@ -199,20 +215,18 @@ def _cmd_verify(args, argv) -> int:
         traced_constant(check, args.p)
     except ValidationError as exc:
         raise ValidationError(f"--p: {exc}") from None
-    weights = parse_weight_spec(args.weights) if args.weights else None
-    # a side that overflows is reported below as an unusable --p
+    # the statistics of horizon n read a_1 .. a_4n, and no instance has
+    # n above min(--n-max, --atoms-max - 1)
+    horizon = min(args.n_max, args.atoms_max - 1)
+    weights = _weights(args.weights, 4 * horizon) if args.weights else None
+    # a side that overflows is refused by _report_batch
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_batch(
             check, args.p, args.instances, args.seed, weights,
             args.atoms_max, args.n_max, args.dim_max, _tol_override(args),
         )
-    for r in records:
-        if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
-            raise ValidationError(
-                f"--p: {check.value} at p={args.p} overflows double precision"
-                f" on instance seed {r.descriptor['seed']} (lhs {r.lhs!r}, rhs {r.rhs!r})"
-            )
-    return _report_batch(args, argv, check, records, "instances")
+    flags = "--p/--weights" if check in _WEIGHTED_IDS else "--p"
+    return _report_batch(args, argv, check, records, "instance", flags)
 
 
 def _verdict_health(records) -> dict:
@@ -235,21 +249,33 @@ def _verdict_health(records) -> dict:
 def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
     _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1, "--threads": 1})
-    weights = parse_weight_spec(args.weights) if args.weights else None
-    records = verify_markov_batch(
-        check, args.chains, args.seed, weights, args.m_max, args.n_max, _tol_override(args)
-    )
-    return _report_batch(args, argv, check, records, "chains")
+    # the even and odd statistics of horizon n read a_1 .. a_8n
+    weights = _weights(args.weights, 8 * args.n_max) if args.weights else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = verify_markov_batch(
+            check, args.chains, args.seed, weights, args.m_max, args.n_max,
+            _tol_override(args),
+        )
+    return _report_batch(args, argv, check, records, "chain", "--weights")
 
 
-def _report_batch(args, argv, check, records, noun: str) -> int:
-    """Write a batch's CSV and sidecar, print its summary line, give its exit code."""
+def _report_batch(args, argv, check, records, noun: str, flags: str) -> int:
+    """Write a batch's CSV and sidecar, print its summary line, give its exit code.
+
+    A side that is not finite is refused first, naming ``flags``, which scale the sides.
+    """
+    for r in records:
+        if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
+            raise ValidationError(
+                f"{flags}: {check.value} at p={r.p} overflows double precision on"
+                f" {noun} seed {r.descriptor['seed']} (lhs {r.lhs!r}, rhs {r.rhs!r})"
+            )
     _write_text(args.out, _records_to_csv(records))
     health = _verdict_health(records)
     _write_sidecar(args.out, argv, seed=args.seed,
                    extra={"check": check.value, **health})
     failures = health["violations"]
-    print(f"{check.value}: {len(records)} {noun}, {failures} violations")
+    print(f"{check.value}: {len(records)} {noun}s, {failures} violations")
     return 1 if failures else 0
 
 
@@ -278,23 +304,32 @@ def _cmd_simulate(args, argv) -> int:
             )
     chain = load_chain(_load_json(args.chain, "chain"))
     f = load_observable(_load_json(args.observable, "observable"))
-    w = parse_weight_spec(args.weights)
+    estimating = config.trials >= MIN_ESTIMATE_TRIALS
+    # the series bound of horizon n reads a_1 .. a_4n
+    w = _weights(args.weights, 4 * args.n if estimating else args.n)
     seeds = [config.trial_seed(i) for i in range(config.trials)]
     powers = ChainPowers(chain, f)
-    estimating = config.trials >= MIN_ESTIMATE_TRIALS
 
     def compute_series_bound():
         moments = powers.second_moments(args.n)[1:]
         return (traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
                 * series_criterion(w, moments, args.n).partial)
 
-    reductions, series_bound = reduce_trials(
-        chain, f, w, args.n, seeds, powers,
-        checkpoints=checkpoints if args.osc_out else (),
-        norms_limit=args.paths_limit if args.paths_out else 0,
-        workers=args.threads,
-        meanwhile=compute_series_bound if estimating else None,
-    )
+    # non-finite figures are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        reductions, series_bound = reduce_trials(
+            powers, w, args.n, seeds,
+            checkpoints=checkpoints if args.osc_out else (),
+            norms_limit=args.paths_limit if args.paths_out else 0,
+            workers=args.threads,
+            meanwhile=compute_series_bound if estimating else None,
+        )
+    max_square = float(reductions.max_squares.max())
+    if not math.isfinite(max_square) or (estimating and not math.isfinite(series_bound)):
+        raise ValidationError(
+            f"--weights: {w.describe()} overflows double precision in the series"
+            f" (largest max square {max_square!r}, series bound {series_bound!r})"
+        )
 
     exit_code = 0
     if args.osc_out:

@@ -230,8 +230,8 @@ def lazy_ring(m: int, laziness: float) -> ReversibleChain:
 def weighted_graph(weight_matrix) -> ReversibleChain:
     """Random walk on a weighted graph: rows normalized, law by degree."""
     W = np.asarray(weight_matrix, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValidationError("weight matrix must be square")
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
+        raise ValidationError("weight matrix must be square and non-empty")
     if np.abs(W - W.T).max() > 1e-12:
         raise ValidationError("weight matrix must be symmetric")
     if np.any(W < 0):
@@ -769,15 +769,10 @@ def check_conditions(
     )
 
 
-def weighted_series(
-    chain: ReversibleChain,
-    f: Observable,
-    w: WeightSequence,
-    n: int,
-    powers: ChainPowers | None = None,
-):
+def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
     """Cumulative sums g_k = sum_{j<=k} a_j Q^j f and their exact max moment.
 
+    ``powers`` is the table of the chain Q and the observable f.
     Returns ``(partial, E_pi max_{k<=n} |g_k|^2)``, where ``partial`` is a
     read-only ``(n, m, dim)`` array with g_k in row k - 1, summed in index
     order.  The expectation is exact because each g_k is a deterministic
@@ -785,12 +780,10 @@ def weighted_series(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if powers is None:
-        powers = ChainPowers(chain, f)
     partial = np.cumsum(w.eval_range(n)[1:, None, None] * powers.table(n)[1:], axis=0)
     partial.flags.writeable = False
     best = (partial ** 2).sum(axis=2).max(axis=0)
-    return partial, float(chain.stationary @ best)
+    return partial, float(powers.chain.stationary @ best)
 
 
 class MarkovCheck(str, enum.Enum):
@@ -895,21 +888,22 @@ def verify_markov_inequality(
         w = weights if weights is not None else WeightSequence.constant(1.0)
         even, odd = even_odd_stats(w, n)
         b_star = np.maximum(even.b, odd.b)
-        _, lhs = weighted_series(chain, f, w, 2 * n, powers)
+        _, lhs = weighted_series(powers, w, 2 * n)
         moments = powers.second_moments(n)
         rhs = _left_sum(b_star[j] * moments[j] for j in range(1, n + 1))
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        _, lhs = weighted_series(chain, f, WeightSequence.constant(1.0), n, powers)
+        _, lhs = weighted_series(powers, WeightSequence.constant(1.0), n)
         moments = powers.second_moments(n)
         rhs = _left_sum(j * moments[j] for j in range(1, n + 1))
     elif check in (MarkovCheck.INV_SQRT_POWER_MAX, MarkovCheck.SUP_POWER_MAX):
         horizon = 2 * n if check is MarkovCheck.SUP_POWER_MAX else n
-        _, lhs = weighted_series(chain, f, WeightSequence.power(-0.5), horizon, powers)
+        _, lhs = weighted_series(powers, WeightSequence.power(-0.5), horizon)
         moments = powers.second_moments(n)
         rhs = _left_sum(moments[j] for j in range(1, n + 1))
     elif check is MarkovCheck.PAIRED_POWER_MAX:
-        paired = Observable(f.values + powers.get(1))
-        _, lhs = weighted_series(chain, paired, WeightSequence.constant(1.0), 2 * n)
+        # one request sizes the table for the autocovariances through 2n
+        paired = Observable(f.values + powers.table(2 * n)[1])
+        _, lhs = weighted_series(ChainPowers(chain, paired), WeightSequence.constant(1.0), 2 * n)
         signed = _left_sum(
             j * autocovariance(chain, f, j, powers) for j in range(1, 2 * n + 1)
         )
@@ -949,7 +943,7 @@ def inspect_growth_weights(chain: ReversibleChain, f: Observable, n: int):
     inspection next to the decaying-weight check.
     """
     powers = ChainPowers(chain, f)
-    _, lhs = weighted_series(chain, f, WeightSequence.power(0.5), n, powers)
+    _, lhs = weighted_series(powers, WeightSequence.power(0.5), n)
     moments = powers.second_moments(n)
     rhs = _left_sum(moments[j] for j in range(1, n + 1))
     return lhs, rhs

@@ -12,7 +12,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "OscillationTable",
     "as_convergence_diagnostic",
     "PathReductions",
-    "reduce_series_paths",
     "reduce_trials",
     "MaxMomentEstimate",
     "jackknife_mean",
@@ -213,12 +212,13 @@ def series_paths(
 ) -> np.ndarray:
     """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
 
-    Each trial's path is built in place in its row of the result; commands
-    that only reduce the paths use ``reduce_series_paths`` instead.
+    Each trial's path is copied into its row of the result; commands that
+    only reduce the paths use ``reduce_trials`` instead.
     """
-    out = np.empty((states.shape[0], _steps(states), f.dim))
-    for _ in _each_path(w, states, ChainPowers(chain, f), out):
-        pass
+    n = _steps(states)
+    out = np.empty((states.shape[0], n, f.dim))
+    for row, path in zip(out, _each_path(w.eval_range(n), states, ChainPowers(chain, f))):
+        row[...] = path
     return out
 
 
@@ -229,22 +229,21 @@ def _steps(states: np.ndarray) -> int:
     return n
 
 
-def _each_path(w, states, powers, out=None):
-    """Yield each trial's partial-sum path, built in the next buffer of ``out``.
+def _each_path(a, states, powers):
+    """Yield each trial's partial-sum path for the weights ``a = w.eval_range(n)``.
 
     The trial's table rows are gathered, scaled by the weights and summed
-    along the path in place.  Without ``out`` every trial reuses one
-    ``(n, dim)`` buffer, so a yielded path lasts until the next one.
+    along the path in place.  Every trial reuses one ``(n, dim)`` buffer, so
+    a yielded path lasts until the next one.
     """
     n = _steps(states)
     table = powers.table(n)
     flat = table.reshape(-1, table.shape[2])  # row j * m + i holds (Q^j f)(i)
     steps = np.arange(1, n + 1) * powers.chain.m
-    weights = w.eval_range(n)[1:, None]
-    if out is None:
-        out = repeat(np.empty((n, table.shape[2])))
+    weights = a[1:, None]
+    path = np.empty((n, table.shape[2]))
     index = np.empty(n, dtype=np.intp)
-    for trial, path in zip(states, out):
+    for trial in states:
         np.add(steps, trial[1:], out=index)
         np.take(flat, index, axis=0, out=path)
         path *= weights
@@ -356,13 +355,7 @@ class PathReductions:
     norms: np.ndarray
 
 
-def _checked_checkpoints(checkpoints, trials: int, n: int, norms_limit: int) -> list:
-    if norms_limit < 0:
-        raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
-    return _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
-
-
-def _reduce_paths(w, states, powers, checkpoints, norms_rows: int):
+def _reduce_paths(a, states, powers, checkpoints, norms_rows: int):
     """Max squares, oscillation squares and the first ``norms_rows`` norm rows.
 
     Each trajectory's series path is built and reduced in turn, so one path
@@ -373,7 +366,7 @@ def _reduce_paths(w, states, powers, checkpoints, norms_rows: int):
     max_squares = np.empty(trials)
     osc_squares = np.empty((len(checkpoints), trials))
     norms = np.empty((norms_rows, n))
-    for t, path in enumerate(_each_path(w, states, powers)):
+    for t, path in enumerate(_each_path(a, states, powers)):
         squares = squared_norms(path)
         max_squares[t] = squares.max()
         _oscillation_squares(path, checkpoints, osc_squares[:, t])
@@ -391,34 +384,11 @@ def _combine(parts, checkpoints) -> PathReductions:
     return PathReductions(np.concatenate(max_squares), oscillation, np.concatenate(norms))
 
 
-def reduce_series_paths(
-    chain: ReversibleChain,
-    f: Observable,
-    w: WeightSequence,
-    states: np.ndarray,
-    powers: ChainPowers | None = None,
-    checkpoints=(),
-    norms_limit: int = 0,
-) -> PathReductions:
-    """Reduce each trajectory's series path in turn, holding one path at a time.
-
-    With ``paths = series_paths(chain, f, w, states)``, the results equal
-    ``(paths ** 2).sum(axis=2).max(axis=1)``, ``as_convergence_diagnostic``
-    and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
-    """
-    trials, n = states.shape[0], _steps(states)
-    checkpoints = _checked_checkpoints(checkpoints, trials, n, norms_limit)
-    if powers is None:
-        powers = ChainPowers(chain, f)
-    part = _reduce_paths(w, states, powers, checkpoints, min(trials, norms_limit))
-    return _combine([part], checkpoints)
-
-
-def _sample_and_reduce(chain, w, powers, n, seeds, checkpoints, norms_limit, lo, hi):
+def _sample_and_reduce(powers, a, n, seeds, checkpoints, norms_limit, lo, hi):
     """``_reduce_paths`` of the trajectories of trials lo .. hi - 1."""
-    states = sample_trajectories(chain, n, seeds[lo:hi])
+    states = sample_trajectories(powers.chain, n, seeds[lo:hi])
     norms_rows = max(0, min(hi, norms_limit) - lo)
-    return _reduce_paths(w, states, powers, checkpoints, norms_rows)
+    return _reduce_paths(a, states, powers, checkpoints, norms_rows)
 
 
 def _range_count(workers: int, trials: int) -> int:
@@ -468,31 +438,32 @@ def _run_ranges(job, bounds, meanwhile):
 
 
 def reduce_trials(
-    chain: ReversibleChain,
-    f: Observable,
+    powers: ChainPowers,
     w: WeightSequence,
     n: int,
     seeds,
-    powers: ChainPowers | None = None,
     checkpoints=(),
     norms_limit: int = 0,
     workers: int = 1,
     meanwhile=None,
 ):
-    """Sample one trajectory per seed and reduce its series path.
+    """Sample one trajectory of ``powers.chain`` per seed and reduce its series path.
 
-    Returns ``(reductions, extra)``, where ``reductions`` equals
-    ``reduce_series_paths`` on ``sample_trajectories(chain, n, seeds)`` bit
-    for bit, and ``extra`` is ``meanwhile()``, or None without it.
+    Returns ``(reductions, extra)``, where ``extra`` is ``meanwhile()``, or
+    None without it.  With ``paths = series_paths(chain, f, w, states)`` on
+    ``states = sample_trajectories(chain, n, seeds)``, the reductions equal
+    ``(paths ** 2).sum(axis=2).max(axis=1)``, ``as_convergence_diagnostic``
+    and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
 
     The trials are split into ``min(workers, os.cpu_count(), trials)``
     contiguous ranges.  One range runs in this process; more run in as many
     forked worker processes, each sampling and reducing its own range,
     while this process calls ``meanwhile``.  Every trial draws from its own
     seed and the ranges are joined in trial order, so the results do not
-    depend on ``workers``.  Before any fork the table of kernel powers is
-    built here, and the workers read it without copying; one range builds
-    it after sampling, when the sampler's buffers are gone.
+    depend on ``workers``.  The weights are evaluated here before any
+    sampling.  Before any fork the table of kernel powers is built here, and
+    the workers read it without copying; one range builds it after
+    sampling, when the sampler's buffers are gone.
     """
     seeds = list(seeds)
     trials = len(seeds)
@@ -500,10 +471,11 @@ def reduce_trials(
         raise ValidationError("need at least one trial")
     if n < 1:
         raise ValidationError("trajectory must have at least one step")
-    checkpoints = _checked_checkpoints(checkpoints, trials, n, norms_limit)
-    if powers is None:
-        powers = ChainPowers(chain, f)
-    job = partial(_sample_and_reduce, chain, w, powers, n, seeds, checkpoints, norms_limit)
+    if norms_limit < 0:
+        raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
+    checkpoints = _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
+    job = partial(_sample_and_reduce, powers, w.eval_range(n), n, seeds, checkpoints,
+                  norms_limit)
     count = _range_count(workers, trials)
     if count == 1:
         parts = [job(0, trials)]
@@ -553,7 +525,7 @@ def mc_max_moment(
     if n > config.horizon:
         raise ValidationError("n exceeds the configured horizon")
     seeds = [config.trial_seed(i) for i in range(config.trials)]
-    values = reduce_trials(chain, f, w, n, seeds)[0].max_squares
+    values = reduce_trials(ChainPowers(chain, f), w, n, seeds)[0].max_squares
     mean, se = jackknife_mean(values)
     return MaxMomentEstimate(estimate=mean, standard_error=se, trials=values.size)
 

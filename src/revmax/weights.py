@@ -78,7 +78,10 @@ class WeightSequence:
         if self.kind == "constant":
             return float(self.value)
         if self.kind == "power":
-            return float(j) ** self.exponent
+            try:
+                return float(j) ** self.exponent
+            except OverflowError:
+                raise self._overflow(j) from None
         if self.kind == "explicit":
             if j > self.entries.size:
                 raise ValidationError(
@@ -94,7 +97,8 @@ class WeightSequence:
 
         Bit-identical to :meth:`eval` at every index.  Powers go through
         Python's ``float ** float``, because numpy's vectorised power can
-        differ from it in the last bit.
+        differ from it in the last bit.  A power that overflows raises
+        ``ValidationError`` naming the spec and the first such index.
         """
         if upto < 1:
             raise ValidationError("range must reach at least index 1")
@@ -104,8 +108,11 @@ class WeightSequence:
             out[1:] = self.value
         elif self.kind == "power":
             e = self.exponent
-            out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
-                                  dtype=float, count=upto)
+            try:
+                out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
+                                      dtype=float, count=upto)
+            except OverflowError:
+                raise self._overflow(upto) from None
         elif self.kind == "explicit":
             if upto > self.entries.size:
                 raise ValidationError(
@@ -117,6 +124,16 @@ class WeightSequence:
             np.abs(self.base.eval_range(upto)[1:], out=out[1:])
             np.negative(out[2::2], out=out[2::2])
         return out
+
+    def _overflow(self, upto: int) -> ValidationError:
+        """The error for a power weight whose ``j ** exponent`` overflows at a j <= upto."""
+        for j in range(1, upto + 1):
+            try:
+                float(j) ** self.exponent
+            except OverflowError:
+                break
+        return ValidationError(f"weight spec {self.describe()} overflows double precision"
+                               f" at index {j}")
 
     def describe(self) -> str:
         if self.kind == "constant":

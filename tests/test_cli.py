@@ -16,13 +16,12 @@ from revmax import (
     ValidationError,
     WeightSequence,
     inequalities,
-    load_chain,
-    load_observable,
     markov,
     mc_max_moment,
 )
 from revmax import cli, simulate
 from revmax.cli import _verdict_health, run
+from revmax.markov import load_chain, load_observable
 
 
 def read(path):
@@ -61,6 +60,15 @@ class TestGenChain:
         assert run([
             "gen-chain", "--model", "two-state", "-o", str(tmp_path / "c.json"),
         ]) == 2
+
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_weighted_graph_needs_a_state(self, m, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["gen-chain", "--model", "weighted-graph", "--m", m, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --m must be >= 1, got {m}\n"
+        assert not out.exists()
 
 
 class TestSpectrum:
@@ -305,24 +313,68 @@ def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, 
 
 
 EXPONENT_CASES = [
-    (check.value, p, "2") for check in inequalities.InequalityId for p in ("nan", "inf", "1")
-] + [("max-vs-endpoint", "0.5", "0")] + [
-    # the constant overflows, or the moments of the first instance do
-    (check, p, "2") for check in ("max-vs-endpoint", "weighted-max-vs-endpoint",
-                                  "dyadic-weighted-max") for p in ("400", "2000")
+    (check.value, p, "2", "--p") for check in inequalities.InequalityId
+    for p in ("nan", "inf", "1")
+] + [("max-vs-endpoint", "0.5", "0", "--p")] + [
+    # the constant overflows, or the moments of the first instance do; the
+    # sides of a weighted id also scale with its weights
+    (check, p, "2", flags) for check, flags in (
+        ("max-vs-endpoint", "--p"), ("weighted-max-vs-endpoint", "--p"),
+        ("dyadic-weighted-max", "--p/--weights"),
+    ) for p in ("400", "2000")
 ]
 
 
-@pytest.mark.parametrize("check,p,instances", EXPONENT_CASES)
-def test_exponent_outside_the_domain_exits_two_naming_it(check, p, instances, tmp_path,
-                                                         capsys):
+@pytest.mark.parametrize("check,p,instances,flags", EXPONENT_CASES,
+                         ids=["-".join(case[:3]) for case in EXPONENT_CASES])
+def test_exponent_outside_the_domain_exits_two_naming_it(check, p, instances, flags,
+                                                         tmp_path, capsys):
     assert run([
         "verify", "--id", check, "--p", p, "--instances", instances,
         "-o", str(tmp_path / "r.csv"),
     ]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --p: ") and "Traceback" not in err
+    assert err.startswith(f"error: {flags}: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+WEIGHT_OVERFLOW_CASES = [
+    # a_6 = 6 ** 400 overflows
+    (["verify", "--id", "dyadic-weighted-max", "--instances", "3"], "power:400",
+     "--weights: weight spec power:400 overflows double precision at index 6"),
+    (["verify-markov", "--id", "weighted-power-max", "--chains", "3"], "power:400",
+     "--weights: weight spec power:400 overflows double precision at index 6"),
+    (["simulate"], "power:400",
+     "--weights: weight spec power:400 overflows double precision at index 6"),
+    # every weight is finite, but their sums overflow
+    (["verify", "--id", "second-moment-series", "--instances", "3"], "constant:1e300",
+     "--p/--weights: second-moment-series at p=2.0 overflows double precision"),
+    (["verify-markov", "--id", "weighted-power-max", "--chains", "2"], "constant:1e300",
+     "--weights: weighted-power-max at p=2.0 overflows double precision"),
+    (["simulate"], "constant:1e300",
+     "--weights: constant:1e+300 overflows double precision in the series"),
+]
+
+
+@pytest.mark.parametrize("argv,spec,message", WEIGHT_OVERFLOW_CASES,
+                         ids=[f"{argv[0]}-{spec}" for argv, spec, _ in WEIGHT_OVERFLOW_CASES])
+def test_overflowing_weights_exit_two_naming_them(argv, spec, message, chain_files, tmp_path,
+                                                  capsys):
+    chain, f, _ = chain_files
+    out = tmp_path / "out"
+    out.mkdir()
+    if argv[0] == "simulate":
+        argv = argv + ["--chain", str(chain), "--observable", str(f), "--n", "64",
+                       "--trials", "100", "--threads", "2", "--osc-out", str(out / "osc.csv"),
+                       "--paths-out", str(out / "paths.csv"),
+                       "--estimate-out", str(out / "est.json")]
+    else:
+        argv = argv + ["-o", str(out / "r.csv")]
+    assert run(argv + ["--weights", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 class TestVerifyMarkov:

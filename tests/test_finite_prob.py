@@ -7,16 +7,15 @@ from revmax import (
     FiniteProbSpace,
     RandomVector,
     ValidationError,
-    adapted_partial_sums,
     cond_expect,
     decomposition_residual,
-    exact_max_moment,
-    load_problem,
     orthogonality_gap,
     random_instance,
     reverse_mart_diff,
 )
-from revmax.finite_prob import _cond_table, _left_sum
+from revmax.finite_prob import (
+    _cond_table, _left_sum, adapted_partial_sums, exact_max_moment, load_problem,
+)
 
 
 def make_space(n):

@@ -8,18 +8,16 @@ from revmax import (
     RandomVector,
     ValidationError,
     WeightSequence,
-    adapted_partial_sums,
     cond_expect,
-    doob_factor,
-    exact_max_moment,
     inequalities,
     random_instance,
-    series_criterion,
-    smoothness_factor,
     traced_constant,
-    triangle_factor,
     verify,
     verify_batch,
+)
+from revmax.finite_prob import adapted_partial_sums, exact_max_moment
+from revmax.inequalities import (
+    doob_factor, series_criterion, smoothness_factor, triangle_factor,
 )
 from revmax.weights import compute_stats
 

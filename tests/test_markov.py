@@ -5,22 +5,33 @@ import numpy as np
 import pytest
 
 from revmax import (
-    ChainPowers,
-    EigensolverError,
     MarkovCheck,
     Observable,
     ReversibleChain,
     ValidationError,
     WeightSequence,
-    apply_power,
-    autocovariance,
     birth_death,
     check_conditions,
     dl_integral,
+    even_odd_split_residual,
+    metropolis_chain,
+    random_chain_instance,
+    spectral_measure,
+    two_state,
+    variance_growth,
+    verify_markov_inequality,
+    weighted_graph,
+)
+from revmax import markov
+from revmax.markov import (
+    ChainPowers,
+    EigensolverError,
+    SpectralMeasure,
+    _round_robin,
+    apply_power,
+    autocovariance,
     dump_chain,
     dump_observable,
-    even_odd_split_residual,
-    even_odd_stats,
     inspect_growth_weights,
     jacobi_eigendecomposition,
     lazy_ring,
@@ -28,18 +39,10 @@ from revmax import (
     load_observable,
     make_chain,
     markov_traced_constant,
-    metropolis_chain,
-    random_chain_instance,
-    spectral_measure,
-    two_state,
-    variance_growth,
     verify_markov_batch,
-    verify_markov_inequality,
-    weighted_graph,
     weighted_series,
 )
-from revmax import markov
-from revmax.markov import SpectralMeasure, _round_robin
+from revmax.weights import even_odd_stats
 
 
 def disconnected_chain():
@@ -84,6 +87,10 @@ class TestChainConstruction:
         chain = weighted_graph(W)
         np.testing.assert_allclose(chain.stationary, [0.5, 0.5])
         np.testing.assert_allclose(chain.transition, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_weighted_graph_needs_a_state(self):
+        with pytest.raises(ValidationError, match="square and non-empty"):
+            weighted_graph(np.zeros((0, 0)))
 
     def test_disconnected_graph_flagged(self):
         assert not disconnected_chain().connected
@@ -504,20 +511,20 @@ class TestConditions:
 class TestWeightedSeries:
     def test_zero_weights(self):
         chain, f = random_chain_instance(61, m_max=8)
-        _, exact_max = weighted_series(chain, f, WeightSequence.constant(0.0), 6)
+        _, exact_max = weighted_series(ChainPowers(chain, f), WeightSequence.constant(0.0), 6)
         assert exact_max == 0.0
 
     def test_two_state_geometric_sum(self):
         chain = two_state(0.25, 0.25)
         f = Observable([1.0, -1.0])
         for n in (1, 3, 8):
-            _, exact_max = weighted_series(chain, f, WeightSequence.constant(1.0), n)
+            _, exact_max = weighted_series(ChainPowers(chain, f), WeightSequence.constant(1.0), n)
             assert exact_max == pytest.approx((1.0 - 0.5 ** n) ** 2, abs=1e-13)
 
     def test_cumulative_matches_direct_recomputation(self):
         chain, f = random_chain_instance(67, m_max=15, dim=2)
         w = WeightSequence.alternating(WeightSequence.power(-0.5))
-        partial, _ = weighted_series(chain, f, w, 9)
+        partial, _ = weighted_series(ChainPowers(chain, f), w, 9)
         powers = ChainPowers(chain, f)
         direct = sum(w.eval(j) * powers.get(j) for j in range(1, 10))
         np.testing.assert_allclose(partial[-1], direct, atol=1e-13)
@@ -529,7 +536,7 @@ class TestWeightedSeries:
         w = WeightSequence.power(-0.5)
         n = 6
         powers = ChainPowers(chain, f)
-        partial, _ = weighted_series(chain, f, w, 2 * n, powers)
+        partial, _ = weighted_series(powers, w, 2 * n)
         full_max = np.abs(partial).sum(axis=2).max(axis=0)
         even = np.zeros_like(f.values)
         odd = np.zeros_like(f.values)
@@ -555,7 +562,7 @@ class TestWeightedSeries:
             chain, f = random_chain_instance(seed, m_max=20, dim=seed % 3 + 1)
             w = kinds[seed % 4]()
             n = int(rng.integers(1, 41))
-            partial, exact_max = weighted_series(chain, f, w, n)
+            partial, exact_max = weighted_series(ChainPowers(chain, f), w, n)
             image, running = f.values, np.zeros_like(f.values)
             rows, best = [], np.zeros(chain.m)
             for j in range(1, n + 1):
@@ -669,6 +676,24 @@ class TestMarkovInequalities:
                     MarkovCheck.WEIGHTED_POWER_MAX, chain, f, 16, weights=w
                 )
                 assert rec.passed
+
+    @pytest.mark.parametrize("check", list(MarkovCheck))
+    def test_each_table_is_sized_once(self, check, monkeypatch):
+        tables = []
+
+        class RecordingPowers(ChainPowers):
+            def table(self, k):
+                rows = super().table(k)
+                if not any(t is self._table for t in tables):
+                    tables.append(self._table)
+                return rows
+
+        monkeypatch.setattr(markov, "ChainPowers", RecordingPowers)
+        chain, f = random_chain_instance(101, m_max=12)
+        n = 13
+        verify_markov_inequality(check, chain, f, n)
+        # paired-power-max tables f and f + Qf; the other checks table f once
+        assert len(tables) == (2 if check is MarkovCheck.PAIRED_POWER_MAX else 1)
 
     def test_scalar_only_checks_reject_vectors(self):
         chain, f = random_chain_instance(83, m_max=8, dim=2)

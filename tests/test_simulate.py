@@ -17,22 +17,16 @@ from revmax import (
     birth_death,
     derive_trial_seed,
     enumerate_max_moment,
-    lazy_ring,
-    load_chain,
-    load_observable,
     mc_max_moment,
     random_chain_instance,
-    reduce_series_paths,
-    reduce_trials,
     sample_trajectories,
-    sample_trajectory,
-    series_path,
     series_paths,
     two_state,
     weighted_graph,
 )
 from revmax import simulate
-from revmax.markov import ChainPowers, ReversibleChain
+from revmax.markov import ChainPowers, ReversibleChain, lazy_ring, load_chain, load_observable
+from revmax.simulate import reduce_trials, sample_trajectory, series_path
 from revmax.weights import compute_stats
 
 
@@ -369,37 +363,47 @@ class TestOscillationDiagnostic:
             as_convergence_diagnostic(paths, [40])
 
 
+def batch_reductions(chain, f, w, n, seeds, checkpoints, norms_limit):
+    """The reductions of the full path array of the sampled batch."""
+    paths = series_paths(chain, f, w, sample_trajectories(chain, n, seeds))
+    oscillation = as_convergence_diagnostic(paths, checkpoints) if checkpoints else None
+    return ((paths ** 2).sum(axis=2).max(axis=1), oscillation,
+            np.linalg.norm(paths[:norms_limit], axis=2))
+
+
+def assert_reductions_equal(out, expected):
+    max_squares, oscillation, norms = expected
+    np.testing.assert_array_equal(out.max_squares, max_squares)
+    assert out.oscillation == oscillation
+    np.testing.assert_array_equal(out.norms, norms)
+
+
 class TestPathReductions:
     @pytest.mark.parametrize("limit", [0, 1, 50])
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])
     def test_equal_the_batch_reductions_bit_for_bit(self, dim, limit):
         chain, f = random_chain_instance(71, m_max=12, dim=dim)
         w = WeightSequence.power(-0.5)
-        states = sample_trajectories(chain, 300, range(33))
         checkpoints = [8, 16, 32, 64, 128]
-        out = reduce_series_paths(chain, f, w, states, checkpoints=checkpoints,
-                                  norms_limit=limit)
-        paths = series_paths(chain, f, w, states)
-        np.testing.assert_array_equal(out.max_squares,
-                                      (paths ** 2).sum(axis=2).max(axis=1))
-        assert out.oscillation == as_convergence_diagnostic(paths, checkpoints)
-        np.testing.assert_array_equal(out.norms, np.linalg.norm(paths[:limit], axis=2))
+        out, _ = reduce_trials(ChainPowers(chain, f), w, 300, range(33),
+                               checkpoints=checkpoints, norms_limit=limit)
+        assert_reductions_equal(
+            out, batch_reductions(chain, f, w, 300, range(33), checkpoints, limit))
 
     def test_no_checkpoints_give_no_table(self):
         chain, f = random_chain_instance(73, m_max=6)
-        states = sample_trajectories(chain, 20, range(5))
-        out = reduce_series_paths(chain, f, WeightSequence.constant(1.0), states)
+        out, _ = reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 20,
+                               range(5))
         assert out.oscillation is None
         assert out.norms.shape == (0, 20)
 
     def test_diagnostic_and_limit_checks(self):
         chain, f = random_chain_instance(79, m_max=6)
         w = WeightSequence.constant(1.0)
-        states = sample_trajectories(chain, 64, range(10))
         with pytest.raises(ValidationError, match="30 trials"):
-            reduce_series_paths(chain, f, w, states, checkpoints=[8, 16])
+            reduce_trials(ChainPowers(chain, f), w, 64, range(10), checkpoints=[8, 16])
         with pytest.raises(ValidationError, match="norms limit"):
-            reduce_series_paths(chain, f, w, states, norms_limit=-1)
+            reduce_trials(ChainPowers(chain, f), w, 64, range(10), norms_limit=-1)
 
 
 class TestReduceTrials:
@@ -410,14 +414,11 @@ class TestReduceTrials:
         w = WeightSequence.power(-0.5)
         seeds = [derive_trial_seed(5, i) for i in range(33)]
         checkpoints = [8, 16, 32, 64]
-        out, extra = reduce_trials(chain, f, w, 128, seeds, checkpoints=checkpoints,
-                                   norms_limit=20, workers=workers, meanwhile=lambda: "done")
-        states = sample_trajectories(chain, 128, seeds)
-        expected = reduce_series_paths(chain, f, w, states, checkpoints=checkpoints,
-                                       norms_limit=20)
-        np.testing.assert_array_equal(out.max_squares, expected.max_squares)
-        assert out.oscillation == expected.oscillation
-        np.testing.assert_array_equal(out.norms, expected.norms)
+        out, extra = reduce_trials(ChainPowers(chain, f), w, 128, seeds,
+                                   checkpoints=checkpoints, norms_limit=20,
+                                   workers=workers, meanwhile=lambda: "done")
+        assert_reductions_equal(
+            out, batch_reductions(chain, f, w, 128, seeds, checkpoints, 20))
         assert extra == "done"
         assert multiprocessing.active_children() == []
 
@@ -442,12 +443,12 @@ class TestReduceTrials:
         chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
         seeds = range(trials)
         if ranges is None:
-            out, _ = reduce_trials(chain, f, WeightSequence.constant(1.0), 4, seeds,
-                                   workers=workers)
+            out, _ = reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
+                                   seeds, workers=workers)
             assert out.max_squares.shape == (trials,) and requested == []
         else:
             with pytest.raises(NoPool):
-                reduce_trials(chain, f, WeightSequence.constant(1.0), 4, seeds,
+                reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4, seeds,
                               workers=workers)
             assert requested == [ranges]
 
@@ -460,19 +461,28 @@ class TestReduceTrials:
         chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
         for workers in (1, 2):
             with pytest.raises(ValidationError, match="no trajectories"):
-                reduce_trials(chain, f, WeightSequence.constant(1.0), 4, range(10),
-                              workers=workers)
+                reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
+                              range(10), workers=workers)
             assert multiprocessing.active_children() == []
 
+    def test_overflowing_weights_raise_before_sampling(self, monkeypatch):
+        def no_sampling(chain, n, seeds):
+            raise AssertionError("sampled before the weights were evaluated")
+
+        monkeypatch.setattr(simulate, "sample_trajectories", no_sampling)
+        powers = ChainPowers(two_state(0.25, 0.25), Observable([1.0, -1.0]))
+        with pytest.raises(ValidationError, match="power:400 overflows double precision"):
+            reduce_trials(powers, WeightSequence.power(400), 64, range(3))
+
     def test_bad_arguments_rejected(self):
-        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        powers = ChainPowers(two_state(0.25, 0.25), Observable([1.0, -1.0]))
         w = WeightSequence.constant(1.0)
         with pytest.raises(ValidationError, match="at least one trial"):
-            reduce_trials(chain, f, w, 4, [])
+            reduce_trials(powers, w, 4, [])
         with pytest.raises(ValidationError, match="at least one step"):
-            reduce_trials(chain, f, w, 0, [1])
+            reduce_trials(powers, w, 0, [1])
         with pytest.raises(ValidationError, match="norms limit"):
-            reduce_trials(chain, f, w, 4, [1], norms_limit=-1)
+            reduce_trials(powers, w, 4, [1], norms_limit=-1)
 
 
 class TestMcMaxMoment:

@@ -3,13 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from revmax import (
-    ValidationError,
-    WeightSequence,
-    compute_stats,
-    even_odd_stats,
-    parse_weight_spec,
-)
+from revmax import ValidationError, WeightSequence
+from revmax.weights import compute_stats, even_odd_stats, parse_weight_spec
 
 
 class TestEval:
@@ -69,6 +64,18 @@ class TestEval:
             assert w.eval_range(5).tobytes() == expected.tobytes()
             with pytest.raises(ValidationError, match="length 5"):
                 w.eval_range(6)
+
+
+    @pytest.mark.parametrize("w", [WeightSequence.power(100),
+                                   WeightSequence.alternating(WeightSequence.power(100))])
+    def test_overflow_names_the_spec_and_its_first_index(self, w):
+        # 1209 ** 100 is finite and 1210 ** 100 is not
+        assert w.eval_range(1209)[1:].tolist() == [w.eval(j) for j in range(1, 1210)]
+        message = "weight spec power:100 overflows double precision at index 1210"
+        for evaluate in (lambda: w.eval_range(5000), lambda: w.eval_range(1210),
+                         lambda: w.eval(1210), lambda: w.eval(5000)):
+            with pytest.raises(ValidationError, match=message):
+                evaluate()
 
 
 class TestStats:
