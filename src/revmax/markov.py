@@ -448,16 +448,46 @@ def _rotation_tangents(app, aqq, apq):
     return t
 
 
+def _round_layouts(n: int):
+    """Column order of the working matrix in each round of ``_round_robin(n)``.
+
+    Round r's pair k, ``p < q``, sits in columns (2k, 2k+1), p first.  For
+    odd n the index the round leaves unpaired and the dummy index n take the
+    last two columns.
+    """
+    h, m = n // 2, n + n % 2
+    layouts = []
+    for p, q in _round_robin(n):
+        cols = np.empty(m, dtype=np.intp)
+        cols[0 : 2 * h : 2], cols[1 : 2 * h : 2] = p, q
+        if n % 2:
+            # the unpaired index is what the pairs leave of 0 + 1 + ... + (n - 1)
+            cols[-2:] = n * (n - 1) // 2 - cols[: 2 * h].sum(), n
+        layouts.append(cols)
+    return layouts
+
+
 def jacobi_eigendecomposition(matrix):
     """Cyclic Jacobi diagonalization of a symmetric matrix, round-robin ordering.
 
     Each sweep is n - 1 rounds of the parallel ordering of Brent & Luk
     (SIAM J. Sci. Stat. Comput. 6(1), 1985; Golub & Van Loan, *Matrix
     Computations*, section 8.5): a round rotates n // 2 disjoint pairs at
-    once, so one round is a handful of array operations, and a sweep rotates
-    every pair ``p < q`` once.  Pairs whose entry is exactly zero are
-    skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
-    ``JACOBI_REL_TOL`` times the Frobenius norm of the input.
+    once, and a sweep rotates every pair ``p < q`` once.  Pairs whose entry
+    is exactly zero are skipped and left bit for bit as they are.  Sweeps
+    run until the off-diagonal Frobenius norm falls below ``JACOBI_REL_TOL``
+    times the Frobenius norm of the input.
+
+    The rounds run on a paired-column layout.  Between rounds the working
+    matrix's rows and columns, and the eigenvector matrix's columns, are
+    permuted so that each pair ``(p, q)`` of the round sits in adjacent
+    columns, p first (``_round_layouts``; odd n gets a zero row and column
+    for the dummy index).  Viewed as complex numbers x + iy, those columns
+    rotate by (c, s) to (c x - s y, s x + c y) in one in-place multiply by
+    c + is per round: on the matrix, again on its transposed copy, and on
+    the eigenvectors.  The matrix is kept transposed, so each product
+    multiplies the same operands in the same order as a rotation of the
+    row pair (p, q).
 
     Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
     in columns, both unsorted, the number of sweeps run and the final
@@ -474,53 +504,84 @@ def jacobi_eigendecomposition(matrix):
     if n == 1:
         return A.diagonal().copy(), np.eye(1), 0, 0.0
     threshold = JACOBI_REL_TOL * np.linalg.norm(A)
-    diag_mask = ~np.eye(n, dtype=bool)
+    h, m = n // 2, n + n % 2
+    layouts = _round_layouts(n)
+    column_of = [np.argsort(cols) for cols in layouts]
+    # moves[r][j]: the column of round r - 1 whose entries go to column j of round r
+    moves = [column_of[r - 1][cols] for r, cols in enumerate(layouts)]
+    # every sweep starts and ends in the last round's layout
+    home = column_of[-1]
+
+    # S[a, b] = A[i, j] for the indices i, j in columns b, a: the transposed matrix.
+    S = np.zeros((m, m))
+    S[:n, :n] = A
+    S = np.ascontiguousarray(S[np.ix_(layouts[-1], layouts[-1])].T)
+    T = np.empty_like(S)
+    # V's columns are the eigenvectors, in the same column order as S.
+    V = np.zeros((n, m))
+    V[np.arange(n), home[:n]] = 1.0
+    V2 = np.empty_like(V)
+    # The off-diagonal entries in the row-major order of A, so that the
+    # norm sums the same numbers in the same order whatever the layout.
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    off_diagonal = home[j] * m + home[i]
+
+    def pair_views(M):
+        """M's complex column pairs, then its entries (2k, 2k), (2k+1, 2k+1),
+        (2k, 2k+1) and (2k+1, 2k) for each pair k, as writable views."""
+        flat, step = M.reshape(-1), 2 * m + 2
+        return (M.view(complex)[:, :h], flat[::step][:h], flat[m + 1 :: step][:h],
+                flat[1::step][:h], flat[m::step][:h])
+
+    def rotate(z, w, dead):
+        # a dead pair's columns keep their bits: a product with 1 + 0j can
+        # flip the sign of a zero
+        kept = None if dead is None else z[:, dead]
+        np.multiply(z, w, out=z)
+        if kept is not None:
+            z[:, dead] = kept
 
     def off_norm() -> float:
         # summing the off-diagonal entries directly avoids the catastrophic
         # cancellation of the full-norm-minus-diagonal formula
-        return float(np.linalg.norm(A[diag_mask]))
+        return float(np.linalg.norm(S.reshape(-1)[off_diagonal]))
 
-    # The rotation by (c, s) of a row pair (x, y) to (c x - s y, s x + c y)
-    # is the complex product (x + iy)(c + is): one pass over one buffer.
-    pairs = np.empty((n // 2, n), dtype=complex)
-
-    def rotate_rows(M, p, q, w):
-        z = pairs[: len(p)]
-        z.real = M[p]
-        z.imag = M[q]
-        np.multiply(z, w, out=z)
-        M[p] = z.real
-        M[q] = z.imag
-
-    # Vt holds the eigenvectors as rows, so their rotation is a row rotation.
-    Vt = np.eye(n)
-    At = np.empty_like(A)
-    rounds = _round_robin(n)
+    s_views, t_views = pair_views(S), pair_views(T)
+    v_pairs, v2_pairs = V.view(complex)[:, :h], V2.view(complex)[:, :h]
     for sweep in range(JACOBI_MAX_SWEEPS):
         residual = off_norm()
         if residual <= threshold:
-            return A.diagonal().copy(), Vt.T, sweep, residual
-        for p, q in rounds:
-            apq = A[p, q]
-            live = apq != 0.0
-            if not live.all():
-                p, q, apq = p[live], q[live], apq[live]
-                if len(p) == 0:
+            eigenvectors = V.T[home[:n]]
+            return S.diagonal()[home[:n]], eigenvectors.T, sweep, residual
+        for move in moves:
+            S.take(move, 0, T, "clip")
+            T.take(move, 1, S, "clip")
+            V.take(move, 1, V2, "clip")
+            V, V2, v_pairs, v2_pairs = V2, V, v2_pairs, v_pairs
+            pairs, app, aqq, _, apq = s_views  # S[2k+1, 2k] is A[p, q]
+            if apq.all():
+                live, dead = slice(None), None
+            else:
+                live = apq != 0.0
+                if not live.any():
                     continue
-            d = A.diagonal()
-            t = _rotation_tangents(d[p], d[q], apq)
+                dead = ~live
+            t = _rotation_tangents(app[live], aqq[live], apq[live])
             c = 1.0 / np.sqrt(1.0 + t * t)
-            w = (c + 1j * (t * c))[:, None]
-            # A <- J^T A J: rotate the rows, then the rows of the transpose,
-            # which are the columns.
-            rotate_rows(A, p, q, w)
-            np.copyto(At, A.T)
-            A, At = At, A
-            rotate_rows(A, p, q, w)
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            rotate_rows(Vt, p, q, w)
+            w = c + 1j * (t * c)
+            if dead is not None:
+                w_live, w = w, np.ones(h, dtype=complex)
+                w[live] = w_live
+            # A <- J^T A J: rotate the row pairs of A, which are the column
+            # pairs of S, then those of the transpose.
+            rotate(pairs, w, dead)
+            np.copyto(T, S.T)
+            S, T, s_views, t_views = T, S, t_views, s_views
+            pairs, _, _, upper, lower = s_views
+            rotate(pairs, w, dead)
+            upper[live] = 0.0
+            lower[live] = 0.0
+            rotate(v_pairs, w, dead)
     raise EigensolverError(off_norm(), JACOBI_MAX_SWEEPS)
 
 

@@ -27,6 +27,7 @@ from revmax.markov import (
     ChainPowers,
     EigensolverError,
     SpectralMeasure,
+    _round_layouts,
     _round_robin,
     apply_power,
     autocovariance,
@@ -269,6 +270,25 @@ class TestJacobi:
         # a rotation of a pair across the blocks would mix their eigenvectors
         _, V, _, _ = assert_matches_eigh(block_diagonal())
         assert not V[:3, 3:].any() and not V[3:, :3].any()
+
+    def test_dead_pairs_keep_their_bits(self):
+        # (1, 2) is dead in the round that rotates (0, 3); multiplying its
+        # columns by 1 + 0j would turn the eigenvalue -0.0 into +0.0
+        A = np.diag([1.0, -0.0, 3.0, 2.0])
+        A[0, 3] = A[3, 0] = 0.5
+        A[1, 2] = A[2, 1] = -0.0
+        lam, _, sweeps, _ = jacobi_eigendecomposition(A)
+        assert sweeps == 1
+        assert lam[1] == 0.0 and np.signbit(lam[1])
+
+    def test_round_layouts_put_each_pair_in_adjacent_columns(self):
+        for n in range(2, 41):
+            for cols, (p, q) in zip(_round_layouts(n), _round_robin(n), strict=True):
+                assert sorted(cols.tolist()) == list(range(n + n % 2))
+                np.testing.assert_array_equal(cols[0 : 2 * len(p) : 2], p)
+                np.testing.assert_array_equal(cols[1 : 2 * len(p) : 2], q)
+                if n % 2:
+                    assert cols[-1] == n
 
     @pytest.mark.parametrize("coupling", [1e-13, -1e-13, 1e-160])
     def test_small_angle_rotations(self, coupling):
