@@ -123,10 +123,12 @@ def _cmd_gen_chain(args, argv) -> int:
     elif args.model == "birth-death":
         if args.m is None or args.up is None or args.down is None:
             raise ValidationError("birth-death needs --m, --up and --down")
+        _require_minimums(args, {"--m": 2})
         params = {"up": [args.up] * (args.m - 1), "down": [args.down] * (args.m - 1)}
     elif args.model == "lazy-ring":
         if args.m is None or args.laziness is None:
             raise ValidationError("lazy-ring needs --m and --laziness")
+        _require_minimums(args, {"--m": 2})
         params = {"m": args.m, "laziness": args.laziness}
     elif args.model == "weighted-graph":
         if args.weights_file:

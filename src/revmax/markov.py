@@ -281,8 +281,10 @@ def make_chain(model: str, params: dict, seed: int | None = None) -> ReversibleC
     if model == "weighted-graph":
         if "weights" in params:
             return weighted_graph(params["weights"])
-        rng = np.random.default_rng(seed)
         m = int(params["m"])
+        if m < 1:
+            raise ValidationError(f"weighted-graph needs m >= 1, got {m}")
+        rng = np.random.default_rng(seed)
         W = rng.uniform(0.0, 1.0, (m, m))
         W = np.triu(W, 1)
         W = W + W.T + np.diag(rng.uniform(0.5, 1.5, m) * max(m - 1, 1) * 0.5)

@@ -75,13 +75,16 @@ class WeightSequence:
     def eval(self, j: int) -> float:
         if j < 1:
             raise ValidationError(f"weight index {j} must be >= 1")
+        try:
+            return self._eval(j)
+        except OverflowError:
+            raise self._overflow(j) from None
+
+    def _eval(self, j: int) -> float:
         if self.kind == "constant":
             return float(self.value)
         if self.kind == "power":
-            try:
-                return float(j) ** self.exponent
-            except OverflowError:
-                raise self._overflow(j) from None
+            return float(j) ** self.exponent
         if self.kind == "explicit":
             if j > self.entries.size:
                 raise ValidationError(
@@ -90,7 +93,7 @@ class WeightSequence:
                 )
             return float(self.entries[j - 1])
         sign = 1.0 if j % 2 == 1 else -1.0
-        return sign * abs(self.base.eval(j))
+        return sign * abs(self.base._eval(j))
 
     def eval_range(self, upto: int) -> np.ndarray:
         """Array ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
@@ -102,17 +105,20 @@ class WeightSequence:
         """
         if upto < 1:
             raise ValidationError("range must reach at least index 1")
+        try:
+            return self._eval_range(upto)
+        except OverflowError:
+            raise self._overflow(upto) from None
+
+    def _eval_range(self, upto: int) -> np.ndarray:
         out = np.empty(upto + 1)
         out[0] = 0.0
         if self.kind == "constant":
             out[1:] = self.value
         elif self.kind == "power":
             e = self.exponent
-            try:
-                out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
-                                      dtype=float, count=upto)
-            except OverflowError:
-                raise self._overflow(upto) from None
+            out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
+                                  dtype=float, count=upto)
         elif self.kind == "explicit":
             if upto > self.entries.size:
                 raise ValidationError(
@@ -121,15 +127,21 @@ class WeightSequence:
                 )
             out[1:] = self.entries[:upto]
         else:
-            np.abs(self.base.eval_range(upto)[1:], out=out[1:])
+            np.abs(self.base._eval_range(upto)[1:], out=out[1:])
             np.negative(out[2::2], out=out[2::2])
         return out
 
     def _overflow(self, upto: int) -> ValidationError:
-        """The error for a power weight whose ``j ** exponent`` overflows at a j <= upto."""
+        """The error for weights whose power ``j ** exponent`` overflows at a j <= upto.
+
+        It names the whole spec, alternating signs included, and the first such j.
+        """
+        power = self
+        while power.kind == "alternating":
+            power = power.base
         for j in range(1, upto + 1):
             try:
-                float(j) ** self.exponent
+                float(j) ** power.exponent
             except OverflowError:
                 break
         return ValidationError(f"weight spec {self.describe()} overflows double precision"

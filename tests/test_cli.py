@@ -70,6 +70,17 @@ class TestGenChain:
         assert err == f"error: --m must be >= 1, got {m}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["birth-death", "lazy-ring"])
+    @pytest.mark.parametrize("m", ["1", "0", "-1"])
+    def test_chain_needs_two_states(self, model, m, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        flags = ["--up", "0.3", "--down", "0.2"] if model == "birth-death" else ["--laziness", "0.5"]
+        argv = ["gen-chain", "--model", model, *flags, "--m", m, "-o", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --m must be >= 2, got {m}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSpectrum:
     def test_eigenvector_spectrum(self, chain_files, tmp_path):
@@ -346,6 +357,13 @@ WEIGHT_OVERFLOW_CASES = [
      "--weights: weight spec power:400 overflows double precision at index 6"),
     (["simulate"], "power:400",
      "--weights: weight spec power:400 overflows double precision at index 6"),
+    # the spec the user typed, not the power inside it
+    (["verify", "--id", "dyadic-weighted-max", "--instances", "3"], "alternating:power:400",
+     "--weights: weight spec alternating:power:400 overflows double precision at index 6"),
+    (["verify-markov", "--id", "weighted-power-max", "--chains", "3"], "alternating:power:400",
+     "--weights: weight spec alternating:power:400 overflows double precision at index 6"),
+    (["simulate"], "alternating:power:400",
+     "--weights: weight spec alternating:power:400 overflows double precision at index 6"),
     # every weight is finite, but their sums overflow
     (["verify", "--id", "second-moment-series", "--instances", "3"], "constant:1e300",
      "--p/--weights: second-moment-series at p=2.0 overflows double precision"),

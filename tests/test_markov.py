@@ -93,6 +93,11 @@ class TestChainConstruction:
         with pytest.raises(ValidationError, match="square and non-empty"):
             weighted_graph(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_random_weighted_graph_needs_a_state(self, m):
+        with pytest.raises(ValidationError, match=f"weighted-graph needs m >= 1, got {m}"):
+            make_chain("weighted-graph", {"m": m}, seed=0)
+
     def test_disconnected_graph_flagged(self):
         assert not disconnected_chain().connected
         assert two_state(0.3, 0.4).connected

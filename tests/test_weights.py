@@ -66,12 +66,14 @@ class TestEval:
                 w.eval_range(6)
 
 
-    @pytest.mark.parametrize("w", [WeightSequence.power(100),
-                                   WeightSequence.alternating(WeightSequence.power(100))])
-    def test_overflow_names_the_spec_and_its_first_index(self, w):
+    @pytest.mark.parametrize("spec", ["power:100", "alternating:power:100",
+                                      "alternating:alternating:power:100"])
+    def test_overflow_names_the_spec_and_its_first_index(self, spec):
+        w = parse_weight_spec(spec)
         # 1209 ** 100 is finite and 1210 ** 100 is not
         assert w.eval_range(1209)[1:].tolist() == [w.eval(j) for j in range(1, 1210)]
-        message = "weight spec power:100 overflows double precision at index 1210"
+        # the spec as given, alternating signs included
+        message = f"weight spec {spec} overflows double precision at index 1210"
         for evaluate in (lambda: w.eval_range(5000), lambda: w.eval_range(1210),
                          lambda: w.eval(1210), lambda: w.eval(5000)):
             with pytest.raises(ValidationError, match=message):
