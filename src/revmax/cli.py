@@ -446,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=int, default=1,
-                         help="accepted, but the command runs in one process: its "
-                              "batches are too short to pay for starting workers")
+                         help="accepted, but the command runs in one process: after a "
+                              "fork, copy-on-write faults slow both processes by more "
+                              "than a second worker saves on its 10-20 ms batches")
 
     gen = sub.add_parser(
         "gen-chain",
