@@ -514,10 +514,11 @@ def jacobi_eigendecomposition(matrix):
     # every sweep starts and ends in the last round's layout
     home = column_of[-1]
 
-    # S[a, b] = A[i, j] for the indices i, j in columns b, a: the transposed matrix.
+    # S[a, b] = A[i, j] for the indices i, j in columns b, a: the transpose of
+    # the working matrix, which starts out symmetric.
     S = np.zeros((m, m))
     S[:n, :n] = A
-    S = np.ascontiguousarray(S[np.ix_(layouts[-1], layouts[-1])].T)
+    S = S[np.ix_(layouts[-1], layouts[-1])]
     T = np.empty_like(S)
     # V's columns are the eigenvectors, in the same column order as S.
     V = np.zeros((n, m))
@@ -553,6 +554,8 @@ def jacobi_eigendecomposition(matrix):
     for sweep in range(JACOBI_MAX_SWEEPS):
         residual = off_norm()
         if residual <= threshold:
+            # the transpose of a C-ordered array, so that products with it
+            # make the same BLAS calls whatever the layout
             eigenvectors = V.T[home[:n]]
             return S.diagonal()[home[:n]], eigenvectors.T, sweep, residual
         for move in moves:
