@@ -247,18 +247,76 @@ def random_instance(
     space = FiniteProbSpace(probs / probs.sum())
 
     # merging blocks i < j keeps label i and shifts the labels above j down
-    labels = np.tile(np.arange(atoms), (levels, 1))
-    for level in range(1, levels):
-        i, j = sorted(rng.choice(atoms - level + 1, size=2, replace=False))
-        row = np.where(labels[level - 1] == j, i, labels[level - 1])
-        labels[level] = row - (row > j)
+    labels = np.empty((levels, atoms), dtype=np.int64)
+    labels[0] = np.arange(atoms)
+    for level, (i, j) in enumerate(_merge_pairs(rng, atoms, levels), start=1):
+        relabel = np.arange(atoms - level + 1)
+        relabel[j + 1:] -= 1
+        relabel[j] = i
+        np.take(relabel, labels[level - 1], out=labels[level])
     filtration = DecreasingFiltration(space, labels)
 
-    values = np.empty((n, atoms, dim))
-    for j, row in enumerate(values):
-        draws = rng.standard_normal((filtration.n_blocks(j + 1), dim))
-        np.take(draws, labels[j], axis=0, out=row)
+    # term j gathers its own run of k_j draws, k_j = atoms - j + 1 blocks;
+    # consecutive standard_normal calls concatenate, so one call serves all
+    blocks = atoms - np.arange(n)
+    offsets = np.cumsum(blocks) - blocks
+    draws = rng.standard_normal((int(blocks.sum()), dim))
+    values = draws[labels[:n] + offsets[:, None]]
     return Instance(sequence=AdaptedSequence(filtration, values), seed=int(seed))
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _uint32_draws(bit_generator, count: int):
+    """The bit generator's 32-bit draws: low half of each raw word, then high.
+
+    The first ``count`` come from one batch of raw words; later ones are read
+    a word at a time, so the stream never runs ahead of what is drawn.
+    """
+    for word in bit_generator.random_raw(-(-count // 2)).tolist():
+        yield word & _LOW32
+        yield word >> 32
+    while True:
+        word = int(bit_generator.random_raw())
+        yield word & _LOW32
+        yield word >> 32
+
+
+def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
+    """``sorted(rng.choice(k, 2, replace=False))`` for k = atoms down to
+    atoms - levels + 2, read from the generator's raw words.
+
+    For a small population, ``Generator.choice`` runs Floyd's sampling (Bentley
+    & Floyd, CACM 30(9), 1987) with Lemire's bounded integers (ACM TOMACS
+    29(1), 2019) over 32-bit draws: a first pick on 0..k-2, none when k = 2; a
+    second pick on 0..k-1 that becomes k - 1 if it repeats the first; and one
+    draw for the two-element shuffle, whose order sorting discards.  The
+    32-bit draws come from the generator's 64-bit words, low half first with
+    the high half kept for the next draw.  ``rng`` must not hold a spare high
+    half from an earlier 32-bit draw, and nothing after these calls may read
+    one, because the spare kept here is not handed back to ``rng``.
+    """
+    # no rejections: k = 2 draws twice, every larger k three times
+    draws = _uint32_draws(rng.bit_generator, 3 * (levels - 1) - (levels == atoms))
+
+    def below(bound: int) -> int:  # Lemire: uniform on 0..bound-1
+        m = next(draws) * bound
+        if m & _LOW32 < bound:
+            threshold = (_LOW32 + 1 - bound) % bound
+            while m & _LOW32 < threshold:
+                m = next(draws) * bound
+        return m >> 32
+
+    pairs = []
+    for k in range(atoms, atoms - levels + 1, -1):
+        first = below(k - 1) if k > 2 else 0
+        second = below(k)
+        if second == first:
+            second = k - 1
+        next(draws)  # the shuffle
+        pairs.append((first, second) if first < second else (second, first))
+    return pairs
 
 
 def verify(

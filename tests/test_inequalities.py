@@ -170,6 +170,51 @@ class TestRandomInstance:
             assert inst.descriptor() == {"seed": seed, "atoms": atoms, "n": n, "dim": dim}
             assert inst.levels == levels
 
+    @staticmethod
+    def assert_merge_run(seed, atoms, levels, lead):
+        # one run of levels from a fresh generator, after `lead` 64-bit draws
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a.uniform(size=lead)
+        b.uniform(size=lead)
+        want = [tuple(sorted(b.choice(k, size=2, replace=False).tolist()))
+                for k in range(atoms, atoms - levels + 1, -1)]
+        assert inequalities._merge_pairs(a, atoms, levels) == want
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+    def test_merge_pairs_match_generator_choice(self):
+        # k = 2..300 on 20 seeds, split into runs of 1 to 120 levels
+        shapes = np.random.default_rng(61)
+        for seed in range(20):
+            atoms = 300
+            while atoms >= 2:
+                levels = int(shapes.integers(2, min(atoms, 121) + 1)) if atoms > 2 else 2
+                self.assert_merge_run(seed, atoms, levels, lead=int(shapes.integers(0, 4)))
+                atoms -= levels - 1
+
+    def test_merge_pairs_match_generator_choice_through_rejections(self):
+        # near k = 3 * 2^30, Lemire rejects about a quarter of all draws, so
+        # runs also read past the batch that covers the draws without
+        # rejections; the runs from 2^31 + 20 cross k = 2^31, whose power-of-two
+        # bound never rejects
+        for seed in range(20):
+            self.assert_merge_run(seed, 3 * 2**30 + seed, 40, lead=seed % 3)
+            self.assert_merge_run(seed, 2**31 + 20, 40, lead=seed % 3)
+
+    def test_no_generator_choice_call(self, monkeypatch):
+        class NoChoice:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def __getattr__(self, name):
+                if name == "choice":
+                    raise AssertionError("random_instance called Generator.choice")
+                return getattr(self.rng, name)
+
+        want = random_instance(7, atoms=40, levels=40, n=39, dim=2)
+        monkeypatch.setattr(np.random, "default_rng", NoChoice)
+        got = random_instance(7, atoms=40, levels=40, n=39, dim=2)
+        np.testing.assert_array_equal(got.sequence.values, want.sequence.values)
+
     def test_infeasible_shapes_rejected(self):
         with pytest.raises(ValidationError, match="infeasible"):
             random_instance(3, atoms=4, levels=5, n=4, dim=1)
