@@ -258,12 +258,9 @@ def metropolis_chain(target, proposal) -> ReversibleChain:
         raise ValidationError("proposal must be symmetric")
     if np.any(S < 0) or np.abs(S.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValidationError("proposal must be row-stochastic")
-    Q = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                Q[i, j] = S[i, j] * min(1.0, pi[j] / pi[i])
-        Q[i, i] = 1.0 - Q[i].sum()
+    Q = S * np.minimum(1.0, pi[None, :] / pi[:, None])
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, 1.0 - Q.sum(axis=1))
     return ReversibleChain(Q, pi)
 
 

@@ -77,6 +77,33 @@ class TestChainConstruction:
             flow = chain.stationary[:, None] * chain.transition
             assert np.abs(flow - flow.T).max() <= 1e-12
 
+    def test_metropolis_kernel_matches_the_entrywise_loop(self):
+        # reference: accept j from i with min(1, pi_j / pi_i), entry by entry,
+        # then put the rejected mass on the diagonal
+        rng = np.random.default_rng(73)
+        for case in range(240):
+            m = int(rng.integers(2, 40))
+            if case % 3 == 0:  # integer targets give exact ties pi_j == pi_i
+                target = rng.integers(1, 4, m).astype(float)
+            else:
+                target = rng.uniform(0.01, 1.0, m) ** 2
+            if case % 2:
+                proposal = np.full((m, m), 1.0 / m)
+            else:
+                W = np.triu(rng.uniform(0.0, 1.0, (m, m)), 1)
+                proposal = (W + W.T) / ((W + W.T).sum(axis=1).max() * 1.25)
+                np.fill_diagonal(proposal, 1.0 - proposal.sum(axis=1))
+            pi = target / target.sum()
+            Q = np.zeros((m, m))
+            for i in range(m):
+                for j in range(m):
+                    if i != j:
+                        Q[i, j] = proposal[i, j] * min(1.0, pi[j] / pi[i])
+                Q[i, i] = 1.0 - Q[i].sum()
+            chain, want = metropolis_chain(target, proposal), ReversibleChain(Q, pi)
+            np.testing.assert_array_equal(chain.transition, want.transition)
+            np.testing.assert_array_equal(chain.stationary, want.stationary)
+
     def test_birth_death_stationary_matches_rate_products(self):
         chain = birth_death([0.3, 0.2], [0.1, 0.4])
         pi = chain.stationary
