@@ -491,12 +491,18 @@ def jacobi_eigendecomposition(matrix):
     Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
     in columns, both unsorted, the number of sweeps run and the final
     off-diagonal norm.  Raises :class:`EigensolverError` past
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    ``JACOBI_MAX_SWEEPS`` sweeps, and :class:`ValidationError` before any
+    sweep on a matrix that is not square, not symmetric or not finite.
     """
     A = np.array(matrix, dtype=float)
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise ValidationError("matrix must be square")
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        named = ", ".join(f"({i},{j})={A[i, j]}" for i, j in bad[:4].tolist())
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise ValidationError(f"matrix has non-finite entries: {named}{more}")
     if n > 1 and np.abs(A - A.T).max() > 1e-10 * max(1.0, np.abs(A).max()):
         raise ValidationError("matrix is not symmetric")
     A = (A + A.T) / 2.0

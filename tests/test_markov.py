@@ -361,6 +361,24 @@ class TestJacobi:
         with pytest.raises(ValidationError, match="symmetric"):
             jacobi_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad,named", [
+        (math.inf, r"\(0,1\)=inf, \(1,0\)=inf$"),
+        (math.nan, r"\(0,1\)=nan, \(1,0\)=nan$"),
+    ])
+    def test_non_finite_input_rejected_before_any_sweep(self, monkeypatch, bad, named):
+        def no_sweeps(n):
+            raise AssertionError("the solver set up its rounds")
+
+        monkeypatch.setattr(markov, "_round_layouts", no_sweeps)
+        with pytest.raises(ValidationError, match="non-finite entries: " + named):
+            jacobi_eigendecomposition(np.array([[1.0, bad], [bad, 2.0]]))
+
+    def test_non_finite_entries_are_named_up_to_four(self):
+        A = np.eye(64)
+        A[3, :7] = A[:7, 3] = np.nan
+        with pytest.raises(ValidationError, match=r"\(0,3\)=nan, .* and 9 more$"):
+            jacobi_eigendecomposition(A)
+
     def test_sweep_cap_raises(self, monkeypatch):
         from revmax import markov
 
