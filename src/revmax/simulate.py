@@ -456,14 +456,16 @@ def reduce_trials(
     and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
 
     The trials are split into ``min(workers, os.cpu_count(), trials)``
-    contiguous ranges.  One range runs in this process; more run in as many
-    forked worker processes, each sampling and reducing its own range,
-    while this process calls ``meanwhile``.  Every trial draws from its own
-    seed and the ranges are joined in trial order, so the results do not
-    depend on ``workers``.  The weights are evaluated here before any
-    sampling.  Before any fork the table of kernel powers is built here, and
-    the workers read it without copying; one range builds it after
-    sampling, when the sampler's buffers are gone.
+    contiguous ranges.  A single range runs in this process, and
+    ``meanwhile`` after it.  With two or more, every range runs in a forked
+    worker process of its own, one worker per range, which samples and
+    reduces it; this process samples nothing and only calls ``meanwhile``
+    while it waits.  Every trial draws from its own seed and the ranges are
+    joined in trial order, so the results do not depend on ``workers``.  The
+    weights are evaluated here before any sampling.  Before any fork the
+    table of kernel powers is built here, and the workers read it without
+    copying; a single range builds it after sampling, when the sampler's
+    buffers are gone.
     """
     seeds = list(seeds)
     trials = len(seeds)
