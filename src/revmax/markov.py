@@ -248,8 +248,8 @@ def metropolis_chain(target, proposal) -> ReversibleChain:
     """Metropolis kernel for a target law under a symmetric proposal."""
     pi = np.asarray(target, dtype=float)
     S = np.asarray(proposal, dtype=float)
-    if pi.ndim != 1 or np.any(pi <= 0):
-        raise ValidationError("target law must be positive")
+    if pi.ndim != 1 or not np.all((pi > 0) & np.isfinite(pi)):
+        raise ValidationError("target law must be positive and finite")
     pi = pi / pi.sum()
     m = pi.size
     if S.shape != (m, m):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -146,6 +147,18 @@ def test_malformed_gen_chain_file_exits_two_naming_it(files, message, tmp_path, 
     out = tmp_path / "c.json"
     assert run(["gen-chain", "--model", model, *flags, "-o", str(out)]) == 2
     assert f"error: {message} a rectangular list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gen_chain_non_finite_target_exits_two(bad, tmp_path, capsys):
+    target, proposal = tmp_path / "target.json", tmp_path / "proposal.json"
+    target.write_text(json.dumps([1.0, bad, 2.0]))
+    proposal.write_text(json.dumps([[1.0 / 3.0] * 3] * 3))
+    out = tmp_path / "c.json"
+    assert run(["gen-chain", "--model", "metropolis", "--target-file", str(target),
+                "--proposal-file", str(proposal), "-o", str(out)]) == 2
+    assert "error: target law must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -104,6 +104,11 @@ class TestChainConstruction:
             np.testing.assert_array_equal(chain.transition, want.transition)
             np.testing.assert_array_equal(chain.stationary, want.stationary)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_metropolis_target_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValidationError, match="target law must be positive and finite"):
+            metropolis_chain([1.0, bad, 2.0], np.full((3, 3), 1.0 / 3.0))
+
     def test_birth_death_stationary_matches_rate_products(self):
         chain = birth_death([0.3, 0.2], [0.1, 0.4])
         pi = chain.stationary
