@@ -227,7 +227,10 @@ def random_instance(
     randomly chosen pair of blocks, so level j has ``atoms - j + 1`` blocks
     and the shape is infeasible when ``levels > atoms``.  Term j takes one
     standard-normal draw per level-j block, which makes it measurable there
-    by construction.
+    by construction.  One PCG64 stream is read in a fixed order: the atom
+    probabilities, then every level's merge pair as
+    ``sorted(rng.choice(k, 2, replace=False))`` would draw it, then all term
+    values in one call.
     """
     if atoms < 2:
         raise ValidationError("need at least 2 atoms")
@@ -287,11 +290,12 @@ def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
     """``sorted(rng.choice(k, 2, replace=False))`` for k = atoms down to
     atoms - levels + 2, read from the generator's raw words.
 
-    For a small population, ``Generator.choice`` runs Floyd's sampling (Bentley
-    & Floyd, CACM 30(9), 1987) with Lemire's bounded integers (ACM TOMACS
-    29(1), 2019) over 32-bit draws: a first pick on 0..k-2, none when k = 2; a
-    second pick on 0..k-1 that becomes k - 1 if it repeats the first; and one
-    draw for the two-element shuffle, whose order sorting discards.  The
+    For two picks from k < 2^32, ``Generator.choice`` runs Floyd's sampling
+    (Bentley & Floyd, CACM 30(9), 1987) with Lemire's bounded integers (ACM
+    TOMACS 29(1), 2019) over 32-bit draws: a first pick on 0..k-2, none when
+    k = 2; a second pick on 0..k-1 that becomes k - 1 if it repeats the
+    first; and one draw for the two-element shuffle, whose order sorting
+    discards.  The
     32-bit draws come from the generator's 64-bit words, low half first with
     the high half kept for the next draw.  ``rng`` must not hold a spare high
     half from an earlier 32-bit draw, and nothing after these calls may read
