@@ -310,16 +310,16 @@ def _cond_table(
     return table
 
 
-def _left_sum(values):
-    """Sum from left to right with one rounding per addition.
+def _left_sum(values: np.ndarray) -> float:
+    """Sum of a 1-d array from left to right, one rounding per addition.
 
-    The builtin ``sum`` compensates additions of ``float`` objects from
-    Python 3.12 on, so its result would depend on the interpreter.
+    ``np.add.accumulate`` over the values with 0.0 put in front adds them in
+    that order, as a ``total += value`` loop from 0.0 does, so an all-zero
+    sum is +0.0.  The builtin ``sum`` compensates additions of ``float``
+    objects from Python 3.12 on, and ``np.sum`` adds in pairwise blocks, so
+    either would give results that differ in the last bit.
     """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _norms(values: np.ndarray) -> np.ndarray:
@@ -446,7 +446,7 @@ def orthogonality_gap(seq: AdaptedSequence, n: int):
     lhs = seq.space.expect((total ** 2).sum(axis=1))
     fine_moments = _moments(probs, _norms(conditioned), 2.0)
     coarse_moments = _moments(probs, _norms(coarser), 2.0)
-    rhs = _left_sum(a - b for a, b in zip(fine_moments, coarse_moments))
+    rhs = _left_sum(np.subtract(fine_moments, coarse_moments))
     return float(lhs), float(rhs)
 
 

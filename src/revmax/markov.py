@@ -70,6 +70,11 @@ ATOM_MERGE_TOL = 1e-10
 # input's norm, and gives up after this many sweeps.
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+# The weightings the checks fix for themselves.  Each sequence keeps the
+# values it has evaluated, so every chain of a process reads them from there.
+UNIT_WEIGHTS = WeightSequence.constant(1.0)
+INV_SQRT_WEIGHTS = WeightSequence.power(-0.5)
+GROWTH_WEIGHTS = WeightSequence.power(0.5)
 
 
 class EigensolverError(RuntimeError):
@@ -120,9 +125,15 @@ class ReversibleChain:
             pi = np.asarray(stationary, dtype=float)
             if pi.shape != (m,):
                 raise ValidationError("stationary vector has wrong length")
+            if not np.all(np.isfinite(pi)):
+                raise ValidationError(f"stationary law pi must be finite, got {pi.tolist()}")
             if np.any(pi <= 0):
                 raise ValidationError("stationary probabilities must be positive")
-            pi = pi / pi.sum()
+            with np.errstate(over="ignore"):
+                total = pi.sum()
+            if not np.isfinite(total):
+                raise ValidationError("stationary law pi sums past double precision")
+            pi = pi / total
         balance = np.abs(pi[:, None] * Q - (pi[:, None] * Q).T)
         if balance.max() > BALANCE_TOL:
             i, j = np.unravel_index(int(np.argmax(balance)), balance.shape)
@@ -325,19 +336,25 @@ def _check_observable(chain: ReversibleChain, f: Observable):
         )
 
 
-def squared_norms(x: np.ndarray) -> np.ndarray:
-    """``(x * x).sum(axis=-1)``, bit for bit, without reducing a short axis.
+def coordinate_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(x * y).sum(axis=-1)``, bit for bit, without reducing a short axis.
 
     numpy adds fewer than 8 terms one after the other and more in pairwise
     blocks.  An axis that short is summed here as columns, which is much
-    faster than numpy's reduction over it and adds in the same order.
+    faster than numpy's reduction over it and adds in the same order.  ``y``
+    may broadcast against ``x``.
     """
     if x.shape[-1] >= 8:
-        return (x * x).sum(axis=-1)
-    out = x[..., 0] * x[..., 0]
+        return (x * y).sum(axis=-1)
+    out = x[..., 0] * y[..., 0]
     for d in range(1, x.shape[-1]):
-        out += x[..., d] * x[..., d]
+        out += x[..., d] * y[..., d]
     return out
+
+
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """``(x * x).sum(axis=-1)``, bit for bit: see :func:`coordinate_dots`."""
+    return coordinate_dots(x, x)
 
 
 # Entries of table rows squared at once by ChainPowers.second_moments (1 MB).
@@ -365,8 +382,10 @@ class ChainPowers:
         if old.shape[0] <= k:
             grown = np.empty((max(k + 1, 2 * old.shape[0]),) + old.shape[1:])
             grown[: old.shape[0]] = old
+            # ndarray.dot gives matmul's bits with less overhead per call
+            step = self.chain.transition.dot
             for j in range(old.shape[0], grown.shape[0]):
-                np.matmul(self.chain.transition, grown[j - 1], out=grown[j])
+                step(grown[j - 1], out=grown[j])
             grown.flags.writeable = False
             self._table = old = grown
         return old[: k + 1]
@@ -381,16 +400,26 @@ class ChainPowers:
         return float(self.chain.stationary @ (v ** 2).sum(axis=1))
 
     def second_moments(self, n: int) -> np.ndarray:
-        """Read-only array of ``second_moment(k)`` for k = 0..n.
+        """Read-only array of ``second_moment(k)`` for k = 0..n."""
+        return self._stationary_dots(n, squared_norms)
 
-        Rows are squared a chunk at a time, and each row keeps its own
-        stationary dot product, so every entry equals ``second_moment(k)``.
+    def autocovariances(self, n: int) -> np.ndarray:
+        """Read-only array of ``autocovariance(k)`` for k = 0..n."""
+        f = self._table[0]
+        return self._stationary_dots(n, lambda rows: coordinate_dots(rows, f))
+
+    def _stationary_dots(self, n: int, per_state) -> np.ndarray:
+        """``stationary @ per_state(row)`` for the table rows 0..n, read-only.
+
+        ``per_state`` maps a chunk of rows to their per-state values, and each
+        row keeps its own stationary dot product, so every entry equals the
+        one-row computation.
         """
         table = self.table(n)
         chunk = max(1, _SQUARE_CHUNK // table[0].size)
         dot = self.chain.stationary.dot
         out = np.concatenate([
-            np.fromiter(map(dot, squared_norms(table[lo : lo + chunk])), dtype=float)
+            np.fromiter(map(dot, per_state(table[lo : lo + chunk])), dtype=float)
             for lo in range(0, n + 1, chunk)
         ])
         out.flags.writeable = False
@@ -707,11 +736,10 @@ def variance_growth(chain: ReversibleChain, f: Observable, n: int) -> float:
     """E S_n^2 / n for the stationary partial sums of f, from autocovariances."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    powers = ChainPowers(chain, f)
-    total = autocovariance(chain, f, 0, powers)
-    for k in range(1, n):
-        total += 2.0 * (n - k) / n * autocovariance(chain, f, k, powers)
-    return float(total)
+    covs = ChainPowers(chain, f).autocovariances(n - 1)
+    k = np.arange(1, n)
+    # gamma_0 is never -0.0, so putting 0.0 in front of it changes nothing
+    return _left_sum(np.concatenate((covs[:1], 2.0 * (n - k) / n * covs[1:])))
 
 
 def _variance_kernel(lam: float, n: int) -> float:
@@ -800,7 +828,7 @@ def check_conditions(
     a_bounded = not has_unit
 
     growth = [
-        float(_left_sum(m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)))
+        _left_sum(np.array([m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)]))
         for n in grid
     ]
     b_sup = max(growth)
@@ -954,29 +982,24 @@ def verify_markov_inequality(
     descriptor = {"seed": None, "atoms": chain.m, "n": n, "dim": f.dim}
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
-        w = weights if weights is not None else WeightSequence.constant(1.0)
+        w = weights if weights is not None else UNIT_WEIGHTS
         even, odd = even_odd_stats(w, n)
         b_star = np.maximum(even.b, odd.b)
         _, lhs = weighted_series(powers, w, 2 * n)
-        moments = powers.second_moments(n)
-        rhs = _left_sum(b_star[j] * moments[j] for j in range(1, n + 1))
+        rhs = _left_sum(b_star[1:] * powers.second_moments(n)[1:])
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        _, lhs = weighted_series(powers, WeightSequence.constant(1.0), n)
-        moments = powers.second_moments(n)
-        rhs = _left_sum(j * moments[j] for j in range(1, n + 1))
+        _, lhs = weighted_series(powers, UNIT_WEIGHTS, n)
+        rhs = _left_sum(np.arange(1, n + 1) * powers.second_moments(n)[1:])
     elif check in (MarkovCheck.INV_SQRT_POWER_MAX, MarkovCheck.SUP_POWER_MAX):
         horizon = 2 * n if check is MarkovCheck.SUP_POWER_MAX else n
-        _, lhs = weighted_series(powers, WeightSequence.power(-0.5), horizon)
-        moments = powers.second_moments(n)
-        rhs = _left_sum(moments[j] for j in range(1, n + 1))
+        _, lhs = weighted_series(powers, INV_SQRT_WEIGHTS, horizon)
+        rhs = _left_sum(powers.second_moments(n)[1:])
     elif check is MarkovCheck.PAIRED_POWER_MAX:
-        # one request sizes the table for the autocovariances through 2n
-        paired = Observable(f.values + powers.table(2 * n)[1])
-        _, lhs = weighted_series(ChainPowers(chain, paired), WeightSequence.constant(1.0), 2 * n)
-        signed = _left_sum(
-            j * autocovariance(chain, f, j, powers) for j in range(1, 2 * n + 1)
-        )
-        rhs = abs(signed) + autocovariance(chain, f, 2, powers)
+        # sizes the table through 2n before row 1 is read for f + Qf
+        covs = powers.autocovariances(2 * n)
+        paired = Observable(f.values + powers.table(1)[1])
+        _, lhs = weighted_series(ChainPowers(chain, paired), UNIT_WEIGHTS, 2 * n)
+        rhs = abs(_left_sum(np.arange(1, 2 * n + 1) * covs[1:])) + covs[2]
     else:  # STEIN
         best = (powers.table(2 * n + 1)[2:] ** 2).sum(axis=2).max(axis=0)
         lhs = float(chain.stationary @ best)
@@ -1012,10 +1035,8 @@ def inspect_growth_weights(chain: ReversibleChain, f: Observable, n: int):
     inspection next to the decaying-weight check.
     """
     powers = ChainPowers(chain, f)
-    _, lhs = weighted_series(powers, WeightSequence.power(0.5), n)
-    moments = powers.second_moments(n)
-    rhs = _left_sum(moments[j] for j in range(1, n + 1))
-    return lhs, rhs
+    _, lhs = weighted_series(powers, GROWTH_WEIGHTS, n)
+    return lhs, _left_sum(powers.second_moments(n)[1:])
 
 
 def even_odd_split_residual(

@@ -55,6 +55,8 @@ class WeightSequence:
                 raise ValidationError("alternating weights need a base sequence")
         else:
             raise ValidationError(f"unknown weight kind {kind!r}")
+        self._prefix = np.zeros(1)
+        self._prefix.flags.writeable = False
 
     @classmethod
     def constant(cls, value: float) -> "WeightSequence":
@@ -96,39 +98,47 @@ class WeightSequence:
         return sign * abs(self.base._eval(j))
 
     def eval_range(self, upto: int) -> np.ndarray:
-        """Array ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
+        """Read-only ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
 
-        Bit-identical to :meth:`eval` at every index.  Powers go through
-        Python's ``float ** float``, because numpy's vectorised power can
-        differ from it in the last bit.  A power that overflows raises
+        Bit-identical to :meth:`eval` at every index.  The sequence keeps the
+        values it has evaluated and extends them only to the index requested,
+        so an explicit list still refuses an index past its end.  Powers go
+        through Python's ``float ** float``, because numpy's vectorised power
+        can differ from it in the last bit.  A power that overflows raises
         ``ValidationError`` naming the spec and the first such index.
         """
         if upto < 1:
             raise ValidationError("range must reach at least index 1")
-        try:
-            return self._eval_range(upto)
-        except OverflowError:
-            raise self._overflow(upto) from None
+        done = self._prefix.size - 1
+        if upto > done:
+            try:
+                tail = self._values(done + 1, upto)
+            except OverflowError:
+                raise self._overflow(upto) from None
+            prefix = np.concatenate((self._prefix, tail))
+            prefix.flags.writeable = False
+            self._prefix = prefix
+        return self._prefix[: upto + 1]
 
-    def _eval_range(self, upto: int) -> np.ndarray:
-        out = np.empty(upto + 1)
-        out[0] = 0.0
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        """A new array of a_lo, .., a_hi."""
+        count = hi - lo + 1
         if self.kind == "constant":
-            out[1:] = self.value
-        elif self.kind == "power":
+            return np.full(count, self.value)
+        if self.kind == "power":
             e = self.exponent
-            out[1:] = np.fromiter((float(j) ** e for j in range(1, upto + 1)),
-                                  dtype=float, count=upto)
-        elif self.kind == "explicit":
-            if upto > self.entries.size:
+            return np.fromiter((float(j) ** e for j in range(lo, hi + 1)),
+                               dtype=float, count=count)
+        if self.kind == "explicit":
+            if hi > self.entries.size:
                 raise ValidationError(
                     f"explicit weight list of length {self.entries.size} "
-                    f"cannot be evaluated at index {upto}"
+                    f"cannot be evaluated at index {hi}"
                 )
-            out[1:] = self.entries[:upto]
-        else:
-            np.abs(self.base._eval_range(upto)[1:], out=out[1:])
-            np.negative(out[2::2], out=out[2::2])
+            return self.entries[lo - 1 : hi].copy()
+        out = np.abs(self.base._values(lo, hi))
+        even = out[lo % 2 :: 2]  # the entries at even j
+        np.negative(even, out=even)
         return out
 
     def _overflow(self, upto: int) -> ValidationError:

@@ -117,8 +117,10 @@ GOOD_OBSERVABLE = {"dim": 1, "values": [[1.0], [-1.0]]}
     ({"Q": "ab"}, {}, "Q must be a rectangular list of numbers"),
     ({"pi": ["a", "b"]}, {}, "pi must be a rectangular list of numbers"),
     ({"states": 5}, {}, "states must be a list of state labels"),
+    ({"pi": [math.nan, math.nan]}, {}, "stationary law pi must be finite, got [nan, nan]"),
+    ({"pi": [math.inf, 1.0]}, {}, "stationary law pi must be finite, got [inf, 1.0]"),
 ], ids=["text-dim", "fractional-dim", "quoted-dim", "non-numeric-values",
-        "ragged-Q", "text-Q", "non-numeric-pi", "scalar-states"])
+        "ragged-Q", "text-Q", "non-numeric-pi", "scalar-states", "nan-pi", "inf-pi"])
 def test_malformed_chain_or_observable_exits_two_naming_the_field(
     chain, observable, message, tmp_path, capsys
 ):

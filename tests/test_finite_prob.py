@@ -648,3 +648,18 @@ def test_left_sum_rounds_each_addition(values, expected):
     # a compensated sum, like the builtin sum over floats from Python 3.12,
     # gives 1.0 for both lists
     assert _left_sum(values) == expected
+
+
+def test_left_sum_equals_the_python_loop_byte_for_byte():
+    rng = np.random.default_rng(2027)
+    pool = np.array([0.0, -0.0, 1e16, -1e16, 1.0, -1.0, 0.1, -0.1, 3e-300, -3e-300])
+    for _ in range(5000):
+        size = int(rng.integers(0, 40))
+        values = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
+                          rng.standard_normal(size) * 10.0 ** rng.integers(-8, 17, size))
+        if size and rng.random() < 0.3:
+            values = np.concatenate((values, -values[::-1]))  # exact cancellation
+        total = 0.0
+        for value in values:
+            total += value
+        assert np.float64(_left_sum(values)).tobytes() == np.float64(total).tobytes()

@@ -62,6 +62,16 @@ class TestChainConstruction:
         )
         np.testing.assert_allclose(chain.stationary, [0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("pi,message", [
+        ([math.nan, math.nan], r"pi must be finite, got \[nan, nan\]"),
+        ([math.inf, 1.0], r"pi must be finite, got \[inf, 1.0\]"),
+        ([1.0, -math.inf], r"pi must be finite, got \[1.0, -inf\]"),
+        ([1e308, 1e308], "pi sums past double precision"),
+    ])
+    def test_non_finite_stationary_law_is_refused(self, pi, message):
+        with pytest.raises(ValidationError, match=message):
+            ReversibleChain(np.full((2, 2), 0.5), pi)
+
     def test_fully_lazy_ring_is_identity(self):
         chain = lazy_ring(5, 1.0)
         np.testing.assert_array_equal(chain.transition, np.eye(5))
@@ -192,6 +202,33 @@ class TestKernelPowers:
         # growing the table never changes a table handed out earlier
         for k, table in handed_out:
             np.testing.assert_array_equal(table, np.stack(reference[: k + 1]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 50, 64, 200])
+    def test_table_equals_an_inline_matmul_loop_byte_for_byte(self, m):
+        rng = np.random.default_rng(m)
+        ring = lazy_ring(m, 0.0) if m > 1 else ReversibleChain([[1.0]], [1.0])
+        for dim in range(1, 10):
+            random_chain, _ = random_chain_instance(int(rng.integers(0, 2**32)),
+                                                    m_max=max(m, 2))
+            for chain in (random_chain, ring):
+                f = Observable(rng.standard_normal((chain.m, dim)))
+                reference = np.empty((40, chain.m, dim))
+                reference[0] = f.values
+                for j in range(1, 40):
+                    np.matmul(chain.transition, reference[j - 1], out=reference[j])
+                assert ChainPowers(chain, f).table(39).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    def test_autocovariances_equal_the_pointwise_autocovariances(self, dim, monkeypatch):
+        monkeypatch.setattr(markov, "_SQUARE_CHUNK", 100)  # several chunks
+        rng = np.random.default_rng(107)
+        for n in (1, 2, 7, 35):
+            chain, f = random_chain_instance(int(rng.integers(0, 2**32)), m_max=30, dim=dim)
+            powers = ChainPowers(chain, f)
+            covs = powers.autocovariances(2 * n)
+            assert covs.shape == (2 * n + 1,) and not covs.flags.writeable
+            expected = [autocovariance(chain, f, k, powers) for k in range(2 * n + 1)]
+            assert covs.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_second_moments_equal_the_pointwise_moments(self, dim, monkeypatch):
@@ -769,6 +806,16 @@ class TestMarkovInequalities:
         verify_markov_inequality(check, chain, f, n)
         # paired-power-max tables f and f + Qf; the other checks table f once
         assert len(tables) == (2 if check is MarkovCheck.PAIRED_POWER_MAX else 1)
+
+    def test_paired_power_max_reads_one_autocovariance_array(self, monkeypatch):
+        chain, f = random_chain_instance(109, m_max=12)
+        expected = verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9)
+
+        def pointwise(*args, **kwargs):
+            raise AssertionError("autocovariance called per lag")
+
+        monkeypatch.setattr(markov, "autocovariance", pointwise)
+        assert verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9) == expected
 
     def test_scalar_only_checks_reject_vectors(self):
         chain, f = random_chain_instance(83, m_max=8, dim=2)

@@ -56,6 +56,38 @@ class TestEval:
         expected = np.array([0.0] + [w.eval(j) for j in range(1, upto + 1)])
         assert w.eval_range(upto).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("spec", ["power:-0.5", "power:1.5", "constant:1.0",
+                                      "alternating:power:-0.75"])
+    def test_range_equals_eval_after_growing_in_any_order(self, spec):
+        w = parse_weight_spec(spec)
+        for upto in (5, 300, 1, 64, 301, 2, 1000, 999):
+            a = w.eval_range(upto)
+            expected = np.array([0.0] + [w.eval(j) for j in range(1, upto + 1)])
+            assert a.tobytes() == expected.tobytes()
+
+    def test_range_is_read_only(self):
+        for w in (WeightSequence.power(-0.5), WeightSequence.explicit([1.0, 2.0, 3.0])):
+            for upto in (2, 3, 1):
+                with pytest.raises(ValueError):
+                    w.eval_range(upto)[1] = 7.0
+            assert w.eval_range(3).tolist() == [0.0, w.eval(1), w.eval(2), w.eval(3)]
+
+    def test_explicit_list_errors_past_its_end_after_any_growth(self):
+        w = WeightSequence.alternating(WeightSequence.explicit([1.0, -2.0, 3.0, 0.5]))
+        for upto in (2, 4, 1, 3):
+            w.eval_range(upto)
+            with pytest.raises(ValidationError, match="length 4 cannot be evaluated at index 5"):
+                w.eval_range(5)
+        assert w.eval_range(4).tolist() == [0.0, 1.0, -2.0, 3.0, -0.5]
+
+    def test_overflow_is_named_after_the_range_has_grown(self):
+        w = parse_weight_spec("alternating:power:100")
+        w.eval_range(600)
+        with pytest.raises(ValidationError,
+                           match="alternating:power:100 overflows double precision at index 1210"):
+            w.eval_range(2000)
+        assert w.eval_range(1209)[1:].tolist() == [w.eval(j) for j in range(1, 1210)]
+
     def test_explicit_range_keeps_signed_zeros(self):
         entries = [1.5, -0.0, 0.0, -2.0, 3.0]
         for w in (WeightSequence.explicit(entries),
