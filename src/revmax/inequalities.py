@@ -384,7 +384,7 @@ def verify(
         conditioned = _cond_table(filtration, np.broadcast_to(X, (n + 1, *X.shape)))
         diffs = conditioned[:-1] - conditioned[1:]
         lhs = _moments(probs, _norms(np.cumsum(diffs, axis=0)[-1:]), p)[0]
-        rhs = _left_sum(_moments(probs, _norms(diffs), p))
+        rhs = _left_sum(np.array(_moments(probs, _norms(diffs), p)))
     else:
         partial = np.cumsum(instance.sequence.values[:n], axis=0)
         conditioned = _cond_table(filtration, partial)
