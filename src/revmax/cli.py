@@ -526,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary-path series diagnostics and Monte Carlo max moment",
     )
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker processes that sample and reduce the trials, at most "
-                          "one per CPU; the outputs are identical for any value")
+                     help="processes, at most one per CPU: forked walkers sample the "
+                          "trials and this process reduces them; the outputs are "
+                          "identical for any value")
     sim.add_argument("--chain", required=True)
     sim.add_argument("--observable", "--f", dest="observable", required=True)
     sim.add_argument("--weights", required=True)

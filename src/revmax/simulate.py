@@ -11,7 +11,6 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -155,10 +154,10 @@ class _StepTable:
         return out
 
 
-def sample_trajectories(chain: ReversibleChain, n: int, seeds) -> np.ndarray:
-    """Stationary trajectories for several seeds, one row per seed.
+def _sample_blocks(chain: ReversibleChain, n: int, seeds):
+    """Yield the start states of one trajectory per seed, then its steps in blocks.
 
-    Each row consumes its own PCG64 stream: one uniform for the stationary
+    Each trial consumes its own PCG64 stream: one uniform for the stationary
     start, then one per step, ``_STEP_BLOCK`` steps at a time; the consumed
     values do not depend on the block size.  A draw is u = k * 2**-53 for an
     integer k, and the next state is the number of entries c of the current
@@ -168,28 +167,43 @@ def sample_trajectories(chain: ReversibleChain, n: int, seeds) -> np.ndarray:
 
     Each step looks the next states up in a bucket table indexed by the top
     bits of k and the current state; a bucket that holds a key of the row
-    marks -1, and only the trials that hit one search the row's keys.  Each
-    block of steps is built time-major and then copied into the
-    ``(trials, n + 1)`` result, which is int16 for chains of at most 2**15
-    states.
+    marks -1, and only the trials that hit one search the row's keys.  The
+    start states have shape ``(trials,)`` and every block is time-major,
+    ``(steps, trials)``; both are int16 for chains of at most 2**15 states.
     """
     if n < 0:
         raise ValidationError("horizon must be >= 0")
-    seeds = list(seeds)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     cum_pi = np.cumsum(chain.stationary)
     cum_pi[-1] = 1.0
     lookup = _StepTable(chain)
-    states = np.empty((len(seeds), n + 1), dtype=lookup.table.dtype)
     start = np.array([g.random() for g in gens])
-    states[:, 0] = np.searchsorted(cum_pi, start, side="left")
+    current = np.searchsorted(cum_pi, start, side="left").astype(lookup.table.dtype)
+    yield current
     done = 0
     while done < n:
         block = min(_STEP_BLOCK, n - done)
         draws = np.stack([g.random(block) for g in gens], axis=1)
-        steps = lookup.walk(states[:, done], draws)
-        states[:, done + 1 : done + block + 1] = steps[1:].T
+        steps = lookup.walk(current, draws)[1:]
+        yield steps
+        current = steps[-1]
         done += block
+
+
+def sample_trajectories(chain: ReversibleChain, n: int, seeds) -> np.ndarray:
+    """Stationary trajectories for several seeds, shape ``(trials, n + 1)``.
+
+    Row t holds the states of the trial of ``seeds[t]``, sampled as
+    ``_sample_blocks`` describes and copied out of its time-major blocks.
+    """
+    blocks = _sample_blocks(chain, n, list(seeds))
+    first = next(blocks)
+    states = np.empty((first.size, n + 1), dtype=first.dtype)
+    states[:, 0] = first
+    done = 1
+    for block in blocks:
+        states[:, done : done + len(block)] = block.T
+        done += len(block)
     return states
 
 
@@ -355,47 +369,65 @@ class PathReductions:
     norms: np.ndarray
 
 
-def _reduce_paths(a, states, powers, checkpoints, norms_rows: int):
-    """Max squares, oscillation squares and the first ``norms_rows`` norm rows.
+# Path entries (rows x trials x dim) built and reduced at a time (1 MB).
+_PATH_CHUNK = 1 << 17
 
-    Each trajectory's series path is built and reduced in turn, so one path
-    is held at a time.  Returns arrays of shapes ``(trials,)``,
-    ``(len(checkpoints), trials)`` and ``(norms_rows, n)``.
+
+def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norms):
+    """Reduce the series paths of the trajectories that ``blocks`` streams.
+
+    ``blocks`` yields start states and then time-major state blocks, as
+    ``_sample_blocks`` does, for the trials of ``max_squares``;
+    ``table`` holds the kernel powers and ``a = w.eval_range(n)``.  The paths
+    are built time-major, ``_PATH_CHUNK`` entries at a time: each chunk
+    gathers the table rows of steps j0 .. j1 - 1, scales them by the weights,
+    adds the carried T_{j0-1} to its first row and sums along time.  That is
+    the per-trial route's sequence of roundings, so the results equal
+    ``_oscillation_squares`` and the reductions of ``series_paths`` bit for
+    bit.  Writes max_k |T_k|^2 into ``max_squares``, the squared oscillations
+    into the ``(len(checkpoints), trials)`` array ``osc_squares``, and |T_k|
+    into ``norms[t, k - 1]`` for the first ``norms.shape[0]`` trials.
     """
-    trials, n = states.shape[0], _steps(states)
-    max_squares = np.empty(trials)
-    osc_squares = np.empty((len(checkpoints), trials))
-    norms = np.empty((norms_rows, n))
-    for t, path in enumerate(_each_path(a, states, powers)):
-        squares = squared_norms(path)
-        max_squares[t] = squares.max()
-        _oscillation_squares(path, checkpoints, osc_squares[:, t])
-        if t < norms_rows:
-            np.sqrt(squares, out=norms[t])
-    return max_squares, osc_squares, norms
+    m, dim = table.shape[1], table.shape[2]
+    flat = table.reshape(-1, dim)  # row j * m + i holds (Q^j f)(i)
+    trials = max_squares.size
+    rows = max(1, _PATH_CHUNK // (trials * dim))
+    buffer = np.empty((rows, trials, dim))
+    index = np.empty((rows, trials), dtype=np.intp)
+    anchors = np.empty((len(checkpoints), trials, dim))  # T_c of each window
+    max_squares.fill(-np.inf)
+    osc_squares.fill(-np.inf)
+    next(blocks)  # the start states; T_k sums from step 1
+    j0 = 1
+    for block in blocks:
+        for states in np.array_split(block, range(rows, len(block), rows)):
+            j1 = j0 + len(states)
+            path = buffer[: len(states)]
+            np.add(states, np.arange(j0 * m, j1 * m, m)[:, None], out=index[: len(states)])
+            np.take(flat, index[: len(states)], axis=0, out=path)
+            path *= a[j0:j1, None, None]
+            if j0 > 1:
+                path[0] += carry
+            np.cumsum(path, axis=0, out=path)
+            carry = path[-1].copy()
+            squares = squared_norms(path)
+            np.maximum(max_squares, squares.max(axis=0), out=max_squares)
+            for c, anchor, osc in zip(checkpoints, anchors, osc_squares):
+                if j0 <= c < j1:
+                    anchor[...] = path[c - j0]
+                lo, hi = max(c, j0), min(2 * c + 1, j1)
+                if lo < hi:
+                    window = squared_norms(path[lo - j0 : hi - j0] - anchor)
+                    np.maximum(osc, window.max(axis=0), out=osc)
+            np.sqrt(squares[:, : norms.shape[0]].T, out=norms[:, j0 - 1 : j1 - 1])
+            j0 = j1
 
 
-def _combine(parts, checkpoints) -> PathReductions:
-    """Join per-range ``_reduce_paths`` results, given in trial order."""
-    max_squares, osc_squares, norms = zip(*parts)
-    oscillation = None
-    if checkpoints:
-        oscillation = _oscillation_table(np.concatenate(osc_squares, axis=1), checkpoints)
-    return PathReductions(np.concatenate(max_squares), oscillation, np.concatenate(norms))
+def _process_count(workers: int, trials: int) -> int:
+    """Processes to run on, this one included: ``min(workers, cpu_count, trials)``.
 
-
-def _sample_and_reduce(powers, a, n, seeds, checkpoints, norms_limit, lo, hi):
-    """``_reduce_paths`` of the trajectories of trials lo .. hi - 1."""
-    states = sample_trajectories(powers.chain, n, seeds[lo:hi])
-    norms_rows = max(0, min(hi, norms_limit) - lo)
-    return _reduce_paths(a, states, powers, checkpoints, norms_rows)
-
-
-def _range_count(workers: int, trials: int) -> int:
-    """Ranges to split the trials into: ``min(workers, cpu_count, trials)``.
-
-    Workers are forked, so that they share the parent's table of kernel
-    powers; where ``fork`` is unavailable every trial runs in-process.
+    Walkers are forked, so that they start without pickling the chain;
+    where ``fork`` is unavailable every trial runs in-process.
     """
     count = min(workers, os.cpu_count() or 1, trials)
     if count > 1:
@@ -406,35 +438,54 @@ def _range_count(workers: int, trials: int) -> int:
     return 1
 
 
-# The range job of the reduce_trials call that forked this worker process.
-_worker_job = None
+def _walk(conn, chain: ReversibleChain, n: int, seeds):
+    """Walker process: send ``_sample_blocks``, or the error it raises, then None.
 
-
-def _adopt_job(job):
-    global _worker_job
-    _worker_job = job
-
-
-def _run_adopted_job(lo: int, hi: int):
-    return _worker_job(lo, hi)
-
-
-def _run_ranges(job, bounds, meanwhile):
-    """``[job(lo, hi) for each range]`` in forked workers, and ``meanwhile()`` here.
-
-    The job reaches the workers through the fork, not by pickling; only the
-    range bounds and the per-range results travel between the processes.
+    A feeder thread sends down ``conn`` while the walk goes on, so the walker
+    never waits for the process that reduces.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import queue
+    import threading
 
-    with ProcessPoolExecutor(
-        len(bounds) - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_job, initargs=(job,),
-    ) as pool:
-        futures = [pool.submit(_run_adopted_job, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        extra = meanwhile() if meanwhile is not None else None
-        return [future.result() for future in futures], extra
+    outbox = queue.SimpleQueue()
+
+    def feed():
+        while True:
+            item = outbox.get()
+            conn.send(item)
+            if item is None:
+                return
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        for block in _sample_blocks(chain, n, seeds):
+            outbox.put(block)
+    except Exception as exc:
+        outbox.put(exc)
+    outbox.put(None)
+    feeder.join()
+
+
+def _received(conn, walker):
+    """Yield what a walker sends until its None; raise the error it sends.
+
+    A walker that exits before its None closes the pipe, and the error names
+    its exit code.
+    """
+    while True:
+        try:
+            item = conn.recv()
+        except EOFError:
+            walker.join()
+            raise RuntimeError(
+                f"trajectory walker exited with code {walker.exitcode} before it finished"
+            ) from None
+        if item is None:
+            return
+        if isinstance(item, Exception):
+            raise item
+        yield item
 
 
 def reduce_trials(
@@ -455,17 +506,17 @@ def reduce_trials(
     ``(paths ** 2).sum(axis=2).max(axis=1)``, ``as_convergence_diagnostic``
     and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
 
-    The trials are split into ``min(workers, os.cpu_count(), trials)``
-    contiguous ranges.  A single range runs in this process, and
-    ``meanwhile`` after it.  With two or more, every range runs in a forked
-    worker process of its own, one worker per range, which samples and
-    reduces it; this process samples nothing and only calls ``meanwhile``
-    while it waits.  Every trial draws from its own seed and the ranges are
-    joined in trial order, so the results do not depend on ``workers``.  The
-    weights are evaluated here before any sampling.  Before any fork the
-    table of kernel powers is built here, and the workers read it without
-    copying; a single range builds it after sampling, when the sampler's
-    buffers are gone.
+    Walkers sample and this process reduces.  With ``count = min(workers,
+    os.cpu_count(), trials)`` of 1, this process samples each block of steps
+    and reduces it for all trials at once, then calls ``meanwhile``.  With
+    two or more, ``count - 1`` walker processes are forked over contiguous
+    trial ranges before the table of kernel powers is built; each streams its
+    time-major state blocks through a pipe.  This process meanwhile builds
+    the table and calls ``meanwhile``, then reduces the ranges in trial
+    order.  Every trial draws from its own seed, so the results do not
+    depend on ``workers``.  The weights are evaluated before any sampling.
+    If anything fails, the walkers are killed and joined before the error
+    propagates.
     """
     seeds = list(seeds)
     trials = len(seeds)
@@ -476,17 +527,47 @@ def reduce_trials(
     if norms_limit < 0:
         raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
     checkpoints = _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
-    job = partial(_sample_and_reduce, powers, w.eval_range(n), n, seeds, checkpoints,
-                  norms_limit)
-    count = _range_count(workers, trials)
+    a = w.eval_range(n)
+    max_squares = np.empty(trials)
+    osc_squares = np.empty((len(checkpoints), trials))
+    norms = np.empty((min(norms_limit, trials), n))
+
+    def reduce(blocks, lo, hi):
+        _reduce_blocks(blocks, powers.table(n), a, checkpoints, max_squares[lo:hi],
+                       osc_squares[:, lo:hi], norms[lo:hi])
+
+    count = _process_count(workers, trials)
     if count == 1:
-        parts = [job(0, trials)]
+        reduce(_sample_blocks(powers.chain, n, seeds), 0, trials)
         extra = meanwhile() if meanwhile is not None else None
     else:
-        powers.table(n)
-        bounds = [trials * i // count for i in range(count + 1)]
-        parts, extra = _run_ranges(job, bounds, meanwhile)
-    return _combine(parts, checkpoints), extra
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        bounds = [trials * i // (count - 1) for i in range(count)]
+        walkers = []
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                reader, writer = context.Pipe(duplex=False)
+                walker = context.Process(target=_walk,
+                                         args=(writer, powers.chain, n, seeds[lo:hi]))
+                walker.start()
+                writer.close()
+                walkers.append((walker, reader))
+            powers.table(n)
+            extra = meanwhile() if meanwhile is not None else None
+            for (walker, reader), lo, hi in zip(walkers, bounds, bounds[1:]):
+                reduce(_received(reader, walker), lo, hi)
+        except BaseException:
+            for walker, _ in walkers:
+                walker.kill()
+            raise
+        finally:
+            for walker, reader in walkers:
+                walker.join()
+                reader.close()
+    oscillation = _oscillation_table(osc_squares, checkpoints) if checkpoints else None
+    return PathReductions(max_squares, oscillation, norms), extra
 
 
 @dataclass(frozen=True)
@@ -516,9 +597,9 @@ def mc_max_moment(
 ) -> MaxMomentEstimate:
     """Monte Carlo estimate of E max_{k<=n} |T_k|^2 over stationary runs.
 
-    Each trial samples its own seeded stream, and the series paths are built
-    and reduced one at a time, in trial order.  The standard error is the
-    leave-one-out jackknife of the mean.
+    Each trial samples its own seeded stream, and the series paths of all
+    trials are built and reduced together, a chunk of steps at a time.  The
+    standard error is the leave-one-out jackknife of the mean.
     """
     if config.trials < MIN_ESTIMATE_TRIALS:
         raise ValidationError(

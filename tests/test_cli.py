@@ -521,7 +521,7 @@ class TestSimulate:
         def failing(chain, n, seeds):
             raise ValidationError(f"cannot sample {len(seeds)} trials")
 
-        monkeypatch.setattr(simulate, "sample_trajectories", failing)
+        monkeypatch.setattr(simulate, "_sample_blocks", failing)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         osc = tmp_path / "osc.csv"
         for threads in ("1", "2"):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -422,41 +421,35 @@ class TestReduceTrials:
         assert extra == "done"
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers,cpus,trials,ranges", [
+    @pytest.mark.parametrize("workers,cpus,trials,processes", [
         (8, 3, 100, 3), (2, 3, 100, 2), (8, 3, 2, 2),
         (1, 3, 100, None), (8, 1, 100, None), (8, None, 100, None), (4, 4, 1, None),
     ])
     def test_range_count_is_min_of_workers_cpus_and_trials(self, monkeypatch, workers,
-                                                           cpus, trials, ranges):
-        requested = []
+                                                           cpus, trials, processes):
+        # this process reduces and one walker per further process samples
+        started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class NoPool(Exception):
-            pass
-
-        class RecordingExecutor:
-            def __init__(self, max_workers, **kwargs):
-                requested.append(max_workers)
-                raise NoPool
+        def recording_start(process):
+            started.append(process)
+            start(process)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
         chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
         seeds = range(trials)
-        if ranges is None:
-            out, _ = reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
-                                   seeds, workers=workers)
-            assert out.max_squares.shape == (trials,) and requested == []
-        else:
-            with pytest.raises(NoPool):
-                reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4, seeds,
-                              workers=workers)
-            assert requested == [ranges]
+        out, _ = reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
+                               seeds, workers=workers)
+        assert out.max_squares.shape == (trials,)
+        assert len(started) == (0 if processes is None else processes - 1)
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def failing(chain, n, seeds):
             raise ValidationError(f"no trajectories for {len(seeds)} seeds")
 
-        monkeypatch.setattr(simulate, "sample_trajectories", failing)
+        monkeypatch.setattr(simulate, "_sample_blocks", failing)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
         for workers in (1, 2):
@@ -465,11 +458,37 @@ class TestReduceTrials:
                               range(10), workers=workers)
             assert multiprocessing.active_children() == []
 
+    def test_meanwhile_error_kills_the_walkers(self, monkeypatch):
+        # 10 trials x 20,000 int16 steps overfill the pipe, so an unread
+        # walker cannot finish on its own
+        def failing():
+            raise ValidationError("series bound failed")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        for workers in (1, 3):
+            with pytest.raises(ValidationError, match="series bound failed"):
+                reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 20_000,
+                              range(10), workers=workers, meanwhile=failing)
+            assert multiprocessing.active_children() == []
+
+    def test_walker_that_dies_is_named_by_its_exit_code(self, monkeypatch):
+        def dying(chain, n, seeds):
+            os._exit(3)
+
+        monkeypatch.setattr(simulate, "_sample_blocks", dying)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
+                          range(10), workers=3)
+        assert multiprocessing.active_children() == []
+
     def test_overflowing_weights_raise_before_sampling(self, monkeypatch):
         def no_sampling(chain, n, seeds):
             raise AssertionError("sampled before the weights were evaluated")
 
-        monkeypatch.setattr(simulate, "sample_trajectories", no_sampling)
+        monkeypatch.setattr(simulate, "_sample_blocks", no_sampling)
         powers = ChainPowers(two_state(0.25, 0.25), Observable([1.0, -1.0]))
         with pytest.raises(ValidationError, match="power:400 overflows double precision"):
             reduce_trials(powers, WeightSequence.power(400), 64, range(3))
@@ -483,6 +502,57 @@ class TestReduceTrials:
             reduce_trials(powers, w, 0, [1])
         with pytest.raises(ValidationError, match="norms limit"):
             reduce_trials(powers, w, 4, [1], norms_limit=-1)
+
+
+class TestBlockedReduction:
+    """``reduce_trials`` against the batch route when blocks and chunks are small.
+
+    With 5 or 7 steps per sampled block and a path chunk of one to a few
+    rows, chunks end inside blocks, blocks end inside checkpoint windows, and
+    a window can start and end in different blocks.
+    """
+
+    TRIALS = 31  # ranges of 10 / 10 / 11 or 15 / 16 trials
+
+    @staticmethod
+    def checkpoints(n):
+        return [c for c in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144) if 2 * c <= n]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("n", [1, 2, 127, 300])
+    def test_equal_the_batch_reductions_bit_for_bit(self, monkeypatch, n, dim):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        chain, f = random_chain_instance(83 + dim, m_max=12, dim=dim)
+        w = WeightSequence.power(-0.5)
+        seeds = [derive_trial_seed(8, i) for i in range(self.TRIALS)]
+        checkpoints = self.checkpoints(n)
+        for step_block, chunk in ((5, 1), (7, 3 * 11 * dim)):
+            monkeypatch.setattr(simulate, "_STEP_BLOCK", step_block)
+            monkeypatch.setattr(simulate, "_PATH_CHUNK", chunk)
+            for limit in (0, 1, self.TRIALS):
+                expected = batch_reductions(chain, f, w, n, seeds, checkpoints, limit)
+                for workers in (1, 2, 3):
+                    out, _ = reduce_trials(ChainPowers(chain, f), w, n, seeds,
+                                           checkpoints=checkpoints, norms_limit=limit,
+                                           workers=workers)
+                    assert_reductions_equal(out, expected)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_int32_states_reduce_alike(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", 6)
+        monkeypatch.setattr(simulate, "_PATH_CHUNK", 40)
+        chain, f = random_chain_instance(89, m_max=40, dim=2)
+        w = WeightSequence.constant(1.0)
+        seeds = [derive_trial_seed(9, i) for i in range(32)]  # two walkers of 16
+        checkpoints = self.checkpoints(90)
+        expected = batch_reductions(chain, f, w, 90, seeds, checkpoints, 4)
+        monkeypatch.setattr(simulate, "_state_dtype", lambda m: np.int32)
+        out, _ = reduce_trials(ChainPowers(chain, f), w, 90, seeds, checkpoints=checkpoints,
+                               norms_limit=4, workers=workers)
+        assert_reductions_equal(out, expected)
+        assert multiprocessing.active_children() == []
 
 
 class TestMcMaxMoment:
