@@ -465,17 +465,6 @@ def _round_robin(n: int):
     return rounds
 
 
-def _rotation_tangents(app, aqq, apq):
-    """tan(theta) of the rotations that zero each nonzero ``apq``."""
-    tau = (aqq - app) / (2.0 * apq)
-    big = np.abs(tau) > 1e10
-    near = np.where(big, 0.0, tau)  # keeps tau * tau finite; big ones set below
-    t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(near) + np.sqrt(1.0 + near * near))
-    if big.any():
-        t[big] = 0.5 / tau[big]  # small-angle limit, avoids tau*tau overflow
-    return t
-
-
 def _round_layouts(n: int):
     """Column order of the working matrix in each round of ``_round_robin(n)``.
 
@@ -515,7 +504,9 @@ def jacobi_eigendecomposition(matrix):
     c + is per round: on the matrix, again on its transposed copy, and on
     the eigenvectors.  The matrix is kept transposed, so each product
     multiplies the same operands in the same order as a rotation of the
-    row pair (p, q).
+    row pair (p, q).  A round works in buffers allocated once per call: one
+    routine writes every pair's c + is into them, and the products skip the
+    dead pairs through ``where=``.
 
     Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
     in columns, both unsorted, the number of sweeps run and the final
@@ -560,21 +551,58 @@ def jacobi_eigendecomposition(matrix):
     # norm sums the same numbers in the same order whatever the layout.
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     off_diagonal = home[j] * m + home[i]
+    # The flat positions of entries (2k, 2k+1) and (2k+1, 2k) of each pair k,
+    # which a round's rotations zero, in S and T alike.
+    k = np.arange(h)
+    couplings = np.stack((2 * k * (m + 1) + 1, 2 * k * (m + 1) + m))
+
+    # Per-round scratch, allocated once; every ufunc of a round writes into it.
+    tau, two_apq, abs_tau, t = np.empty((4, h))
+    negative, big, live_pairs = np.empty((3, h), dtype=bool)
+    w = np.empty(h, dtype=complex)
+    c, s = w.real, w.imag
+
+    def rotations(app, aqq, apq, live):
+        """Set w to c + is for the rotation of each live pair that zeroes apq.
+
+        tau = (aqq - app) / (2 apq), t = sign(tau) / (|tau| + sqrt(1 + tau^2))
+        with the sign of -0 taken as +, and t = 0.5 / tau past |tau| > 1e10,
+        where tau^2 could overflow; c = 1 / sqrt(1 + t^2) and s = t c.  A dead
+        pair keeps tau = aqq - app, so nothing divides by zero, and its w is
+        never used.
+        """
+        np.multiply(apq, 2.0, out=two_apq)
+        np.subtract(aqq, app, out=tau)
+        np.divide(tau, two_apq, out=tau, where=live)
+        np.abs(tau, out=abs_tau)
+        largest = abs_tau.max()
+        if largest > 1e10:
+            np.greater(abs_tau, 1e10, out=big)
+            abs_tau[big] = 0.0
+        np.multiply(abs_tau, abs_tau, out=t)
+        np.add(t, 1.0, out=t)
+        np.sqrt(t, out=t)
+        np.add(t, abs_tau, out=t)
+        np.divide(1.0, t, out=t)
+        np.negative(t, out=t, where=np.less(tau, 0.0, out=negative))
+        if largest > 1e10:
+            np.divide(0.5, tau, out=t, where=big)
+            if largest == np.inf:
+                # tau overflowed and t = 0.5 / -inf is -0; c + 1j * (t * c)
+                # gives the product +0 its imaginary part
+                np.add(t, 0.0, out=t)
+        np.multiply(t, t, out=abs_tau)
+        np.add(abs_tau, 1.0, out=abs_tau)
+        np.sqrt(abs_tau, out=abs_tau)
+        np.divide(1.0, abs_tau, out=c)
+        np.multiply(t, c, out=s)
 
     def pair_views(M):
-        """M's complex column pairs, then its entries (2k, 2k), (2k+1, 2k+1),
-        (2k, 2k+1) and (2k+1, 2k) for each pair k, as writable views."""
+        """M's complex column pairs, its entries (2k, 2k), (2k+1, 2k+1) and
+        (2k+1, 2k) for each pair k as writable views, and M flat."""
         flat, step = M.reshape(-1), 2 * m + 2
         return (M.view(complex)[:, :h], flat[::step][:h], flat[m + 1 :: step][:h],
-                flat[1::step][:h], flat[m::step][:h])
-
-    def rotate(z, w, dead):
-        # a dead pair's columns keep their bits: a product with 1 + 0j can
-        # flip the sign of a zero
-        kept = None if dead is None else z[:, dead]
-        np.multiply(z, w, out=z)
-        if kept is not None:
-            z[:, dead] = kept
+                flat[m::step][:h], flat)
 
     def off_norm() -> float:
         # summing the off-diagonal entries directly avoids the catastrophic
@@ -595,30 +623,27 @@ def jacobi_eigendecomposition(matrix):
             T.take(move, 1, S, "clip")
             V.take(move, 1, V2, "clip")
             V, V2, v_pairs, v2_pairs = V2, V, v2_pairs, v_pairs
-            pairs, app, aqq, _, apq = s_views  # S[2k+1, 2k] is A[p, q]
+            pairs, app, aqq, apq, _ = s_views  # S[2k+1, 2k] is A[p, q]
+            # where=True is the plain multiply; a dead pair, whose entry is
+            # exactly 0, keeps its bits: a product with 1 + 0j can flip the
+            # sign of a zero
             if apq.all():
-                live, dead = slice(None), None
+                live, zeroed = True, couplings
             else:
-                live = apq != 0.0
+                live = np.not_equal(apq, 0.0, out=live_pairs)
                 if not live.any():
                     continue
-                dead = ~live
-            t = _rotation_tangents(app[live], aqq[live], apq[live])
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            w = c + 1j * (t * c)
-            if dead is not None:
-                w_live, w = w, np.ones(h, dtype=complex)
-                w[live] = w_live
+                zeroed = couplings[:, live]
+            rotations(app, aqq, apq, live)
             # A <- J^T A J: rotate the row pairs of A, which are the column
             # pairs of S, then those of the transpose.
-            rotate(pairs, w, dead)
+            np.multiply(pairs, w, out=pairs, where=live)
             np.copyto(T, S.T)
             S, T, s_views, t_views = T, S, t_views, s_views
-            pairs, _, _, upper, lower = s_views
-            rotate(pairs, w, dead)
-            upper[live] = 0.0
-            lower[live] = 0.0
-            rotate(v_pairs, w, dead)
+            pairs, _, _, _, flat = s_views
+            np.multiply(pairs, w, out=pairs, where=live)
+            flat[zeroed] = 0.0
+            np.multiply(v_pairs, w, out=v_pairs, where=live)
     raise EigensolverError(off_norm(), JACOBI_MAX_SWEEPS)
 
 

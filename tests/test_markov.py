@@ -355,6 +355,12 @@ class TestJacobi:
         assert sweeps == 1
         assert lam[1] == 0.0 and np.signbit(lam[1])
 
+    def test_negative_zero_tau_rotates_by_plus_one(self):
+        # equal diagonal entries over a negative coupling give tau = -0, which
+        # rotates by t = +1 as tau = +0 does: index 0 takes 1 - t * apq = 1.5
+        lam, _, _, _ = assert_matches_eigh(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        assert lam[0] > lam[1]
+
     def test_round_layouts_put_each_pair_in_adjacent_columns(self):
         for n in range(2, 41):
             for cols, (p, q) in zip(_round_layouts(n), _round_robin(n), strict=True):
