@@ -588,8 +588,8 @@ def jacobi_eigendecomposition(matrix):
         if largest > 1e10:
             np.divide(0.5, tau, out=t, where=big)
             if largest == np.inf:
-                # tau overflowed and t = 0.5 / -inf is -0; c + 1j * (t * c)
-                # gives the product +0 its imaginary part
+                # tau overflowed to -inf, so t is -0; s is taken as +0, the
+                # sine that tau = +inf gives
                 np.add(t, 0.0, out=t)
         np.multiply(t, t, out=abs_tau)
         np.add(abs_tau, 1.0, out=abs_tau)
