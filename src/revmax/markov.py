@@ -556,7 +556,7 @@ def jacobi_eigendecomposition(matrix):
     k = np.arange(h)
     couplings = np.stack((2 * k * (m + 1) + 1, 2 * k * (m + 1) + m))
 
-    # Per-round scratch, allocated once; every ufunc of a round writes into it.
+    # Per-round buffers, allocated once; every ufunc of a round writes into them.
     tau, two_apq, abs_tau, t = np.empty((4, h))
     negative, big, live_pairs = np.empty((3, h), dtype=bool)
     w = np.empty(h, dtype=complex)
