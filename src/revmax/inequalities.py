@@ -364,20 +364,18 @@ def verify(
                    + _moments(probs, partial_norms[-1:], p)[0])
         elif check is InequalityId.WEIGHTED_MAX_VS_PROJECTIONS:
             lhs = _max_moment(probs, partial_norms, p)
-            rhs = _max_moment(probs, scaled_norms, p)
             diffs = stats.s[1:n, None, None] * (conditioned[:-1] - conditioned[1:])
-            for moment in _moments(probs, _norms(diffs), p):
-                rhs += moment
+            rhs = _left_sum(np.array([_max_moment(probs, scaled_norms, p),
+                                      *_moments(probs, _norms(diffs), p)]))
         elif check is InequalityId.DYADIC_WEIGHTED_MAX:
             lhs = _max_moment(probs, scaled_norms, p)
             rhs = 0.0
+            # per term: numpy's array power can differ from the scalar one in the last bit
             for k, moment in enumerate(_moments(probs, cond_norms, p), 1):
                 rhs += stats.s_star[4 * k] ** p / k * moment
         else:  # SECOND_MOMENT_SERIES
             lhs = _max_moment(probs, partial_norms, 2.0)
-            rhs = 0.0
-            for k, moment in enumerate(_moments(probs, cond_norms, 2.0), 1):
-                rhs += stats.b[k] * moment
+            rhs = _left_sum(stats.b[1 : n + 1] * _moments(probs, cond_norms, 2.0))
     elif check is InequalityId.SMOOTHNESS:
         if filtration.levels < n + 1:
             raise ValidationError("smoothness check needs levels >= n + 1")
@@ -395,8 +393,8 @@ def verify(
             rhs += _moments(probs, partial_norms[-1:], p)[0]
         else:  # MAX_VS_PROJECTIONS: E_k S_k - E_{k+1} S_k for k < n
             coarser = _cond_table(filtration, partial[:-1], first_level=2)
-            for moment in _moments(probs, _norms(conditioned[:-1] - coarser), p):
-                rhs += moment
+            diffs = conditioned[:-1] - coarser
+            rhs = _left_sum(np.array([rhs, *_moments(probs, _norms(diffs), p)]))
 
     return make_record(
         check.value, p, instance.descriptor() | {"n": n},

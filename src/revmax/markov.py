@@ -211,14 +211,15 @@ def birth_death(up_rates, down_rates) -> ReversibleChain:
         raise ValidationError("move probabilities must be positive")
     m = up.size + 1
     Q = np.zeros((m, m))
-    for i in range(m - 1):
-        Q[i, i + 1] = up[i]
-        Q[i + 1, i] = down[i]
+    below = np.arange(m - 1)
+    Q[below, below + 1] = up
+    Q[below + 1, below] = down
     holds = 1.0 - Q.sum(axis=1)
     if np.any(holds < -ROW_SUM_TOL):
         raise ValidationError("move probabilities exceed 1 in some row")
     Q[np.diag_indices(m)] = np.clip(holds, 0.0, None)
     pi = np.ones(m)
+    # pi[i] * up[i] / down[i] in turn; a cumprod of up / down rounds otherwise
     for i in range(m - 1):
         pi[i + 1] = pi[i] * up[i] / down[i]
     return ReversibleChain(Q, pi / pi.sum())
@@ -232,9 +233,10 @@ def lazy_ring(m: int, laziness: float) -> ReversibleChain:
         raise ValidationError("laziness must lie in [0, 1]")
     Q = np.eye(m) * laziness
     hop = (1.0 - laziness) / 2.0
-    for i in range(m):
-        Q[i, (i + 1) % m] += hop
-        Q[i, (i - 1) % m] += hop
+    rows = np.arange(m)
+    # two statements, so that at m = 2 both hops add to the one neighbour
+    Q[rows, (rows + 1) % m] += hop
+    Q[rows, (rows - 1) % m] += hop
     return ReversibleChain(Q, np.full(m, 1.0 / m))
 
 
@@ -710,6 +712,7 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     lambdas = lambdas[order]
     masses = masses[order]
     merged_l, merged_m = [], []
+    # in turn: each atom may merge into the one the previous merges built
     for lam, mass in zip(lambdas, masses):
         if merged_l and merged_l[-1] - lam <= ATOM_MERGE_TOL:
             total = merged_m[-1] + mass
@@ -747,14 +750,10 @@ def dl_integral(sm: SpectralMeasure) -> float:
     Atoms within 1e-12 of eigenvalue 1 force +inf when their mass exceeds
     1e-14 and are treated as numerical noise otherwise.
     """
-    total = 0.0
-    for lam, mass in zip(sm.lambdas, sm.masses):
-        if lam >= 1.0 - UNIT_EIGENVALUE_TOL:
-            if mass > MASS_TOL:
-                return math.inf
-            continue
-        total += mass / (1.0 - lam)
-    return total
+    below = sm.lambdas < 1.0 - UNIT_EIGENVALUE_TOL
+    if np.any(sm.masses[~below] > MASS_TOL):
+        return math.inf
+    return _left_sum(sm.masses[below] / (1.0 - sm.lambdas[below]))
 
 
 def variance_growth(chain: ReversibleChain, f: Observable, n: int) -> float:
@@ -779,6 +778,7 @@ def _variance_kernel(lam: float, n: int) -> float:
 def _partial_autocov_sum(sm: SpectralMeasure, n: int) -> float:
     """sum_{k<=n} autocovariance(k), evaluated per spectral atom."""
     total = 0.0
+    # per atom: numpy's array power can differ from the scalar lam ** n in the last bit
     for lam, mass in zip(sm.lambdas, sm.masses):
         if abs(1.0 - lam) < UNIT_EIGENVALUE_TOL:
             total += mass * n
@@ -852,6 +852,7 @@ def check_conditions(
     partials = tuple(_partial_autocov_sum(sm, n) for n in grid)
     a_bounded = not has_unit
 
+    # _variance_kernel per atom, for its scalar powers (see _partial_autocov_sum)
     growth = [
         _left_sum(np.array([m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)]))
         for n in grid
@@ -862,11 +863,9 @@ def check_conditions(
     if has_unit:
         sigma2 = math.inf
     else:
-        sigma2 = 0.0
-        for lam, mass in zip(sm.lambdas, sm.masses):
-            if lam >= 1.0 - UNIT_EIGENVALUE_TOL:
-                continue
-            sigma2 += mass * (1.0 + lam) / (1.0 - lam)
+        below = sm.lambdas < 1.0 - UNIT_EIGENVALUE_TOL
+        lam = sm.lambdas[below]
+        sigma2 = _left_sum(sm.masses[below] * (1.0 + lam) / (1.0 - lam))
     c_finite = not has_unit
 
     d_value = dl_integral(sm)

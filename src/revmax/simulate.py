@@ -11,11 +11,10 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .finite_prob import ValidationError
+from .finite_prob import ValidationError, _left_sum
 from .markov import ChainPowers, Observable, ReversibleChain, squared_norms
 from .weights import WeightSequence
 
@@ -226,43 +225,17 @@ def series_paths(
 ) -> np.ndarray:
     """Partial-sum paths for a batch of trajectories, shape (trials, n, dim).
 
-    Each trial's path is copied into its row of the result; commands that
-    only reduce the paths use ``reduce_trials`` instead.
+    Row t gathers the table rows (Q^j f)(xi_j) of trial t for j = 1..n, scales
+    them by the weights and sums them along the path, in place.  The result
+    is the only array of that size; commands that only reduce the paths use
+    ``reduce_trials`` instead.
     """
-    n = _steps(states)
-    out = np.empty((states.shape[0], n, f.dim))
-    for row, path in zip(out, _each_path(w.eval_range(n), states, ChainPowers(chain, f))):
-        row[...] = path
-    return out
-
-
-def _steps(states: np.ndarray) -> int:
     n = states.shape[1] - 1
     if n < 1:
         raise ValidationError("trajectory must have at least one step")
-    return n
-
-
-def _each_path(a, states, powers):
-    """Yield each trial's partial-sum path for the weights ``a = w.eval_range(n)``.
-
-    The trial's table rows are gathered, scaled by the weights and summed
-    along the path in place.  Every trial reuses one ``(n, dim)`` buffer, so
-    a yielded path lasts until the next one.
-    """
-    n = _steps(states)
-    table = powers.table(n)
-    flat = table.reshape(-1, table.shape[2])  # row j * m + i holds (Q^j f)(i)
-    steps = np.arange(1, n + 1) * powers.chain.m
-    weights = a[1:, None]
-    path = np.empty((n, table.shape[2]))
-    index = np.empty(n, dtype=np.intp)
-    for trial in states:
-        np.add(steps, trial[1:], out=index)
-        np.take(flat, index, axis=0, out=path)
-        path *= weights
-        np.cumsum(path, axis=0, out=path)
-        yield path
+    paths = ChainPowers(chain, f).table(n)[np.arange(1, n + 1), states[:, 1:]]
+    paths *= w.eval_range(n)[1:, None]
+    return np.cumsum(paths, axis=1, out=paths)
 
 
 # A diagnostic threshold, not a theorem: finite runs cannot certify
@@ -304,8 +277,9 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
     trials, length, _ = arr.shape
     checkpoints = _diagnostic_checkpoints(checkpoints, trials, length)
     squares = np.empty((len(checkpoints), trials))
-    for t, path in enumerate(arr):
-        _oscillation_squares(path, checkpoints, squares[:, t])
+    for c, out in zip(checkpoints, squares):
+        window = arr[:, c - 1 : 2 * c] - arr[:, c - 1 : c]
+        np.max(squared_norms(window), axis=1, out=out)
     return _oscillation_table(squares, checkpoints)
 
 
@@ -321,13 +295,6 @@ def _diagnostic_checkpoints(checkpoints, trials: int, length: int) -> list:
                 f"checkpoint {c} needs path length >= {2 * c}, have {length}"
             )
     return checkpoints
-
-
-def _oscillation_squares(path: np.ndarray, checkpoints, out: np.ndarray):
-    """``out[i] = max_{c<=k<=2c} |T_k - T_c|^2`` of one path, c = checkpoints[i]."""
-    for i, c in enumerate(checkpoints):
-        window = path[c - 1 : 2 * c] - path[c - 1]
-        out[i] = squared_norms(window).max()
 
 
 def _oscillation_table(squares: np.ndarray, checkpoints) -> OscillationTable:
@@ -382,8 +349,8 @@ def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norm
     are built time-major, ``_PATH_CHUNK`` entries at a time: each chunk
     gathers the table rows of steps j0 .. j1 - 1, scales them by the weights,
     adds the carried T_{j0-1} to its first row and sums along time.  That is
-    the per-trial route's sequence of roundings, so the results equal
-    ``_oscillation_squares`` and the reductions of ``series_paths`` bit for
+    the sequence of roundings of ``series_paths``, so the results equal
+    ``as_convergence_diagnostic`` and the reductions of its paths bit for
     bit.  Writes max_k |T_k|^2 into ``max_squares``, the squared oscillations
     into the ``(len(checkpoints), trials)`` array ``osc_squares``, and |T_k|
     into ``norms[t, k - 1]`` for the first ``norms.shape[0]`` trials.
@@ -618,21 +585,27 @@ def enumerate_max_moment(
 ) -> float:
     """Exact E max_{k<=n} |T_k|^2 by summing over all m^(n+1) stationary paths.
 
-    Only sensible when m^(n+1) is small; used as the cross-check oracle for
-    the Monte Carlo estimator.
+    The paths are enumerated level by level.  At depth k, arrays over the
+    live prefixes xi_0 .. xi_k, in lexicographic order, hold each prefix's
+    probability, last state, T_k and max_{j<=k} |T_j|^2.  A level extends
+    every prefix by every next state and drops those of probability 0, so
+    memory follows the paths that can occur: about 2^20 of them take tens
+    of MB.  The probabilities multiply along the path and the total adds the
+    paths in lexicographic order, as a loop over the paths would.  Used as
+    the cross-check oracle for the Monte Carlo estimator.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     table = ChainPowers(chain, f).table(n)
-    coeffs = w.eval_range(n)[1:, None]
-    steps = np.arange(1, n + 1)
-    total = 0.0
-    for path in product(range(chain.m), repeat=n + 1):
-        prob = chain.stationary[path[0]]
-        for a, b in zip(path, path[1:]):
-            prob *= chain.transition[a, b]
-        if prob == 0.0:
-            continue
-        running = np.cumsum(coeffs * table[steps, path[1:]], axis=0)
-        total += prob * float((running ** 2).sum(axis=1).max())
-    return float(total)
+    a = w.eval_range(n)
+    m = chain.m
+    prob, state = chain.stationary, np.arange(m)
+    partial, best = np.zeros((m, f.dim)), np.zeros(m)
+    for k in range(1, n + 1):
+        prob = (prob[:, None] * chain.transition[state]).reshape(-1)
+        live = np.flatnonzero(prob)
+        parent, state = np.divmod(live, m)
+        prob = prob[live]
+        partial = partial[parent] + a[k] * table[k, state]
+        best = np.maximum(best[parent], squared_norms(partial))
+    return _left_sum(prob * best)
