@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .finite_prob import ValidationError, _load_json, _numbers
 from .inequalities import (
-    _WEIGHTED_IDS, InequalityId, series_criterion, traced_constant, verify_batch,
+    _WEIGHTED_IDS, InequalityId, make_record, series_criterion, traced_constant, verify_batch,
 )
 from .markov import (
     ChainPowers,
@@ -221,14 +221,13 @@ def _cmd_verify(args, argv) -> int:
     # n above min(--n-max, --atoms-max - 1)
     horizon = min(args.n_max, args.atoms_max - 1)
     weights = _weights(args.weights, 4 * horizon) if args.weights else None
+    tol = _tol_override(args)
     # a side that overflows is refused by _report_batch
     with np.errstate(over="ignore", invalid="ignore"):
-        records = verify_batch(
-            check, args.p, args.instances, args.seed, weights,
-            args.atoms_max, args.n_max, args.dim_max, _tol_override(args),
-        )
+        records = verify_batch(check, args.p, args.instances, args.seed, weights,
+                               args.atoms_max, args.n_max, args.dim_max)
     flags = "--p/--weights" if check in _WEIGHTED_IDS else "--p"
-    return _report_batch(args, argv, check, records, "instance", flags)
+    return _report_batch(args, argv, check, records, "instance", flags, tol)
 
 
 def _verdict_health(records) -> dict:
@@ -253,18 +252,18 @@ def _cmd_verify_markov(args, argv) -> int:
     _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1, "--threads": 1})
     # the even and odd statistics of horizon n read a_1 .. a_8n
     weights = _weights(args.weights, 8 * args.n_max) if args.weights else None
+    tol = _tol_override(args)
     with np.errstate(over="ignore", invalid="ignore"):
-        records = verify_markov_batch(
-            check, args.chains, args.seed, weights, args.m_max, args.n_max,
-            _tol_override(args),
-        )
-    return _report_batch(args, argv, check, records, "chain", "--weights")
+        records = verify_markov_batch(check, args.chains, args.seed, weights,
+                                      args.m_max, args.n_max)
+    return _report_batch(args, argv, check, records, "chain", "--weights", tol)
 
 
-def _report_batch(args, argv, check, records, noun: str, flags: str) -> int:
+def _report_batch(args, argv, check, records, noun: str, flags: str, tol: float | None) -> int:
     """Write a batch's CSV and sidecar, print its summary line, give its exit code.
 
     A side that is not finite is refused first, naming ``flags``, which scale the sides.
+    Records are judged again with the pass slack ``tol`` when one is given.
     """
     for r in records:
         if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
@@ -272,6 +271,9 @@ def _report_batch(args, argv, check, records, noun: str, flags: str) -> int:
                 f"{flags}: {check.value} at p={r.p} overflows double precision on"
                 f" {noun} seed {r.descriptor['seed']} (lhs {r.lhs!r}, rhs {r.rhs!r})"
             )
+    if tol is not None:
+        records = [make_record(r.check, r.p, r.descriptor, r.lhs, r.rhs, r.constant, tol)
+                   for r in records]
     _write_text(args.out, _records_to_csv(records))
     health = _verdict_health(records)
     _write_sidecar(args.out, argv, seed=args.seed,

@@ -329,7 +329,6 @@ def verify(
     n: int | None = None,
     p: float = 2.0,
     weights: WeightSequence | None = None,
-    tol_override: float | None = None,
 ) -> VerificationRecord:
     """Evaluate both sides of an inequality on an instance exactly.
 
@@ -396,10 +395,7 @@ def verify(
             diffs = conditioned[:-1] - coarser
             rhs = _left_sum(np.array([rhs, *_moments(probs, _norms(diffs), p)]))
 
-    return make_record(
-        check.value, p, instance.descriptor() | {"n": n},
-        lhs, rhs, constant.value, tol_override,
-    )
+    return make_record(check.value, p, instance.descriptor() | {"n": n}, lhs, rhs, constant.value)
 
 
 def make_record(
@@ -411,7 +407,7 @@ def make_record(
     constant: float,
     tol_override: float | None = None,
 ) -> VerificationRecord:
-    """Record for lhs <= constant * rhs, judged with the pass slack.
+    """Record for lhs <= constant * rhs, judged with the pass slack or ``tol_override``.
 
     A zero rhs needs lhs <= 1e-12 and marks the record skipped.  A record
     with a side that is not finite never passes.
@@ -458,7 +454,6 @@ def verify_batch(
     atoms_max: int = 64,
     n_max: int = 32,
     dim_max: int = 3,
-    tol_override: float | None = None,
 ):
     """Run one inequality over ``count`` freshly generated instances.
 
@@ -477,10 +472,7 @@ def verify_batch(
         atoms, levels, n, dim = sample_instance_shape(master, atoms_max, n_max, dim_max)
         inst_seed = int(master.integers(0, 2**63 - 1))
         instance = random_instance(inst_seed, atoms, levels, n, dim)
-        records.append(
-            verify(check, instance, n=n, p=p, weights=weights,
-                   tol_override=tol_override)
-        )
+        records.append(verify(check, instance, n=n, p=p, weights=weights))
     return records
 
 

@@ -988,7 +988,6 @@ def verify_markov_inequality(
     f: Observable,
     n: int,
     weights: WeightSequence | None = None,
-    tol_override: float | None = None,
 ) -> VerificationRecord:
     """Evaluate one chain inequality exactly and compare to its constant.
 
@@ -1029,13 +1028,11 @@ def verify_markov_inequality(
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 
-    return make_record(
-        check.value, 2.0, descriptor, lhs, rhs, constant.value, tol_override
-    )
+    return make_record(check.value, 2.0, descriptor, lhs, rhs, constant.value)
 
 
 def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: WeightSequence | None,
-                        m_max: int, n_max: int, tol_override: float | None):
+                        m_max: int, n_max: int):
     """Run one chain inequality over ``count`` chains of at most ``m_max`` states.
 
     A master generator seeded with ``seed`` draws each chain's seed and then
@@ -1047,7 +1044,7 @@ def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: Weig
         chain_seed = int(master.integers(0, 2**63 - 1))
         chain, f = random_chain_instance(chain_seed, m_max=m_max)
         n = int(master.integers(1, n_max + 1))
-        record = verify_markov_inequality(check, chain, f, n, weights, tol_override)
+        record = verify_markov_inequality(check, chain, f, n, weights)
         records.append(replace(record, descriptor=record.descriptor | {"seed": chain_seed}))
     return records
 

@@ -589,8 +589,8 @@ def enumerate_max_moment(
     live prefixes xi_0 .. xi_k, in lexicographic order, hold each prefix's
     probability, last state, T_k and max_{j<=k} |T_j|^2.  A level extends
     every prefix by every next state and drops those of probability 0, so
-    memory follows the paths that can occur: about 2^20 of them take tens
-    of MB.  The probabilities multiply along the path and the total adds the
+    memory follows the paths that can occur: the 3^13 paths of a 3-state
+    chain at n = 12 peak at about 115 MB.  The probabilities multiply along the path and the total adds the
     paths in lexicographic order, as a loop over the paths would.  Used as
     the cross-check oracle for the Monte Carlo estimator.
     """

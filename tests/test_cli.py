@@ -242,6 +242,19 @@ class TestVerify:
         ])
         assert "overridden" in capsys.readouterr().err
 
+    def test_tol_override_judges_the_rows(self, tmp_path, monkeypatch):
+        # at p = 2 the smoothness sides are equal up to rounding, so a constant
+        # planted 1e-9 below 1 fails every row under the pass slack of 1e-12
+        planted = inequalities.TracedConstant("smoothness", 2.0, 1.0 - 1e-9, ())
+        monkeypatch.setattr(inequalities, "traced_constant", lambda check, p: planted)
+        flags = {}
+        for name, extra in (("strict", []), ("loose", ["--tol-override", "1e-6"])):
+            out = tmp_path / f"{name}.csv"
+            code = run(["verify", "--id", "smoothness", "--p", "2", "--instances", "8",
+                        "--seed", "4", *extra, "-o", str(out)])
+            flags[name] = (code, {row.split(",")[-1] for row in read(out).splitlines()[1:]})
+        assert flags == {"strict": (1, {"false"}), "loose": (0, {"true"})}
+
 
     def test_explicit_weights_need_only_4n(self, tmp_path):
         # second-moment-series at horizon n reads a_1..a_4n; n-max 32 needs 128

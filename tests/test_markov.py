@@ -730,7 +730,7 @@ class TestMarkovInequalities:
         assert markov_traced_constant(MarkovCheck.PAIRED_POWER_MAX).value == 2 * 63 * 16
 
     def test_batch_records_carry_the_csv_fields(self):
-        records = verify_markov_batch(MarkovCheck.STEIN, 4, 5, None, 10, 12, None)
+        records = verify_markov_batch(MarkovCheck.STEIN, 4, 5, None, 10, 12)
         master = np.random.default_rng(5)
         for record in records:
             seed = int(master.integers(0, 2**63 - 1))
