@@ -177,12 +177,13 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
         if p != 2:
             raise ValidationError(f"{check.value} is a p = 2 statement, got {p}")
         q = doob_factor(2.0)
-        max_route = 2.0 * (2.0 * q)
-        proj_route = 4.0 * (1.0 + q) * smoothness_factor(2.0)
+        split = triangle_factor(2.0)
+        max_route = split * traced_constant(InequalityId.DYADIC_WEIGHTED_MAX, 2.0).value
+        proj_route = traced_constant(InequalityId.MAX_VS_PROJECTIONS, 2.0).value
         value = max_route + proj_route
         steps = (
-            "projection-form bound at p=2: coefficients (2, 20)",
-            f"conditional-max term via the dyadic estimate: 2*2*{q:g} = {max_route:g}",
+            f"projection-form bound at p=2: coefficients ({split:g}, {proj_route:g})",
+            f"conditional-max term via the dyadic estimate: {split:g}*2*{q:g} = {max_route:g}",
             "orthogonality turns weighted projections into telescoping moment"
             " differences, each below its b coefficient: factor 1",
             f"assembled: {max_route:g} + {proj_route:g} = {value:g}",
