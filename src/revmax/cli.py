@@ -115,9 +115,9 @@ def _tol_override(args) -> float | None:
 
 
 def _cmd_gen_chain(args, argv) -> int:
-    params = {}
+    params, flags = {}, None  # flags: the numeric flags the model's errors come from
     if args.model == "two-state":
-        params = {"p": args.p, "q": args.q}
+        params, flags = {"p": args.p, "q": args.q}, "--p/--q"
         if args.p is None or args.q is None:
             raise ValidationError("two-state needs --p and --q")
     elif args.model == "birth-death":
@@ -125,11 +125,12 @@ def _cmd_gen_chain(args, argv) -> int:
             raise ValidationError("birth-death needs --m, --up and --down")
         _require_minimums(args, {"--m": 2})
         params = {"up": [args.up] * (args.m - 1), "down": [args.down] * (args.m - 1)}
+        flags = "--up/--down"
     elif args.model == "lazy-ring":
         if args.m is None or args.laziness is None:
             raise ValidationError("lazy-ring needs --m and --laziness")
         _require_minimums(args, {"--m": 2})
-        params = {"m": args.m, "laziness": args.laziness}
+        params, flags = {"m": args.m, "laziness": args.laziness}, "--laziness"
     elif args.model == "weighted-graph":
         if args.weights_file:
             params = {"weights": _load_numbers(args.weights_file, "weight matrix")}
@@ -145,7 +146,12 @@ def _cmd_gen_chain(args, argv) -> int:
             "target": _load_numbers(args.target_file, "target"),
             "proposal": _load_numbers(args.proposal_file, "proposal"),
         }
-    chain = make_chain(args.model, params, seed=args.seed)
+    try:
+        chain = make_chain(args.model, params, seed=args.seed)
+    except ValidationError as exc:
+        if flags is None:
+            raise
+        raise ValidationError(f"{flags}: {exc}") from None
     if not chain.connected:
         print(
             "note: chain is disconnected; the spectrum has multiplicity at 1",

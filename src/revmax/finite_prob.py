@@ -63,7 +63,7 @@ class FiniteProbSpace:
         if np.any(p <= 0.0):
             bad = int(np.argmin(p))
             raise ValidationError(
-                f"atom {bad} has non-positive probability {p[bad]!r}"
+                f"atom {bad} has non-positive probability {float(p[bad])!r}"
             )
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:

@@ -111,13 +111,13 @@ class ReversibleChain:
             raise ValidationError("kernel entries must be finite")
         if np.any(Q < -ROW_SUM_TOL):
             i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
-            raise ValidationError(f"kernel entry ({i},{j}) is negative: {Q[i, j]!r}")
+            raise ValidationError(f"kernel entry ({i},{j}) is negative: {float(Q[i, j])!r}")
         Q = np.clip(Q, 0.0, None)
         row_gap = np.abs(Q.sum(axis=1) - 1.0)
         if row_gap.max() > ROW_SUM_TOL:
             bad = int(np.argmax(row_gap))
             raise ValidationError(
-                f"row {bad} sums to {Q[bad].sum()!r}, off by more than {ROW_SUM_TOL}"
+                f"row {bad} sums to {float(Q[bad].sum())!r}, off by more than {ROW_SUM_TOL}"
             )
         if stationary is None:
             pi = _stationary_distribution(Q)

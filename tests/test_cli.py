@@ -119,8 +119,11 @@ GOOD_OBSERVABLE = {"dim": 1, "values": [[1.0], [-1.0]]}
     ({"states": 5}, {}, "states must be a list of state labels"),
     ({"pi": [math.nan, math.nan]}, {}, "stationary law pi must be finite, got [nan, nan]"),
     ({"pi": [math.inf, 1.0]}, {}, "stationary law pi must be finite, got [inf, 1.0]"),
+    ({"Q": [[0.6, 0.5], [0.25, 0.75]]}, {}, "row 0 sums to 1.1, off by more than 1e-12"),
+    ({"Q": [[1.5, -0.5], [0.25, 0.75]]}, {}, "kernel entry (0,1) is negative: -0.5"),
 ], ids=["text-dim", "fractional-dim", "quoted-dim", "non-numeric-values",
-        "ragged-Q", "text-Q", "non-numeric-pi", "scalar-states", "nan-pi", "inf-pi"])
+        "ragged-Q", "text-Q", "non-numeric-pi", "scalar-states", "nan-pi", "inf-pi",
+        "row-sum-Q", "negative-Q"])
 def test_malformed_chain_or_observable_exits_two_naming_the_field(
     chain, observable, message, tmp_path, capsys
 ):
@@ -162,6 +165,54 @@ def test_gen_chain_non_finite_target_exits_two(bad, tmp_path, capsys):
                 "--proposal-file", str(proposal), "-o", str(out)]) == 2
     assert "error: target law must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# flag=value, so that argparse takes -inf as a value rather than an option
+MODEL_FLAGS = {
+    "p": ("two-state", "--p/--q", ["--p={}", "--q=0.5"]),
+    "q": ("two-state", "--p/--q", ["--p=0.5", "--q={}"]),
+    "up": ("birth-death", "--up/--down", ["--m=4", "--up={}", "--down=0.3"]),
+    "down": ("birth-death", "--up/--down", ["--m=4", "--up=0.3", "--down={}"]),
+    "laziness": ("lazy-ring", "--laziness", ["--m=5", "--laziness={}"]),
+}
+
+
+@pytest.mark.parametrize("model,flags,template,value", [
+    pytest.param(*MODEL_FLAGS[name], value, id=f"{name}={value}")
+    for name in MODEL_FLAGS
+    for value in ("nan", "inf", "-inf", "0", "-0.5", "1.5", "7")
+    if (name, value) != ("laziness", "0")  # a ring with laziness 0 is valid
+])
+def test_gen_chain_numeric_flag_errors_name_the_flags(model, flags, template, value,
+                                                      tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = [arg.format(value) for arg in template]
+    assert run(["gen-chain", "--model", model, *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_chain_rows_past_one_name_the_move_flags(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["gen-chain", "--model", "birth-death", "--m", "3", "--up", "0.7",
+                "--down", "0.7", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --up/--down: move probabilities exceed 1 in some row\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: markov.ReversibleChain([[0.6, 0.5], [0.25, 0.75]]),
+     "row 0 sums to 1.1, off by more than 1e-12"),
+    (lambda: markov.ReversibleChain([[1.5, -0.5], [0.25, 0.75]]),
+     "kernel entry (0,1) is negative: -0.5"),
+    (lambda: revmax.FiniteProbSpace([0.5, 0.5, 0.0]), "atom 2 has non-positive probability 0.0"),
+], ids=["row-sum", "negative-entry", "zero-probability"])
+def test_error_messages_print_plain_numbers(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert "np.float64" not in str(info.value)
+    assert str(info.value) == message
 
 
 def assert_spectral_health(meta):
