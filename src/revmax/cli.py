@@ -114,10 +114,14 @@ def _tol_override(args) -> float | None:
     return tol
 
 
+# The flags that set a model's numbers, named by the errors the model raises.
+_MODEL_FLAGS = {"two-state": "--p/--q", "birth-death": "--up/--down", "lazy-ring": "--laziness"}
+
+
 def _cmd_gen_chain(args, argv) -> int:
-    params, flags = {}, None  # flags: the numeric flags the model's errors come from
+    params = {}
     if args.model == "two-state":
-        params, flags = {"p": args.p, "q": args.q}, "--p/--q"
+        params = {"p": args.p, "q": args.q}
         if args.p is None or args.q is None:
             raise ValidationError("two-state needs --p and --q")
     elif args.model == "birth-death":
@@ -125,12 +129,11 @@ def _cmd_gen_chain(args, argv) -> int:
             raise ValidationError("birth-death needs --m, --up and --down")
         _require_minimums(args, {"--m": 2})
         params = {"up": [args.up] * (args.m - 1), "down": [args.down] * (args.m - 1)}
-        flags = "--up/--down"
     elif args.model == "lazy-ring":
         if args.m is None or args.laziness is None:
             raise ValidationError("lazy-ring needs --m and --laziness")
         _require_minimums(args, {"--m": 2})
-        params, flags = {"m": args.m, "laziness": args.laziness}, "--laziness"
+        params = {"m": args.m, "laziness": args.laziness}
     elif args.model == "weighted-graph":
         if args.weights_file:
             params = {"weights": _load_numbers(args.weights_file, "weight matrix")}
@@ -149,9 +152,9 @@ def _cmd_gen_chain(args, argv) -> int:
     try:
         chain = make_chain(args.model, params, seed=args.seed)
     except ValidationError as exc:
-        if flags is None:
+        if args.model not in _MODEL_FLAGS:
             raise
-        raise ValidationError(f"{flags}: {exc}") from None
+        raise ValidationError(f"{_MODEL_FLAGS[args.model]}: {exc}") from None
     if not chain.connected:
         print(
             "note: chain is disconnected; the spectrum has multiplicity at 1",
