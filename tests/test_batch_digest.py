@@ -21,7 +21,7 @@ an array as the SHA-256 digest of its little-endian bytes.  The cases are
   ``birth_death`` with random rates and with rates that leave no holding
   probability.
 
-The committed digests were written by ``batch_digests`` with the per-path,
+The committed digests were written by ``computed_digests`` with the per-path,
 per-trial, per-atom and per-state loops these routines had before they
 became array code; rewrite them with ``python tests/test_batch_digest.py``
 only when the results are meant to change.
@@ -172,7 +172,7 @@ def all_cases() -> list:
     return enumeration_cases() + path_cases() + condition_cases() + kernel_cases()
 
 
-def batch_digest(case: list, conditions=None) -> dict:
+def batch_digest(case: list, conditions: list) -> dict:
     kind = case[0]
     if kind == "enumerate":
         _, spec, dim, n, w = case
@@ -198,7 +198,7 @@ def batch_digest(case: list, conditions=None) -> dict:
         return {"case": case, "paths": digest(paths), "diagnostics": tables}
     if kind == "conditions":
         _, index, centered = case
-        chain, f = (conditions or criterion_8_chains())[index]
+        chain, f = conditions[index]
         if not centered:
             f = Observable(f.values + 1.0)
         report = check_conditions(chain, f)
