@@ -361,40 +361,81 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
 
 # Entries of table rows squared at once by ChainPowers.second_moments (1 MB).
 _SQUARE_CHUNK = 1 << 17
+# Table rows computed between two searches for a repeated row.  Tables of at
+# most this many rows are never searched.
+_FIXED_CHUNK = 256
+
+
+def power_rows(table: np.ndarray, powers):
+    """Rows of a ``ChainPowers`` table holding Q^j f for the powers j: min(j, last)."""
+    return np.minimum(powers, table.shape[0] - 1)
 
 
 class ChainPowers:
     """The kernel powers Q^0 f, Q^1 f, ... of one observable as one table.
 
-    The table is a read-only ``(rows, m, dim)`` array whose row j holds Q^j f.
-    A request past its end fills a new array of at least twice the rows and
-    then swaps it in, so a table already handed out never changes.
+    The table is a read-only ``(rows, m, dim)`` array whose row j holds Q^j f
+    up to its last row, which holds every higher power too: power j is read
+    from row ``min(j, last)`` (see :func:`power_rows`).  The table stops
+    growing at the first row that equals the row before it bit for bit.  That
+    row is an exact fixed point: ``ndarray.dot`` gives the same bits for the
+    same input, so the next row, and every one after it, would repeat it.
+    For an aperiodic chain Q^j f converges geometrically to its mean and in
+    floating point lands on such a row, often within a few hundred or a few
+    thousand rows; a periodic chain never does, and its table holds every
+    row asked for.  The search runs once per ``_FIXED_CHUNK`` rows computed,
+    and only on tables longer than that, so short tables never pay for it.
+
+    A request past the end of a table without a fixed point fills a new
+    array of at least twice the rows and then swaps it in, so a table already
+    handed out never changes.
     """
 
     def __init__(self, chain: ReversibleChain, f: Observable):
         _check_observable(chain, f)
         self.chain = chain
         self._table = f.values[None]
+        self._fixed = False  # the last row is a fixed point
 
     def table(self, k: int) -> np.ndarray:
-        """Read-only rows 0..k of the table, shape (k + 1, m, dim)."""
+        """Read-only rows 0..min(k, last) of the table, shape (<= k + 1, m, dim)."""
         if k < 0:
             raise ValidationError("power must be >= 0")
         old = self._table
-        if old.shape[0] <= k:
-            grown = np.empty((max(k + 1, 2 * old.shape[0]),) + old.shape[1:])
-            grown[: old.shape[0]] = old
-            # ndarray.dot gives matmul's bits with less overhead per call
-            step = self.chain.transition.dot
-            for j in range(old.shape[0], grown.shape[0]):
-                step(grown[j - 1], out=grown[j])
-            grown.flags.writeable = False
-            self._table = old = grown
+        if old.shape[0] <= k and not self._fixed:
+            self._table = old = self._grown(max(k + 1, 2 * old.shape[0]))
         return old[: k + 1]
+
+    def _grown(self, rows: int) -> np.ndarray:
+        """The table extended to ``rows`` rows, or cut at its first fixed point."""
+        old = self._table
+        grown = np.empty((rows,) + old.shape[1:])
+        grown[: old.shape[0]] = old
+        # ndarray.dot gives matmul's bits with less overhead per call
+        step = self.chain.transition.dot
+        bits = grown.view(np.int64)
+        start = old.shape[0]
+        while start < rows:
+            stop = min(rows, (start // _FIXED_CHUNK + 1) * _FIXED_CHUNK)
+            for j in range(start, stop):
+                step(grown[j - 1], out=grown[j])
+            if stop > _FIXED_CHUNK:
+                # the first search covers the rows no search has seen
+                lo = start if start > _FIXED_CHUNK else 1
+                same = (bits[lo:stop] == bits[lo - 1 : stop - 1]).all(axis=(1, 2))
+                repeats = np.flatnonzero(same)
+                if repeats.size:
+                    grown = grown[: lo + repeats[0]].copy()
+                    self._fixed = True
+                    break
+            start = stop
+        grown.flags.writeable = False
+        return grown
 
     def get(self, k: int) -> np.ndarray:
         """Per-state values of the k-fold kernel application (k = 0 gives f)."""
-        return self.table(k)[k]
+        table = self.table(k)
+        return table[min(k, table.shape[0] - 1)]
 
     def second_moment(self, k: int) -> float:
         """Stationary second moment of the k-th power image."""
@@ -411,19 +452,21 @@ class ChainPowers:
         return self._stationary_dots(n, lambda rows: coordinate_dots(rows, f))
 
     def _stationary_dots(self, n: int, per_state) -> np.ndarray:
-        """``stationary @ per_state(row)`` for the table rows 0..n, read-only.
+        """``stationary @ per_state(Q^k f)`` for k = 0..n, read-only.
 
-        ``per_state`` maps a chunk of rows to their per-state values, and each
-        row keeps its own stationary dot product, so every entry equals the
-        one-row computation.
+        ``per_state`` maps a chunk of table rows to their per-state values,
+        and each row keeps its own stationary dot product, so every entry
+        equals the one-row computation.  Powers past the last row repeat its
+        value.
         """
         table = self.table(n)
         chunk = max(1, _SQUARE_CHUNK // table[0].size)
         dot = self.chain.stationary.dot
         out = np.concatenate([
             np.fromiter(map(dot, per_state(table[lo : lo + chunk])), dtype=float)
-            for lo in range(0, n + 1, chunk)
+            for lo in range(0, table.shape[0], chunk)
         ])
+        out = out[power_rows(table, np.arange(n + 1))]
         out.flags.writeable = False
         return out
 
@@ -901,7 +944,10 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    partial = np.cumsum(w.eval_range(n)[1:, None, None] * powers.table(n)[1:], axis=0)
+    table = powers.table(n)
+    partial = table[power_rows(table, np.arange(1, n + 1))]
+    partial *= w.eval_range(n)[1:, None, None]
+    np.cumsum(partial, axis=0, out=partial)
     partial.flags.writeable = False
     best = (partial ** 2).sum(axis=2).max(axis=0)
     return partial, float(powers.chain.stationary @ best)
@@ -1020,11 +1066,12 @@ def verify_markov_inequality(
     elif check is MarkovCheck.PAIRED_POWER_MAX:
         # sizes the table through 2n before row 1 is read for f + Qf
         covs = powers.autocovariances(2 * n)
-        paired = Observable(f.values + powers.table(1)[1])
+        paired = Observable(f.values + powers.get(1))
         _, lhs = weighted_series(ChainPowers(chain, paired), UNIT_WEIGHTS, 2 * n)
         rhs = abs(_left_sum(np.arange(1, 2 * n + 1) * covs[1:])) + covs[2]
     else:  # STEIN
-        best = (powers.table(2 * n + 1)[2:] ** 2).sum(axis=2).max(axis=0)
+        table = powers.table(2 * n + 1)
+        best = (table[power_rows(table, np.arange(2, 2 * n + 2))] ** 2).sum(axis=2).max(axis=0)
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 

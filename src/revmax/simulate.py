@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_prob import ValidationError, _left_sum
-from .markov import ChainPowers, Observable, ReversibleChain, squared_norms
+from .markov import ChainPowers, Observable, ReversibleChain, power_rows, squared_norms
 from .weights import WeightSequence
 
 __all__ = [
@@ -233,7 +233,8 @@ def series_paths(
     n = states.shape[1] - 1
     if n < 1:
         raise ValidationError("trajectory must have at least one step")
-    paths = ChainPowers(chain, f).table(n)[np.arange(1, n + 1), states[:, 1:]]
+    table = ChainPowers(chain, f).table(n)
+    paths = table[power_rows(table, np.arange(1, n + 1)), states[:, 1:]]
     paths *= w.eval_range(n)[1:, None]
     return np.cumsum(paths, axis=1, out=paths)
 
@@ -267,19 +268,23 @@ def as_convergence_diagnostic(paths: np.ndarray, checkpoints) -> OscillationTabl
 
     ``paths`` has shape (trials, n) or (trials, n, dim); every checkpoint n
     needs path values through 2n.  At least 30 trials are required for the
-    quantiles to mean anything.
+    quantiles to mean anything.  Each window is reduced for a block of
+    trials at a time, about ``_PATH_CHUNK`` entries of it.
     """
     arr = np.asarray(paths, dtype=float)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ValidationError("paths must have shape (trials, n) or (trials, n, dim)")
-    trials, length, _ = arr.shape
+    trials, length, dim = arr.shape
     checkpoints = _diagnostic_checkpoints(checkpoints, trials, length)
     squares = np.empty((len(checkpoints), trials))
     for c, out in zip(checkpoints, squares):
-        window = arr[:, c - 1 : 2 * c] - arr[:, c - 1 : c]
-        np.max(squared_norms(window), axis=1, out=out)
+        block = max(1, _PATH_CHUNK // ((c + 1) * dim))
+        for lo in range(0, trials, block):
+            rows = arr[lo : lo + block]
+            window = rows[:, c - 1 : 2 * c] - rows[:, c - 1 : c]
+            np.max(squared_norms(window), axis=1, out=out[lo : lo + block])
     return _oscillation_table(squares, checkpoints)
 
 
@@ -345,7 +350,8 @@ def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norm
 
     ``blocks`` yields start states and then time-major state blocks, as
     ``_sample_blocks`` does, for the trials of ``max_squares``;
-    ``table`` holds the kernel powers and ``a = w.eval_range(n)``.  The paths
+    ``table`` is a ``ChainPowers`` table, read at row ``min(j, last)`` for
+    step j, and ``a = w.eval_range(n)``.  The paths
     are built time-major, ``_PATH_CHUNK`` entries at a time: each chunk
     gathers the table rows of steps j0 .. j1 - 1, scales them by the weights,
     adds the carried T_{j0-1} to its first row and sums along time.  That is
@@ -370,7 +376,8 @@ def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norm
         for states in np.array_split(block, range(rows, len(block), rows)):
             j1 = j0 + len(states)
             path = buffer[: len(states)]
-            np.add(states, np.arange(j0 * m, j1 * m, m)[:, None], out=index[: len(states)])
+            steps = power_rows(table, np.arange(j0, j1)) * m
+            np.add(states, steps[:, None], out=index[: len(states)])
             np.take(flat, index[: len(states)], axis=0, out=path)
             path *= a[j0:j1, None, None]
             if j0 > 1:
@@ -606,6 +613,6 @@ def enumerate_max_moment(
         live = np.flatnonzero(prob)
         parent, state = np.divmod(live, m)
         prob = prob[live]
-        partial = partial[parent] + a[k] * table[k, state]
+        partial = partial[parent] + a[k] * table[power_rows(table, k), state]
         best = np.maximum(best[parent], squared_norms(partial))
     return _left_sum(prob * best)

@@ -115,3 +115,18 @@ def benchmark_chains(seed):
 def test_simulate_benchmark_chains_at_two_to_the_sixteen(seed):
     for chain, f in benchmark_chains(seed):
         assert_matches_reference(chain, f, 1 << 16)
+
+
+def test_birth_death_table_stops_at_its_fixed_point():
+    chain, f = next(benchmark_chains(7))
+    table = ChainPowers(chain, f).table(1 << 16)
+    assert table.shape[0] < 4096
+    assert np.array_equal(chain.transition.dot(table[-1]), table[-1])
+
+
+def test_short_tables_are_never_searched():
+    # f = 0 repeats from row 1, but a table of 256 rows or fewer holds every row
+    chain, _ = random_chain_instance(11, m_max=20)
+    powers = ChainPowers(chain, Observable(np.zeros(chain.m)))
+    assert powers.table(255).shape[0] == 256
+    assert powers.table(256).shape[0] == 1

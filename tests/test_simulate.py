@@ -335,8 +335,10 @@ class TestOscillationDiagnostic:
         assert table.consistent
         assert all(q == 0.0 for q in table.q95)
 
+    @pytest.mark.parametrize("chunk", [1 << 17, 100])  # one block of trials, or many
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])
-    def test_matches_the_full_array_formula_bit_for_bit(self, dim):
+    def test_matches_the_full_array_formula_bit_for_bit(self, dim, chunk, monkeypatch):
+        monkeypatch.setattr(simulate, "_PATH_CHUNK", chunk)
         chain, f = random_chain_instance(61, m_max=12, dim=dim)
         paths = self.run_paths(chain, f, WeightSequence.power(-0.5), 256, 33, 6)
         checkpoints = [8, 16, 32, 64, 128]
@@ -346,6 +348,18 @@ class TestOscillationDiagnostic:
             osc = np.linalg.norm(window, axis=2).max(axis=1)
             assert median == float(np.quantile(osc, 0.5))
             assert q95 == float(np.quantile(osc, 0.95))
+
+    def test_reduces_a_block_of_trials_at_a_time(self):
+        # one window of all 200 trials at checkpoint 2**13 would take 26.2 MB,
+        # and its squared norms 13.1 MB more
+        paths = np.random.default_rng(5).standard_normal((200, 2 ** 14, 2))
+        tracemalloc.start()
+        try:
+            as_convergence_diagnostic(paths, [2 ** k for k in range(3, 14)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_too_few_trials_rejected(self):
         chain = two_state(0.25, 0.25)
@@ -615,6 +629,18 @@ class TestMcMaxMoment:
                 stats.b[k] * powers.second_moment(k) for k in range(1, n + 1)
             )
             assert out.estimate <= bound + 3 * out.standard_error + 1e-12
+
+    def test_reduces_a_block_of_trials_at_a_time(self):
+        # one window of all 200 trials at checkpoint 2**13 would take 26.2 MB,
+        # and its squared norms 13.1 MB more
+        paths = np.random.default_rng(5).standard_normal((200, 2 ** 14, 2))
+        tracemalloc.start()
+        try:
+            as_convergence_diagnostic(paths, [2 ** k for k in range(3, 14)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_too_few_trials_rejected(self):
         chain = two_state(0.25, 0.25)
