@@ -823,6 +823,18 @@ class TestMarkovInequalities:
         monkeypatch.setattr(markov, "autocovariance", pointwise)
         assert verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stein_constant_one_fails_on_the_periodic_four_ring(self, n):
+        # A known violation, pinned until the constant is re-derived.  On the
+        # periodic ring every power Q^j e_1, j >= 1, is 1/2 on two opposite
+        # states and 0 on the other two, alternating with the parity of j.
+        # So max_{2 <= j <= 2n + 1} (Q^j e_1)^2 is 1/4 at every state, while
+        # the right side <e_1, Q^2 e_1>_pi is 1/8.
+        e_1 = Observable([1.0, 0.0, 0.0, 0.0])
+        rec = verify_markov_inequality(MarkovCheck.STEIN, lazy_ring(4, 0.0), e_1, n)
+        assert (rec.lhs, rec.rhs, rec.ratio, rec.constant) == (0.25, 0.125, 2.0, 1.0)
+        assert not rec.passed and not rec.skipped
+
     def test_scalar_only_checks_reject_vectors(self):
         chain, f = random_chain_instance(83, m_max=8, dim=2)
         with pytest.raises(ValidationError, match="scalar"):
