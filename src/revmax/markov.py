@@ -437,6 +437,17 @@ class ChainPowers:
         table = self.table(k)
         return table[min(k, table.shape[0] - 1)]
 
+    def images(self, lo: int, hi: int) -> np.ndarray:
+        """Q^j f for j = lo..hi - 1, shape (hi - lo, m, dim).
+
+        A read-only view of the table where it holds those rows; past its
+        fixed point, a new array gathered from the rows ``min(j, last)``.
+        """
+        table = self.table(hi - 1)
+        if hi <= table.shape[0]:
+            return table[lo:hi]
+        return table[power_rows(table, np.arange(lo, hi))]
+
     def second_moment(self, k: int) -> float:
         """Stationary second moment of the k-th power image."""
         v = self.get(k)
@@ -466,7 +477,8 @@ class ChainPowers:
             np.fromiter(map(dot, per_state(table[lo : lo + chunk])), dtype=float)
             for lo in range(0, table.shape[0], chunk)
         ])
-        out = out[power_rows(table, np.arange(n + 1))]
+        if table.shape[0] <= n:
+            out = out[power_rows(table, np.arange(n + 1))]
         out.flags.writeable = False
         return out
 
@@ -944,10 +956,7 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    table = powers.table(n)
-    partial = table[power_rows(table, np.arange(1, n + 1))]
-    partial *= w.eval_range(n)[1:, None, None]
-    np.cumsum(partial, axis=0, out=partial)
+    partial = np.cumsum(w.eval_range(n)[1:, None, None] * powers.images(1, n + 1), axis=0)
     partial.flags.writeable = False
     best = (partial ** 2).sum(axis=2).max(axis=0)
     return partial, float(powers.chain.stationary @ best)
@@ -1070,8 +1079,7 @@ def verify_markov_inequality(
         _, lhs = weighted_series(ChainPowers(chain, paired), UNIT_WEIGHTS, 2 * n)
         rhs = abs(_left_sum(np.arange(1, 2 * n + 1) * covs[1:])) + covs[2]
     else:  # STEIN
-        table = powers.table(2 * n + 1)
-        best = (table[power_rows(table, np.arange(2, 2 * n + 2))] ** 2).sum(axis=2).max(axis=0)
+        best = (powers.images(2, 2 * n + 2) ** 2).sum(axis=2).max(axis=0)
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 

@@ -12,6 +12,7 @@ import pytest
 
 from revmax.markov import (
     ChainPowers,
+    MarkovCheck,
     Observable,
     birth_death,
     dump_chain,
@@ -19,7 +20,10 @@ from revmax.markov import (
     load_chain,
     make_chain,
     random_chain_instance,
+    verify_markov_inequality,
+    weighted_series,
 )
+from revmax.weights import WeightSequence
 
 N = 4096
 
@@ -115,6 +119,29 @@ def benchmark_chains(seed):
 def test_simulate_benchmark_chains_at_two_to_the_sixteen(seed):
     for chain, f in benchmark_chains(seed):
         assert_matches_reference(chain, f, 1 << 16)
+
+
+def assert_series_and_stein_match_the_step_loop(chain, f, n):
+    """``weighted_series`` through 2n and the Stein lhs equal a loop over all rows."""
+    w = WeightSequence.power(-0.5)
+    rows = reference_rows(chain, f, 2 * n + 1)
+    running, expected = np.zeros_like(f.values), []
+    for j in range(1, 2 * n + 1):
+        running = running + w.eval(j) * rows[j]
+        expected.append(running)
+    partial, _ = weighted_series(ChainPowers(chain, f), w, 2 * n)
+    assert partial.tobytes() == np.stack(expected).tobytes()
+    scalar = Observable(f.values[:, 0])
+    best = (rows[2:, :, :1] ** 2).sum(axis=2).max(axis=0)
+    rec = verify_markov_inequality(MarkovCheck.STEIN, chain, scalar, n)
+    assert rec.lhs == float(chain.stationary @ best)
+
+
+def test_series_and_stein_past_the_fixed_point():
+    for seed in range(20):
+        assert_series_and_stein_match_the_step_loop(*random_chain_instance(seed), 300)
+    for chain, f in benchmark_chains(7):
+        assert_series_and_stein_match_the_step_loop(chain, f, 1500)
 
 
 def test_birth_death_table_stops_at_its_fixed_point():

@@ -592,6 +592,13 @@ class TestMcMaxMoment:
         assert out.standard_error == pytest.approx(0.0, abs=1e-12)
         assert out.estimate == pytest.approx(exact, abs=1e-12)
 
+    def test_enumeration_reads_powers_past_the_fixed_point(self):
+        # the identity kernel repeats f from row 1, so its table keeps one
+        # row, and every path stays put: T_k = k f(xi_0)
+        chain = lazy_ring(2, 1.0)
+        f = Observable([1.0, -1.0])
+        assert enumerate_max_moment(chain, f, WeightSequence.constant(1.0), 300) == 300.0 ** 2
+
     def test_matches_enumeration_within_three_errors(self):
         chain = two_state(0.25, 0.25)
         f = Observable([1.0, -1.0])
