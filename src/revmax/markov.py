@@ -956,7 +956,8 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    partial = np.cumsum(w.eval_range(n)[1:, None, None] * powers.images(1, n + 1), axis=0)
+    partial = w.eval_range(n)[1:, None, None] * powers.images(1, n + 1)
+    np.cumsum(partial, axis=0, out=partial)
     partial.flags.writeable = False
     best = (partial ** 2).sum(axis=2).max(axis=0)
     return partial, float(powers.chain.stationary @ best)
