@@ -425,7 +425,10 @@ class ChainPowers:
                 same = (bits[lo:stop] == bits[lo - 1 : stop - 1]).all(axis=(1, 2))
                 repeats = np.flatnonzero(same)
                 if repeats.size:
-                    grown = grown[: lo + repeats[0]].copy()
+                    # a view, not a copy: rows never written take no memory,
+                    # while freeing a large block mid-command raised later
+                    # peaks (glibc then serves such sizes from its heap)
+                    grown = grown[: lo + repeats[0]]
                     self._fixed = True
                     break
             start = stop
