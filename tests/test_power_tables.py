@@ -132,7 +132,7 @@ def assert_series_and_stein_match_the_step_loop(chain, f, n):
     partial, _ = weighted_series(ChainPowers(chain, f), w, 2 * n)
     assert partial.tobytes() == np.stack(expected).tobytes()
     scalar = Observable(f.values[:, 0])
-    best = (rows[2:, :, :1] ** 2).sum(axis=2).max(axis=0)
+    best = (reference_rows(chain, scalar, 2 * n + 1)[2:] ** 2).sum(axis=2).max(axis=0)
     rec = verify_markov_inequality(MarkovCheck.STEIN, chain, scalar, n)
     assert rec.lhs == float(chain.stationary @ best)
 
