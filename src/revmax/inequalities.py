@@ -269,57 +269,24 @@ def random_instance(
     return Instance(sequence=AdaptedSequence(filtration, values), seed=int(seed))
 
 
-_LOW32 = 0xFFFFFFFF
-
-
-def _uint32_draws(bit_generator, count: int):
-    """The bit generator's 32-bit draws: low half of each raw word, then high.
-
-    The first ``count`` come from one batch of raw words; later ones are read
-    a word at a time, so the stream never runs ahead of what is drawn.
-    """
-    for word in bit_generator.random_raw(-(-count // 2)).tolist():
-        yield word & _LOW32
-        yield word >> 32
-    while True:
-        word = int(bit_generator.random_raw())
-        yield word & _LOW32
-        yield word >> 32
-
-
 def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
     """``sorted(rng.choice(k, 2, replace=False))`` for k = atoms down to
-    atoms - levels + 2, read from the generator's raw words.
+    atoms - levels + 2, from one ``rng.integers`` call.
 
     For two picks from k < 2^32, ``Generator.choice`` runs Floyd's sampling
-    (Bentley & Floyd, CACM 30(9), 1987) with Lemire's bounded integers (ACM
-    TOMACS 29(1), 2019) over 32-bit draws: a first pick on 0..k-2, none when
-    k = 2; a second pick on 0..k-1 that becomes k - 1 if it repeats the
-    first; and one draw for the two-element shuffle, whose order sorting
-    discards.  The
-    32-bit draws come from the generator's 64-bit words, low half first with
-    the high half kept for the next draw.  ``rng`` must not hold a spare high
-    half from an earlier 32-bit draw, and nothing after these calls may read
-    one, because the spare kept here is not handed back to ``rng``.
+    (Bentley & Floyd, CACM 30(9), 1987): a first pick on 0..k-2, a second on
+    0..k-1 that becomes k - 1 if it repeats the first, and one 32-bit draw
+    for the two-element shuffle, whose order sorting discards.  ``integers``
+    over the bounds (k - 1, k, 2) makes the same draws through the same
+    bounded-integer routine: bound 1 (k = 2) reads nothing, and a draw on
+    0..1 never rejects, so it reads the one 32-bit word the shuffle reads.
     """
-    # no rejections: k = 2 draws twice, every larger k three times
-    draws = _uint32_draws(rng.bit_generator, 3 * (levels - 1) - (levels == atoms))
-
-    def below(bound: int) -> int:  # Lemire: uniform on 0..bound-1
-        m = next(draws) * bound
-        if m & _LOW32 < bound:
-            threshold = (_LOW32 + 1 - bound) % bound
-            while m & _LOW32 < threshold:
-                m = next(draws) * bound
-        return m >> 32
-
+    ks = np.arange(atoms, atoms - levels + 1, -1)
+    bounds = np.stack([ks - 1, ks, np.full_like(ks, 2)], axis=1)
     pairs = []
-    for k in range(atoms, atoms - levels + 1, -1):
-        first = below(k - 1) if k > 2 else 0
-        second = below(k)
+    for k, (first, second, _) in zip(ks.tolist(), rng.integers(0, bounds).tolist()):
         if second == first:
             second = k - 1
-        next(draws)  # the shuffle
         pairs.append((first, second) if first < second else (second, first))
     return pairs
 

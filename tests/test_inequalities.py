@@ -193,9 +193,8 @@ class TestRandomInstance:
 
     def test_merge_pairs_match_generator_choice_through_rejections(self):
         # near k = 3 * 2^30, Lemire rejects about a quarter of all draws, so
-        # runs also read past the batch that covers the draws without
-        # rejections; the runs from 2^31 + 20 cross k = 2^31, whose power-of-two
-        # bound never rejects
+        # runs read more 32-bit words than three per level; the runs from
+        # 2^31 + 20 cross k = 2^31, whose power-of-two bound never rejects
         for seed in range(20):
             self.assert_merge_run(seed, 3 * 2**30 + seed, 40, lead=seed % 3)
             self.assert_merge_run(seed, 2**31 + 20, 40, lead=seed % 3)
