@@ -119,6 +119,7 @@ _MODEL_FLAGS = {"two-state": "--p/--q", "birth-death": "--up/--down", "lazy-ring
 
 
 def _cmd_gen_chain(args, argv) -> int:
+    _require_minimums(args, {"--seed": 0})
     params = {}
     if args.model == "two-state":
         params = {"p": args.p, "q": args.q}
@@ -220,8 +221,8 @@ def _cmd_check_conditions(args, argv) -> int:
 
 def _cmd_verify(args, argv) -> int:
     check = InequalityId(args.check)
-    _require_minimums(args, {"--instances": 0, "--atoms-max": 2, "--n-max": 1, "--dim-max": 1,
-                             "--threads": 1})
+    _require_minimums(args, {"--instances": 0, "--seed": 0, "--atoms-max": 2, "--n-max": 1,
+                             "--dim-max": 1, "--threads": 1})
     try:
         traced_constant(check, args.p)
     except ValidationError as exc:
@@ -258,7 +259,8 @@ def _verdict_health(records) -> dict:
 
 def _cmd_verify_markov(args, argv) -> int:
     check = MarkovCheck(args.check)
-    _require_minimums(args, {"--chains": 0, "--m-max": 2, "--n-max": 1, "--threads": 1})
+    _require_minimums(args, {"--chains": 0, "--seed": 0, "--m-max": 2, "--n-max": 1,
+                             "--threads": 1})
     # the even and odd statistics of horizon n read a_1 .. a_8n
     weights = _weights(args.weights, 8 * args.n_max) if args.weights else None
     tol = _tol_override(args)
@@ -435,6 +437,7 @@ _SCHEMAS = """file schemas:
   observable JSON   {"dim": d, "values": [[per-state vector], ...]}
   problem JSON      {"probs": [...], "partitions": [[[atom idx]...]...],
                      "dim": d, "terms": [[[per-atom vector]...]...]}
+                    (library only: finite_prob.load_problem reads it)
   weight spec       constant:1.0 | power:-0.5 | explicit:@file.json
                     | alternating:<spec>
   verification CSV  id,p,seed,atoms,n,dim,lhs,rhs,ratio,constant,pass

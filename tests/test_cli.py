@@ -386,6 +386,24 @@ def test_out_of_range_flag_exits_two_naming_it(argv, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("argv, draw", [
+    (["verify", "--id", "max-vs-endpoint"], "verify_batch"),
+    (["verify-markov", "--id", "stein"], "verify_markov_batch"),
+    (["gen-chain", "--model", "weighted-graph", "--m", "5"], "make_chain"),
+], ids=["verify", "verify-markov", "gen-chain"])
+def test_negative_seed_exits_two_before_any_draw(argv, draw, tmp_path, monkeypatch, capsys):
+    # numpy refuses a negative seed with a ValueError, which would escape
+    # as exit code 1, the code for a violation
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before --seed was checked")
+
+    monkeypatch.setattr(cli, draw, no_draw)
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "-o", str(out)]) == 2
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["verify", "verify-markov"])
 def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, capsys):
