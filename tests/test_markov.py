@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ from revmax.markov import (
     weighted_series,
 )
 from revmax.weights import even_odd_stats
+
+STEIN_CENTERED = Path(__file__).parent / "data" / "verify_markov" / "stein-centered-lazy-ring-8.json"
 
 
 def disconnected_chain():
@@ -833,6 +837,20 @@ class TestMarkovInequalities:
         e_1 = Observable([1.0, 0.0, 0.0, 0.0])
         rec = verify_markov_inequality(MarkovCheck.STEIN, lazy_ring(4, 0.0), e_1, n)
         assert (rec.lhs, rec.rhs, rec.ratio, rec.constant) == (0.25, 0.125, 2.0, 1.0)
+        assert not rec.passed and not rec.skipped
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stein_constant_one_fails_for_a_centered_observable(self, n):
+        # A known violation, pinned until the constant is re-derived: centering
+        # f does not rescue C = 1.  A selection ascent found this f on the
+        # periodic eight-ring; its ratio 1.3279344 is a lower bound on the
+        # worst one at these horizons.
+        f = load_observable(json.loads(STEIN_CENTERED.read_text(encoding="utf-8")))
+        chain = lazy_ring(8, 0.0)
+        assert abs(float(chain.stationary @ f.values[:, 0])) < 1e-15
+        rec = verify_markov_inequality(MarkovCheck.STEIN, chain, f, n)
+        assert (rec.lhs, rec.rhs, rec.constant) == (1.0568331093749999, 0.7958473749999999, 1.0)
+        assert rec.ratio >= 1.3279
         assert not rec.passed and not rec.skipped
 
     def test_scalar_only_checks_reject_vectors(self):
