@@ -280,9 +280,13 @@ def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
     over the bounds (k - 1, k, 2) makes the same draws through the same
     bounded-integer routine: bound 1 (k = 2) reads nothing, and a draw on
     0..1 never rejects, so it reads the one 32-bit word the shuffle reads.
+    A spare 32-bit half is taken from and left in the bit generator, as
+    ``choice`` takes and leaves it.
     """
     ks = np.arange(atoms, atoms - levels + 1, -1)
-    bounds = np.stack([ks - 1, ks, np.full_like(ks, 2)], axis=1)
+    bounds = np.full((levels - 1, 3), 2)
+    bounds[:, 0] = ks - 1
+    bounds[:, 1] = ks
     pairs = []
     for k, (first, second, _) in zip(ks.tolist(), rng.integers(0, bounds).tolist()):
         if second == first:

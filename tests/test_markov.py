@@ -47,7 +47,7 @@ from revmax.markov import (
 )
 from revmax.weights import even_odd_stats
 
-STEIN_CENTERED = Path(__file__).parent / "data" / "verify_markov" / "stein-centered-lazy-ring-8.json"
+DATA = Path(__file__).parent / "data"
 
 
 def disconnected_chain():
@@ -845,7 +845,8 @@ class TestMarkovInequalities:
         # f does not rescue C = 1.  A selection ascent found this f on the
         # periodic eight-ring; its ratio 1.3279344 is a lower bound on the
         # worst one at these horizons.
-        f = load_observable(json.loads(STEIN_CENTERED.read_text(encoding="utf-8")))
+        path = DATA / "verify_markov" / "stein-centered-lazy-ring-8.json"
+        f = load_observable(json.loads(path.read_text(encoding="utf-8")))
         chain = lazy_ring(8, 0.0)
         assert abs(float(chain.stationary @ f.values[:, 0])) < 1e-15
         rec = verify_markov_inequality(MarkovCheck.STEIN, chain, f, n)
