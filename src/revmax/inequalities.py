@@ -277,11 +277,10 @@ def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
     (Bentley & Floyd, CACM 30(9), 1987): a first pick on 0..k-2, a second on
     0..k-1 that becomes k - 1 if it repeats the first, and one 32-bit draw
     for the two-element shuffle, whose order sorting discards.  ``integers``
-    over the bounds (k - 1, k, 2) makes the same draws through the same
-    bounded-integer routine: bound 1 (k = 2) reads nothing, and a draw on
-    0..1 never rejects, so it reads the one 32-bit word the shuffle reads.
-    A spare 32-bit half is taken from and left in the bit generator, as
-    ``choice`` takes and leaves it.
+    over the bounds (k - 1, k, 2) makes the same draws, spare 32-bit half
+    included, through the same bounded-integer routine: bound 1 (k = 2)
+    reads nothing, and a draw on 0..1 never rejects, so it reads the one
+    word the shuffle reads.
     """
     ks = np.arange(atoms, atoms - levels + 1, -1)
     bounds = np.full((levels - 1, 3), 2)
