@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .finite_prob import ValidationError, _load_json, _numbers
 from .inequalities import (
-    _WEIGHTED_IDS, InequalityId, make_record, series_criterion, traced_constant, verify_batch,
+    InequalityId, make_record, series_criterion, traced_constant, verify_batch,
 )
 from .markov import (
     ChainPowers,
@@ -236,7 +236,7 @@ def _cmd_verify(args, argv) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_batch(check, args.p, args.instances, args.seed, weights,
                                args.atoms_max, args.n_max, args.dim_max)
-    flags = "--p/--weights" if check in _WEIGHTED_IDS else "--p"
+    flags = "--p/--weights" if check.weighted else "--p"
     return _report_batch(args, argv, check, records, "instance", flags, tol)
 
 

@@ -35,6 +35,7 @@ from .finite_prob import (
     _max_moment,
     _moments,
     _norms,
+    _partial_sum_tables,
 )
 from .weights import WeightSequence, compute_stats
 
@@ -60,23 +61,20 @@ DEGENERATE_LHS_TOL = 1e-12
 
 
 class InequalityId(str, enum.Enum):
-    """The verifiable inequalities over decreasing filtrations."""
+    """The filtration inequalities, each with its ``p_range`` and whether it is ``weighted``."""
 
-    MAX_VS_ENDPOINT = "max-vs-endpoint"
-    MAX_VS_PROJECTIONS = "max-vs-projections"
-    WEIGHTED_MAX_VS_ENDPOINT = "weighted-max-vs-endpoint"
-    WEIGHTED_MAX_VS_PROJECTIONS = "weighted-max-vs-projections"
-    DYADIC_WEIGHTED_MAX = "dyadic-weighted-max"
-    SECOND_MOMENT_SERIES = "second-moment-series"
-    SMOOTHNESS = "smoothness"
+    def __new__(cls, value: str, p_range: str, weighted: bool):
+        member = str.__new__(cls, value)
+        member._value_, member.p_range, member.weighted = value, p_range, weighted
+        return member
 
-
-_WEIGHTED_IDS = {
-    InequalityId.WEIGHTED_MAX_VS_ENDPOINT,
-    InequalityId.WEIGHTED_MAX_VS_PROJECTIONS,
-    InequalityId.DYADIC_WEIGHTED_MAX,
-    InequalityId.SECOND_MOMENT_SERIES,
-}
+    MAX_VS_ENDPOINT = "max-vs-endpoint", "1 < p < inf", False
+    MAX_VS_PROJECTIONS = "max-vs-projections", "1 < p <= 2", False
+    WEIGHTED_MAX_VS_ENDPOINT = "weighted-max-vs-endpoint", "1 < p < inf", True
+    WEIGHTED_MAX_VS_PROJECTIONS = "weighted-max-vs-projections", "1 < p <= 2", True
+    DYADIC_WEIGHTED_MAX = "dyadic-weighted-max", "1 < p < inf", True
+    SECOND_MOMENT_SERIES = "second-moment-series", "p = 2", True
+    SMOOTHNESS = "smoothness", "1 < p <= 2", False
 
 
 @dataclass(frozen=True)
@@ -128,13 +126,14 @@ def smoothness_factor(p: float) -> float:
 def traced_constant(check: InequalityId, p: float) -> TracedConstant:
     """The committed constant for an inequality at exponent p.
 
-    Raises when p lies outside the inequality's validity range; NaN and
+    Raises when p lies outside the inequality's ``p_range``; NaN and
     infinite exponents lie outside every range.
     """
     check = InequalityId(check)
+    within = {"1 < p < inf": 1 < p < math.inf, "1 < p <= 2": 1 < p <= 2, "p = 2": p == 2}
+    if not within[check.p_range]:
+        raise ValidationError(f"{check.value} needs {check.p_range}, got {p}")
     if check in (InequalityId.MAX_VS_ENDPOINT, InequalityId.WEIGHTED_MAX_VS_ENDPOINT):
-        if not 1 < p < math.inf:
-            raise ValidationError(f"{check.value} needs 1 < p < inf, got {p}")
         q = doob_factor(p)
         try:
             value = triangle_factor(p) + 8.0 ** (p - 1.0) * (1.0 + q)
@@ -148,12 +147,7 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
             "endpoint decomposition |full sum| <= |S_n| + |cond endpoint|: factor 2^(p-1)",
             f"assembled coefficient max: 2^(p-1) + 8^(p-1)*(1+{q:g}) = {value:g}",
         )
-    elif check in (
-        InequalityId.MAX_VS_PROJECTIONS,
-        InequalityId.WEIGHTED_MAX_VS_PROJECTIONS,
-    ):
-        if not 1 < p <= 2:
-            raise ValidationError(f"{check.value} needs 1 < p <= 2, got {p}")
+    elif check in (InequalityId.MAX_VS_PROJECTIONS, InequalityId.WEIGHTED_MAX_VS_PROJECTIONS):
         q = doob_factor(p)
         d = smoothness_factor(p)
         value = 4.0 ** (p - 1.0) * (1.0 + q) * d
@@ -164,8 +158,6 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
             f"assembled coefficient max: 4^(p-1)*(1+{q:g})*{d:g} = {value:g}",
         )
     elif check is InequalityId.DYADIC_WEIGHTED_MAX:
-        if not 1 < p < math.inf:
-            raise ValidationError(f"{check.value} needs 1 < p < inf, got {p}")
         q = doob_factor(p)
         value = 2.0 * q
         steps = (
@@ -174,8 +166,6 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
             f"assembled: 2*{q:g} = {value:g}",
         )
     elif check is InequalityId.SECOND_MOMENT_SERIES:
-        if p != 2:
-            raise ValidationError(f"{check.value} is a p = 2 statement, got {p}")
         q = doob_factor(2.0)
         split = triangle_factor(2.0)
         max_route = split * traced_constant(InequalityId.DYADIC_WEIGHTED_MAX, 2.0).value
@@ -188,17 +178,13 @@ def traced_constant(check: InequalityId, p: float) -> TracedConstant:
             " differences, each below its b coefficient: factor 1",
             f"assembled: {max_route:g} + {proj_route:g} = {value:g}",
         )
-    elif check is InequalityId.SMOOTHNESS:
-        if not 1 < p <= 2:
-            raise ValidationError(f"{check.value} needs 1 < p <= 2, got {p}")
+    else:  # SMOOTHNESS
         value = smoothness_factor(p)
         steps = (
             "p = 2: orthogonality of martingale differences, constant 1"
             if p == 2
             else "1 < p < 2: two-point inequality + conditional Jensen, constant 2",
         )
-    else:  # pragma: no cover
-        raise ValidationError(f"no constant for {check}")
     return TracedConstant(check=check.value, p=p, value=value, derivation=steps)
 
 
@@ -217,6 +203,12 @@ class Instance:
 
     def descriptor(self) -> dict:
         return {"seed": self.seed, "atoms": self.atoms, "n": self.n, "dim": self.dim}
+
+
+def _generator(seed: int | None) -> np.random.Generator:
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_instance(
@@ -246,7 +238,7 @@ def random_instance(
             f"infeasible shape: {levels} levels exceed the {atoms - 1} possible"
             f" pair merges from {atoms} singletons"
         )
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     probs = rng.uniform(0.2, 1.0, atoms)
     space = FiniteProbSpace(probs / probs.sum())
 
@@ -312,12 +304,17 @@ def verify(
     n = instance.n if n is None else n
     if not 1 <= n <= instance.n:
         raise ValidationError(f"n={n} out of range for instance with n={instance.n}")
-    constant = traced_constant(check, p)
+    return _record(check, instance, n, p, weights, traced_constant(check, p).value)
+
+
+def _record(check: InequalityId, instance: Instance, n: int, p: float,
+            weights: WeightSequence | None, constant: float) -> VerificationRecord:
+    """``verify``'s record on the first n terms, judged against ``constant``."""
     filtration = instance.filtration
     probs = instance.space.probs
     X = instance.sequence.values[0]
 
-    if check in _WEIGHTED_IDS:
+    if check.weighted:
         if weights is None:
             raise ValidationError(f"{check.value} needs a weight sequence")
         stats = compute_stats(weights, n)
@@ -354,8 +351,7 @@ def verify(
         lhs = _moments(probs, _norms(np.cumsum(diffs, axis=0)[-1:]), p)[0]
         rhs = _left_sum(np.array(_moments(probs, _norms(diffs), p)))
     else:
-        partial = np.cumsum(instance.sequence.values[:n], axis=0)
-        conditioned = _cond_table(filtration, partial)
+        partial, conditioned = _partial_sum_tables(instance.sequence, n)
         partial_norms = _norms(partial)
         lhs = _max_moment(probs, partial_norms, p)
         rhs = _max_moment(probs, _norms(conditioned), p)
@@ -366,7 +362,7 @@ def verify(
             diffs = conditioned[:-1] - coarser
             rhs = _left_sum(np.array([rhs, *_moments(probs, _norms(diffs), p)]))
 
-    return make_record(check.value, p, instance.descriptor() | {"n": n}, lhs, rhs, constant.value)
+    return make_record(check.value, p, instance.descriptor() | {"n": n}, lhs, rhs, constant)
 
 
 def make_record(
@@ -430,20 +426,20 @@ def verify_batch(
 
     Instance shapes and per-instance seeds are drawn from a master generator
     seeded with ``seed``; records come back in instance order, so the batch
-    is reproducible and order-independent of any execution scheduling.  An
-    exponent outside the check's range raises before any instance is drawn.
+    is reproducible and order-independent of any execution scheduling.  The
+    constant is read once, before any instance is drawn.
     """
     check = InequalityId(check)
-    traced_constant(check, p)
-    if check in _WEIGHTED_IDS and weights is None:
+    constant = traced_constant(check, p).value
+    if check.weighted and weights is None:
         weights = WeightSequence.constant(1.0)
-    master = np.random.default_rng(seed)
+    master = _generator(seed)
     records = []
     for _ in range(count):
         atoms, levels, n, dim = sample_instance_shape(master, atoms_max, n_max, dim_max)
         inst_seed = int(master.integers(0, 2**63 - 1))
         instance = random_instance(inst_seed, atoms, levels, n, dim)
-        records.append(verify(check, instance, n=n, p=p, weights=weights))
+        records.append(_record(check, instance, n, p, weights, constant))
     return records
 
 

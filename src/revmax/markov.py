@@ -15,13 +15,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import mmap
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .finite_prob import ValidationError, _dim, _left_sum, _numbers
 from .inequalities import (
-    InequalityId, TracedConstant, VerificationRecord, make_record, traced_constant,
+    InequalityId, TracedConstant, VerificationRecord, _generator, make_record, traced_constant,
 )
 from .weights import WeightSequence, even_odd_stats
 
@@ -294,7 +295,7 @@ def make_chain(model: str, params: dict, seed: int | None = None) -> ReversibleC
         m = int(params["m"])
         if m < 1:
             raise ValidationError(f"weighted-graph needs m >= 1, got {m}")
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         W = rng.uniform(0.0, 1.0, (m, m))
         W = np.triu(W, 1)
         W = W + W.T + np.diag(rng.uniform(0.5, 1.5, m) * max(m - 1, 1) * 0.5)
@@ -409,7 +410,8 @@ class ChainPowers:
     def _grown(self, rows: int) -> np.ndarray:
         """The table extended to ``rows`` rows, or cut at its first fixed point."""
         old = self._table
-        grown = np.empty((rows,) + old.shape[1:])
+        grown = (np.frombuffer(mmap.mmap(-1, rows * old[0].nbytes)).reshape(rows, *old.shape[1:])
+                 if rows > _FIXED_CHUNK else np.empty((rows, *old.shape[1:])))
         grown[: old.shape[0]] = old
         # ndarray.dot gives matmul's bits with less overhead per call
         step = self.chain.transition.dot
@@ -425,9 +427,9 @@ class ChainPowers:
                 same = (bits[lo:stop] == bits[lo - 1 : stop - 1]).all(axis=(1, 2))
                 repeats = np.flatnonzero(same)
                 if repeats.size:
-                    # a view, not a copy: rows never written take no memory,
-                    # while freeing a large block mid-command raised later
-                    # peaks (glibc then serves such sizes from its heap)
+                    # a view, not a copy: a searched table is mapped afresh, so
+                    # rows never written take no memory whatever malloc holds,
+                    # and a copy would free a large block mid-command
                     grown = grown[: lo + repeats[0]]
                     self._fixed = True
                     break
@@ -967,17 +969,19 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
 
 
 class MarkovCheck(str, enum.Enum):
-    """The verifiable chain inequalities."""
+    """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on 3(2C + 1)."""
 
-    WEIGHTED_POWER_MAX = "weighted-power-max"
-    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max"
-    INV_SQRT_POWER_MAX = "inv-sqrt-power-max"
-    PAIRED_POWER_MAX = "paired-power-max"
-    STEIN = "stein"
-    SUP_POWER_MAX = "sup-power-max"
+    def __new__(cls, value: str, scalar_only: bool, factor: float | None):
+        member = str.__new__(cls, value)
+        member._value_, member.scalar_only, member.factor = value, scalar_only, factor
+        return member
 
-
-_SCALAR_ONLY = {MarkovCheck.PAIRED_POWER_MAX, MarkovCheck.STEIN, MarkovCheck.SUP_POWER_MAX}
+    WEIGHTED_POWER_MAX = "weighted-power-max", False, 1.0
+    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0
+    INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0
+    PAIRED_POWER_MAX = "paired-power-max", True, 32.0
+    STEIN = "stein", True, None  # constant 1, not derived from C
+    SUP_POWER_MAX = "sup-power-max", True, 8.0
 
 
 def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
@@ -989,8 +993,8 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
     check = MarkovCheck(check)
     series = traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
     weighted = 3.0 * (series + 1.0 + series)
+    value = 1.0 if check.factor is None else weighted * check.factor
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
-        value = weighted
         steps = (
             "split the doubled-horizon max into the even half, the leading odd"
             " term, and the shifted odd half: factor 3 on squares",
@@ -1003,20 +1007,17 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
             f"assembled: 3 * ({series:g} + 1 + {series:g}) = {value:g}",
         )
     elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        value = weighted * 16.0
         steps = (
             "unit weights give even/odd coefficients exactly 16k",
             "doubled-horizon reduction keeps the sum inside the stated range",
             f"assembled: {weighted:g} * 16 = {value:g}",
         )
     elif check is MarkovCheck.INV_SQRT_POWER_MAX:
-        value = weighted * 8.0
         steps = (
             "inverse square-root weights keep every even/odd coefficient <= 8",
             f"assembled: {weighted:g} * 8 = {value:g}",
         )
     elif check is MarkovCheck.PAIRED_POWER_MAX:
-        value = 2.0 * weighted * 16.0
         steps = (
             f"apply the unit-weight bound to f + Qf: constant {weighted * 16.0:g}",
             "self-adjointness converts paired second moments into signed"
@@ -1026,14 +1027,12 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
             f"assembled: 2 * {weighted * 16.0:g} = {value:g}",
         )
     elif check is MarkovCheck.STEIN:
-        value = 1.0
         steps = (
             "maximal theorem for self-adjoint Markov operators taken"
             " constant-free; exact on spectra without strong negative or"
             " near-unit components",
         )
     else:  # SUP_POWER_MAX
-        value = weighted * 8.0
         steps = (
             "inverse square-root weighted max at doubled horizon, coefficients <= 8",
             f"assembled: {weighted:g} * 8 = {value:g}",
@@ -1055,13 +1054,18 @@ def verify_markov_inequality(
     descriptor's ``seed`` is None: the chain came from no seed here.
     """
     check = MarkovCheck(check)
+    return _markov_record(check, chain, f, n, weights, markov_traced_constant(check).value, None)
+
+
+def _markov_record(check: MarkovCheck, chain: ReversibleChain, f: Observable, n: int,
+                   weights: WeightSequence | None, constant: float, seed: int | None):
+    """``verify_markov_inequality``'s record, judged against ``constant`` and carrying ``seed``."""
     powers = ChainPowers(chain, f)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if check in _SCALAR_ONLY and f.dim != 1:
+    if check.scalar_only and f.dim != 1:
         raise ValidationError(f"{check.value} takes a scalar observable")
-    constant = markov_traced_constant(check)
-    descriptor = {"seed": None, "atoms": chain.m, "n": n, "dim": f.dim}
+    descriptor = {"seed": seed, "atoms": chain.m, "n": n, "dim": f.dim}
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
         w = weights if weights is not None else UNIT_WEIGHTS
@@ -1087,24 +1091,25 @@ def verify_markov_inequality(
         lhs = float(chain.stationary @ best)
         rhs = autocovariance(chain, f, 2, powers)
 
-    return make_record(check.value, 2.0, descriptor, lhs, rhs, constant.value)
+    return make_record(check.value, 2.0, descriptor, lhs, rhs, constant)
 
 
 def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: WeightSequence | None,
                         m_max: int, n_max: int):
     """Run one chain inequality over ``count`` chains of at most ``m_max`` states.
 
-    A master generator seeded with ``seed`` draws each chain's seed and then
-    its horizon in 1..n_max; each record carries its chain's seed.
+    The constant is read once.  A master generator seeded with ``seed`` draws
+    each chain's seed and then its horizon in 1..n_max, both kept in its record.
     """
-    master = np.random.default_rng(seed)
+    check = MarkovCheck(check)
+    constant = markov_traced_constant(check).value
+    master = _generator(seed)
     records = []
     for _ in range(count):
         chain_seed = int(master.integers(0, 2**63 - 1))
         chain, f = random_chain_instance(chain_seed, m_max=m_max)
         n = int(master.integers(1, n_max + 1))
-        record = verify_markov_inequality(check, chain, f, n, weights)
-        records.append(replace(record, descriptor=record.descriptor | {"seed": chain_seed}))
+        records.append(_markov_record(check, chain, f, n, weights, constant, chain_seed))
     return records
 
 
@@ -1132,7 +1137,6 @@ def even_odd_split_residual(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _check_observable(chain, f)
     powers = ChainPowers(chain, f)
     left = np.zeros_like(f.values)
     for j in range(1, 2 * n + 1):
@@ -1159,7 +1163,7 @@ def random_chain_instance(seed: int, m_max: int = 50, dim: int = 1, centered: bo
     rings, birth-death, weighted graphs with self-weights, metropolis) and a
     standard-normal observable, centered under the stationary law by default.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     model = rng.integers(0, 4)
     if model == 0:
         m = int(rng.integers(2, m_max + 1))

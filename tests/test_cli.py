@@ -82,6 +82,19 @@ class TestGenChain:
         assert err == f"error: --m must be >= 2, got {m}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model, flags, message", [
+        ("birth-death", ["--m", "3", "--up", "0.3"], "birth-death needs --m, --up and --down"),
+        ("lazy-ring", ["--m", "3"], "lazy-ring needs --m and --laziness"),
+        ("weighted-graph", [], "weighted-graph needs --weights-file or --m"),
+        ("metropolis", ["--target-file", "t.json"],
+         "metropolis needs --target-file and --proposal-file"),
+    ])
+    def test_missing_flags_exit_two_naming_them(self, model, flags, message, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["gen-chain", "--model", model, *flags, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSpectrum:
     def test_eigenvector_spectrum(self, chain_files, tmp_path):
@@ -258,6 +271,25 @@ class TestCheckConditions:
         # infinite diagnostics serialize as strings to keep the JSON strict
         assert payload["c_sigma2"] == "inf"
         assert payload["d_integral"] == "inf"
+
+    def test_without_out_the_json_goes_to_stdout(self, chain_files, tmp_path, capsys):
+        chain, f, _ = chain_files
+        out = tmp_path / "report.json"
+        assert run(["check-conditions", str(chain), str(f), "-o", str(out)]) == 0
+        capsys.readouterr()
+        files = sorted(tmp_path.iterdir())
+        assert run(["check-conditions", str(chain), str(f)]) == 0
+        assert capsys.readouterr().out == read(out)
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_a_probe_horizon_off_the_powers_of_two_ends_the_grid(self, chain_files, tmp_path):
+        chain, f, _ = chain_files
+        out = tmp_path / "report.json"
+        assert run(["check-conditions", str(chain), str(f), "--probe-horizon", "48",
+                    "-o", str(out)]) == 0
+        payload = json.loads(read(out))
+        assert payload["probe_grid"] == [1, 2, 4, 8, 16, 32, 48]
+        assert len(payload["a_partial_sums"]) == 7
 
 
 class TestVerify:
@@ -763,6 +795,22 @@ class TestReport:
             capsys.readouterr().err
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    def test_violations_of_a_planted_constant_are_counted(self, tmp_path, monkeypatch):
+        csv = tmp_path / "r.csv"
+        # far below the smoothness ratio of 1, so every row is false
+        planted = inequalities.TracedConstant("smoothness", 2.0, 1e-3, ())
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "traced_constant", lambda check, p: planted)
+            assert run(["verify", "--id", "smoothness", "--p", "2", "--instances", "4",
+                        "--seed", "1", "-o", str(csv)]) == 1
+        assert run(["report", "--input", str(csv), "--out-prefix",
+                    str(tmp_path / "out")]) == 0
+        assert read(tmp_path / "out_summary.txt").splitlines() == [
+            "check p count violations max_ratio", "smoothness 2 4 4 0",
+        ]
+        flags = [line.split()[-1] for line in read(tmp_path / "out_ratios.dat").splitlines()[1:]]
+        assert flags == ["0"] * 4
 
 
 def _outcome(rc, out, err, work: Path) -> tuple:

@@ -7,6 +7,8 @@ second moment and autocovariance must equal the reference bit for bit,
 before, at and past the row where the powers stop changing.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,32 @@ def test_birth_death_table_stops_at_its_fixed_point():
     table = ChainPowers(chain, f).table(1 << 16)
     assert table.shape[0] < 4096
     assert np.array_equal(chain.transition.dot(table[-1]), table[-1])
+
+
+def resident_bytes(address):
+    """Resident size of the mapping of this process that holds ``address``."""
+    inside = False
+    with open("/proc/self/smaps", encoding="ascii") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if "-" in fields[0] and len(fields) >= 5:
+                start, end = (int(x, 16) for x in fields[0].split("-"))
+                inside = start <= address < end
+            elif inside and fields[0] == "Rss:":
+                return int(fields[1]) * 1024
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads /proc/self/smaps")
+def test_rows_past_a_cut_take_no_memory_after_a_large_free():
+    # freeing a large mapped block raises glibc's mmap threshold, after which a
+    # table of 2^16 + 1 rows from np.empty would sit in the heap among pages
+    # already resident, and the simulate benchmark's peak moved with code layout
+    np.ones(8 << 20, dtype=np.uint8)  # mapped, filled and freed at once
+    for chain, f in benchmark_chains(7):
+        table = ChainPowers(chain, f).table(1 << 16)
+        written = (table.shape[0] + 256) * table[0].nbytes
+        assert resident_bytes(table.__array_interface__["data"][0]) <= 2 * written + (64 << 10)
 
 
 def test_short_tables_are_never_searched():
