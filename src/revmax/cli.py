@@ -88,11 +88,14 @@ def _require_minimums(args, minimums: dict):
             raise ValidationError(f"{flag} must be >= {low}, got {value}")
 
 
-def _weights(spec: str, upto: int):
+def _weights(spec: str, upto: int, check=None):
     """Parse a ``--weights`` spec and evaluate a_upto, which an explicit list must reach.
 
     Only power weights can overflow, and those that can grow with the index.
+    A ``check`` that reads no weights refuses the spec before its file is read.
     """
+    if check is not None and not check.weighted:
+        raise ValidationError(f"--weights: {check.value} reads no weights")
     try:
         w = parse_weight_spec(spec)
         w.eval(upto)
@@ -193,6 +196,7 @@ def _json_number(x: float):
 
 
 def _cmd_check_conditions(args, argv) -> int:
+    _require_minimums(args, {"--probe-horizon": 4})
     chain = load_chain(_load_json(args.chain, "chain"))
     f = load_observable(_load_json(args.observable, "observable"))
     report = check_conditions(chain, f, probe_horizon=args.probe_horizon)
@@ -230,7 +234,7 @@ def _cmd_verify(args, argv) -> int:
     # the statistics of horizon n read a_1 .. a_4n, and no instance has
     # n above min(--n-max, --atoms-max - 1)
     horizon = min(args.n_max, args.atoms_max - 1)
-    weights = _weights(args.weights, 4 * horizon) if args.weights else None
+    weights = _weights(args.weights, 4 * horizon, check) if args.weights else None
     tol = _tol_override(args)
     # a side that overflows is refused by _report_batch
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +266,7 @@ def _cmd_verify_markov(args, argv) -> int:
     _require_minimums(args, {"--chains": 0, "--seed": 0, "--m-max": 2, "--n-max": 1,
                              "--threads": 1})
     # the even and odd statistics of horizon n read a_1 .. a_8n
-    weights = _weights(args.weights, 8 * args.n_max) if args.weights else None
+    weights = _weights(args.weights, 8 * args.n_max, check) if args.weights else None
     tol = _tol_override(args)
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_markov_batch(check, args.chains, args.seed, weights,
@@ -295,7 +299,7 @@ def _report_batch(args, argv, check, records, noun: str, flags: str, tol: float 
 
 
 def _cmd_simulate(args, argv) -> int:
-    _require_minimums(args, {"--paths-limit": 0, "--threads": 1})
+    _require_minimums(args, {"--n": 1, "--trials": 1, "--paths-limit": 0, "--threads": 1})
     config = SimConfig(master_seed=args.master_seed, trials=args.trials, horizon=args.n)
     checkpoints = []
     c = 8

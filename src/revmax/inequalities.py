@@ -309,7 +309,11 @@ def verify(
 
 def _record(check: InequalityId, instance: Instance, n: int, p: float,
             weights: WeightSequence | None, constant: float) -> VerificationRecord:
-    """``verify``'s record on the first n terms, judged against ``constant``."""
+    """``verify``'s record on the first n terms, judged against ``constant``.
+
+    A weighted check is its unweighted twin on the sequence a_j E_j X, whose
+    partial sums S_k condition by the tower property to E_k S_k = s_k E_k X.
+    """
     filtration = instance.filtration
     probs = instance.space.probs
     X = instance.sequence.values[0]
@@ -318,49 +322,43 @@ def _record(check: InequalityId, instance: Instance, n: int, p: float,
         if weights is None:
             raise ValidationError(f"{check.value} needs a weight sequence")
         stats = compute_stats(weights, n)
-        # row j-1 holds E_j X; the weighted sequence is a_j E_j X
+        # row j-1 holds E_j X
         conditioned = _cond_table(filtration, np.broadcast_to(X, (n, *X.shape)))
-        cond_norms = _norms(conditioned)
-        partial_norms = _norms(
-            np.cumsum(weights.eval_range(n)[1:, None, None] * conditioned, axis=0)
-        )
-        scaled_norms = _norms(stats.s[1 : n + 1, None, None] * conditioned)
-        if check is InequalityId.WEIGHTED_MAX_VS_ENDPOINT:
-            lhs = _max_moment(probs, partial_norms, p)
-            rhs = (_max_moment(probs, scaled_norms, p)
-                   + _moments(probs, partial_norms[-1:], p)[0])
-        elif check is InequalityId.WEIGHTED_MAX_VS_PROJECTIONS:
-            lhs = _max_moment(probs, partial_norms, p)
+        a = weights.eval_range(n)[1:, None, None]
+        partial_norms = _norms(np.cumsum(a * conditioned, axis=0))
+        cond_norms = _norms(stats.s[1 : n + 1, None, None] * conditioned)
+    elif check is not InequalityId.SMOOTHNESS:
+        partial, cond_sums = _partial_sum_tables(instance.sequence, n)
+        partial_norms, cond_norms = _norms(partial), _norms(cond_sums)
+
+    if check in (InequalityId.MAX_VS_ENDPOINT, InequalityId.WEIGHTED_MAX_VS_ENDPOINT):
+        lhs = _max_moment(probs, partial_norms, p)
+        rhs = _max_moment(probs, cond_norms, p) + _moments(probs, partial_norms[-1:], p)[0]
+    elif check in (InequalityId.MAX_VS_PROJECTIONS, InequalityId.WEIGHTED_MAX_VS_PROJECTIONS):
+        # the projections E_k S_k - E_{k+1} S_k for k < n
+        if check.weighted:
             diffs = stats.s[1:n, None, None] * (conditioned[:-1] - conditioned[1:])
-            rhs = _left_sum(np.array([_max_moment(probs, scaled_norms, p),
-                                      *_moments(probs, _norms(diffs), p)]))
-        elif check is InequalityId.DYADIC_WEIGHTED_MAX:
-            lhs = _max_moment(probs, scaled_norms, p)
-            rhs = 0.0
-            # per term: numpy's array power can differ from the scalar one in the last bit
-            for k, moment in enumerate(_moments(probs, cond_norms, p), 1):
-                rhs += stats.s_star[4 * k] ** p / k * moment
-        else:  # SECOND_MOMENT_SERIES
-            lhs = _max_moment(probs, partial_norms, 2.0)
-            rhs = _left_sum(stats.b[1 : n + 1] * _moments(probs, cond_norms, 2.0))
-    elif check is InequalityId.SMOOTHNESS:
+        else:
+            diffs = cond_sums[:-1] - _cond_table(filtration, partial[:-1], first_level=2)
+        lhs = _max_moment(probs, partial_norms, p)
+        rhs = _left_sum(np.array([_max_moment(probs, cond_norms, p),
+                                  *_moments(probs, _norms(diffs), p)]))
+    elif check is InequalityId.DYADIC_WEIGHTED_MAX:
+        lhs = _max_moment(probs, cond_norms, p)
+        rhs = 0.0
+        # per term: numpy's array power can differ from the scalar one in the last bit
+        for k, moment in enumerate(_moments(probs, _norms(conditioned), p), 1):
+            rhs += stats.s_star[4 * k] ** p / k * moment
+    elif check is InequalityId.SECOND_MOMENT_SERIES:
+        lhs = _max_moment(probs, partial_norms, 2.0)
+        rhs = _left_sum(stats.b[1 : n + 1] * _moments(probs, _norms(conditioned), 2.0))
+    else:  # SMOOTHNESS
         if filtration.levels < n + 1:
             raise ValidationError("smoothness check needs levels >= n + 1")
         conditioned = _cond_table(filtration, np.broadcast_to(X, (n + 1, *X.shape)))
         diffs = conditioned[:-1] - conditioned[1:]
         lhs = _moments(probs, _norms(np.cumsum(diffs, axis=0)[-1:]), p)[0]
         rhs = _left_sum(np.array(_moments(probs, _norms(diffs), p)))
-    else:
-        partial, conditioned = _partial_sum_tables(instance.sequence, n)
-        partial_norms = _norms(partial)
-        lhs = _max_moment(probs, partial_norms, p)
-        rhs = _max_moment(probs, _norms(conditioned), p)
-        if check is InequalityId.MAX_VS_ENDPOINT:
-            rhs += _moments(probs, partial_norms[-1:], p)[0]
-        else:  # MAX_VS_PROJECTIONS: E_k S_k - E_{k+1} S_k for k < n
-            coarser = _cond_table(filtration, partial[:-1], first_level=2)
-            diffs = conditioned[:-1] - coarser
-            rhs = _left_sum(np.array([rhs, *_moments(probs, _norms(diffs), p)]))
 
     return make_record(check.value, p, instance.descriptor() | {"n": n}, lhs, rhs, constant)
 

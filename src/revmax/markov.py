@@ -969,19 +969,21 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
 
 
 class MarkovCheck(str, enum.Enum):
-    """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on 3(2C + 1)."""
+    """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on
+    3(2C + 1), and ``weighted`` if it reads a weight sequence."""
 
-    def __new__(cls, value: str, scalar_only: bool, factor: float | None):
+    def __new__(cls, value: str, scalar_only: bool, factor: float | None, weighted: bool):
         member = str.__new__(cls, value)
         member._value_, member.scalar_only, member.factor = value, scalar_only, factor
+        member.weighted = weighted
         return member
 
-    WEIGHTED_POWER_MAX = "weighted-power-max", False, 1.0
-    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0
-    INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0
-    PAIRED_POWER_MAX = "paired-power-max", True, 32.0
-    STEIN = "stein", True, None  # constant 1, not derived from C
-    SUP_POWER_MAX = "sup-power-max", True, 8.0
+    WEIGHTED_POWER_MAX = "weighted-power-max", False, 1.0, True
+    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0, False
+    INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0, False
+    PAIRED_POWER_MAX = "paired-power-max", True, 32.0, False
+    STEIN = "stein", True, None, False  # constant 1, not derived from C
+    SUP_POWER_MAX = "sup-power-max", True, 8.0, False
 
 
 def markov_traced_constant(check: MarkovCheck) -> TracedConstant:

@@ -25,77 +25,67 @@ __all__ = [
 
 
 class WeightSequence:
-    """Real weight sequence a_1, a_2, ... of one of four kinds.
+    """Real weight sequence a_1, a_2, ... : one rule, its signs alternating or not.
 
     constant c       a_j = c
     power alpha      a_j = j ** alpha
     explicit list    a_j looked up (error past the end)
     alternating base a_j = (-1) ** (j - 1) * |base_j|
+
+    Stored flat: the rule's ``kind`` and ``param``, whether it ``alternates``,
+    and the spec :meth:`describe` returns.  Alternating twice changes no
+    value, signed zeros included, so no sequence reads another.
     """
 
-    def __init__(self, kind, *, value=None, exponent=None, entries=None, base=None):
-        self.kind = kind
-        self.value = value
-        self.exponent = exponent
-        self.entries = None if entries is None else np.asarray(entries, dtype=float)
-        self.base = base
-        if kind == "constant":
-            if value is None or not np.isfinite(value):
-                raise ValidationError("constant weight needs a finite value")
-        elif kind == "power":
-            if exponent is None or not np.isfinite(exponent):
-                raise ValidationError("power weight needs a finite exponent")
-        elif kind == "explicit":
-            if self.entries is None or self.entries.ndim != 1 or self.entries.size == 0:
-                raise ValidationError("explicit weights need a nonempty list")
-            if not np.all(np.isfinite(self.entries)):
-                raise ValidationError("explicit weights must be finite")
-        elif kind == "alternating":
-            if not isinstance(base, WeightSequence):
-                raise ValidationError("alternating weights need a base sequence")
-        else:
-            raise ValidationError(f"unknown weight kind {kind!r}")
-        self._prefix = np.zeros(1)
-        self._prefix.flags.writeable = False
+    def __init__(self, kind: str, param, alternates: bool, spec: str):
+        self.kind, self.param, self.alternates, self._spec = kind, param, alternates, spec
+        self._prefix = np.zeros(1)  # eval_range returns only read-only extensions of it
 
     @classmethod
     def constant(cls, value: float) -> "WeightSequence":
-        return cls("constant", value=float(value))
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValidationError("constant weight needs a finite value")
+        return cls("constant", value, False, f"constant:{value:g}")
 
     @classmethod
     def power(cls, exponent: float) -> "WeightSequence":
-        return cls("power", exponent=float(exponent))
+        exponent = float(exponent)
+        if not np.isfinite(exponent):
+            raise ValidationError("power weight needs a finite exponent")
+        return cls("power", exponent, False, f"power:{exponent:g}")
 
     @classmethod
     def explicit(cls, entries) -> "WeightSequence":
-        return cls("explicit", entries=entries)
+        entries = np.asarray(entries, dtype=float)
+        if entries.ndim != 1 or entries.size == 0:
+            raise ValidationError("explicit weights need a nonempty list")
+        if not np.all(np.isfinite(entries)):
+            raise ValidationError("explicit weights must be finite")
+        return cls("explicit", entries, False, f"explicit:len{entries.size}")
 
     @classmethod
     def alternating(cls, base: "WeightSequence") -> "WeightSequence":
-        return cls("alternating", base=base)
+        if not isinstance(base, WeightSequence):
+            raise ValidationError("alternating weights need a base sequence")
+        return cls(base.kind, base.param, True, f"alternating:{base.describe()}")
 
     def eval(self, j: int) -> float:
         if j < 1:
             raise ValidationError(f"weight index {j} must be >= 1")
-        try:
-            return self._eval(j)
-        except OverflowError:
-            raise self._overflow(j) from None
-
-    def _eval(self, j: int) -> float:
         if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "power":
-            return float(j) ** self.exponent
-        if self.kind == "explicit":
-            if j > self.entries.size:
-                raise ValidationError(
-                    f"explicit weight list of length {self.entries.size} "
-                    f"cannot be evaluated at index {j}"
-                )
-            return float(self.entries[j - 1])
-        sign = 1.0 if j % 2 == 1 else -1.0
-        return sign * abs(self.base._eval(j))
+            value = self.param
+        elif self.kind == "power":
+            try:
+                value = float(j) ** self.param
+            except OverflowError:
+                raise self._overflow(j) from None
+        else:
+            self._reach(j)
+            value = float(self.param[j - 1])
+        if self.alternates:
+            return (1.0 if j % 2 == 1 else -1.0) * abs(value)
+        return value
 
     def eval_range(self, upto: int) -> np.ndarray:
         """Read-only ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
@@ -111,11 +101,7 @@ class WeightSequence:
             raise ValidationError("range must reach at least index 1")
         done = self._prefix.size - 1
         if upto > done:
-            try:
-                tail = self._values(done + 1, upto)
-            except OverflowError:
-                raise self._overflow(upto) from None
-            prefix = np.concatenate((self._prefix, tail))
+            prefix = np.concatenate((self._prefix, self._values(done + 1, upto)))
             prefix.flags.writeable = False
             self._prefix = prefix
         return self._prefix[: upto + 1]
@@ -124,47 +110,43 @@ class WeightSequence:
         """A new array of a_lo, .., a_hi."""
         count = hi - lo + 1
         if self.kind == "constant":
-            return np.full(count, self.value)
-        if self.kind == "power":
-            e = self.exponent
-            return np.fromiter((float(j) ** e for j in range(lo, hi + 1)),
-                               dtype=float, count=count)
-        if self.kind == "explicit":
-            if hi > self.entries.size:
-                raise ValidationError(
-                    f"explicit weight list of length {self.entries.size} "
-                    f"cannot be evaluated at index {hi}"
-                )
-            return self.entries[lo - 1 : hi].copy()
-        out = np.abs(self.base._values(lo, hi))
-        even = out[lo % 2 :: 2]  # the entries at even j
-        np.negative(even, out=even)
+            out = np.full(count, self.param)
+        elif self.kind == "power":
+            e = self.param
+            try:
+                out = np.fromiter((float(j) ** e for j in range(lo, hi + 1)),
+                                  dtype=float, count=count)
+            except OverflowError:
+                raise self._overflow(hi) from None
+        else:
+            self._reach(hi)
+            out = self.param[lo - 1 : hi].copy()
+        if self.alternates:
+            out = np.abs(out)
+            even = out[lo % 2 :: 2]  # the entries at even j
+            np.negative(even, out=even)
         return out
 
-    def _overflow(self, upto: int) -> ValidationError:
-        """The error for weights whose power ``j ** exponent`` overflows at a j <= upto.
+    def _reach(self, j: int):
+        """Refuse an explicit list's index j past its end."""
+        if j > self.param.size:
+            raise ValidationError(
+                f"explicit weight list of length {self.param.size} "
+                f"cannot be evaluated at index {j}"
+            )
 
-        It names the whole spec, alternating signs included, and the first such j.
-        """
-        power = self
-        while power.kind == "alternating":
-            power = power.base
+    def _overflow(self, upto: int) -> ValidationError:
+        """The error naming the spec and the first j <= upto whose ``j ** exponent`` overflows."""
         for j in range(1, upto + 1):
             try:
-                float(j) ** power.exponent
+                float(j) ** self.param
             except OverflowError:
                 break
         return ValidationError(f"weight spec {self.describe()} overflows double precision"
                                f" at index {j}")
 
     def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.value:g}"
-        if self.kind == "power":
-            return f"power:{self.exponent:g}"
-        if self.kind == "explicit":
-            return f"explicit:len{self.entries.size}"
-        return f"alternating:{self.base.describe()}"
+        return self._spec
 
     def __repr__(self):  # pragma: no cover
         return f"WeightSequence({self.describe()})"

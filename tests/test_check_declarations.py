@@ -128,3 +128,12 @@ def test_a_negative_seed_is_refused_by_name_before_any_draw(call, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     with pytest.raises(ValidationError, match=re.escape("seed must be >= 0, got -1")):
         call(-1)
+
+
+@pytest.mark.parametrize("check", list(MarkovCheck))
+def test_only_the_weighted_chain_check_reads_weights(check):
+    chain, f = random_chain_instance(3, m_max=6)
+    unit = verify_markov_inequality(check, chain, f, 4)
+    decaying = verify_markov_inequality(check, chain, f, 4, weights=WeightSequence.power(-0.5))
+    assert check.weighted == (check is MarkovCheck.WEIGHTED_POWER_MAX)
+    assert (unit != decaying) == check.weighted

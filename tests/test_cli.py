@@ -852,7 +852,7 @@ def run_in_fresh_processes(commands, work: Path) -> list:
         ["verify", "--id", "max-vs-endpoint", "--instances", "4", "-o", "r.csv"],
     ],
     [
-        ["verify-markov", "--id", "stein", "--chains", "3", "--seed", "9",
+        ["verify-markov", "--id", "weighted-power-max", "--chains", "3", "--seed", "9",
          "--n-max", "4", "--weights", "power:-0.5", "-o", "m.csv"],
         ["verify", "--id", "dyadic-weighted-max", "--instances", "3",
          "--weights", "constant:1.0", "-o", "r.csv"],
@@ -866,3 +866,74 @@ def test_one_process_behaves_like_fresh_processes(commands, tmp_path, monkeypatc
     in_process = run_in_one_process(commands, shared, monkeypatch)
     assert in_process == run_in_fresh_processes(commands, fresh)
     assert in_process[0][0] == (2 if "abc" in commands[0] else 0)
+
+
+class TestOneStateChain:
+    # a one-state chain has the single eigenvalue 1, and f = 2 puts mass 4 on it
+    @pytest.fixture
+    def files(self, tmp_path):
+        chain, f = tmp_path / "chain.json", tmp_path / "f.json"
+        chain.write_text(json.dumps({"Q": [[1.0]]}))
+        f.write_text(json.dumps({"dim": 1, "values": [[2.0]]}))
+        return chain, f
+
+    def test_spectrum_is_one_atom(self, files, tmp_path):
+        chain, f = files
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", str(chain), str(f), "-o", str(out)]) == 0
+        assert read(out) == "lambda,mass\n1,4\n"
+
+    def test_conditions_agree(self, files, capsys):
+        chain, f = files
+        assert run(["check-conditions", str(chain), str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_equivalent"] is True
+
+
+def test_output_into_a_missing_directory_exits_two(chain_files, tmp_path, capsys):
+    chain, f, _ = chain_files
+    out = tmp_path / "missing" / "s.csv"
+    assert run(["spectrum", str(chain), str(f), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_report_on_a_directory_exits_two_naming_it(tmp_path, capsys):
+    assert run(["report", "--input", str(tmp_path), "--out-prefix",
+                str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read report input {str(tmp_path)!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_chain_notes_a_disconnected_chain(tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+    out = tmp_path / "c.json"
+    assert run(["gen-chain", "--model", "weighted-graph", "--weights-file", str(weights),
+                "-o", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "note: chain is disconnected; the spectrum has multiplicity at 1\n")
+    assert out.exists()
+
+
+def test_chain_file_that_is_not_json_exits_two_naming_it(chain_files, tmp_path, capsys):
+    _, f, _ = chain_files
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", str(bad), str(f), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: chain file {str(bad)!r} is not valid JSON: ")
+    assert not out.exists()
+
+
+def test_explicit_weights_are_described_by_length_in_the_sidecar(chain_files, tmp_path):
+    chain, f, _ = chain_files
+    weights = tmp_path / "w.json"
+    # the oscillation table needs horizon 16, which reads a_1 .. a_16
+    weights.write_text(json.dumps([1.0 / j for j in range(1, 17)]))
+    osc = tmp_path / "osc.csv"
+    assert run(["simulate", "--chain", str(chain), "--observable", str(f),
+                "--weights", f"explicit:@{weights}", "--n", "16", "--trials", "30",
+                "--osc-out", str(osc)]) == 0
+    assert json.loads(read(str(osc) + ".meta.json"))["weights"] == "explicit:len16"

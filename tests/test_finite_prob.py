@@ -663,3 +663,12 @@ def test_left_sum_equals_the_python_loop_byte_for_byte():
         for value in values:
             total += value
         assert np.float64(_left_sum(values)).tobytes() == np.float64(total).tobytes()
+
+
+def test_load_problem_without_terms_has_no_sequence():
+    space, filtration, sequence = load_problem({
+        "probs": [0.5, 0.5], "partitions": [[[0], [1]], [[0, 1]]],
+    })
+    assert space.n_atoms == 2
+    assert filtration.levels == 2
+    assert sequence is None

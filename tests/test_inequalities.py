@@ -361,3 +361,15 @@ class TestSeriesCriterion:
             series_criterion(
                 WeightSequence.constant(1.0), np.array([1.0, 2.0, 1.0, 0.5]), 4
             )
+
+
+def test_series_below_horizon_eight_is_inconclusive():
+    # the verdict compares the last two dyadic windows, which need horizon 8
+    moments = 1.0 / np.arange(1.0, 8.0) ** 2
+    for horizon in (1, 4, 7):
+        verdict = series_criterion(WeightSequence.constant(1.0), moments, horizon)
+        assert verdict.verdict == "inconclusive"
+        assert verdict.increments == ()
+        assert verdict.partial == float(np.cumsum(
+            compute_stats(WeightSequence.constant(1.0), horizon).b[1:] * moments[:horizon]
+        )[-1])

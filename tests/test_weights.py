@@ -229,3 +229,36 @@ class TestParser:
             path.write_text(json.dumps(entries))
             with pytest.raises(ValidationError, match="must be a rectangular list of numbers"):
                 parse_weight_spec(f"explicit:@{path}")
+
+
+class TestFlatSequence:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WeightSequence.constant(float("nan")), "constant weight needs a finite value"),
+        (lambda: WeightSequence.power(float("inf")), "power weight needs a finite exponent"),
+        (lambda: WeightSequence.explicit([]), "explicit weights need a nonempty list"),
+        (lambda: WeightSequence.explicit([float("nan")]), "explicit weights must be finite"),
+        (lambda: WeightSequence.alternating("power:-0.5"),
+         "alternating weights need a base sequence"),
+    ], ids=["constant-nan", "power-inf", "explicit-empty", "explicit-nan", "alternating-str"])
+    def test_each_constructor_refuses_its_parameter(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("base", [
+        WeightSequence.constant(-2.5),
+        WeightSequence.power(-0.5),
+        WeightSequence.explicit([1.5, -0.0, 0.0, -2.0, 3.0, -0.0, 0.25]),
+    ], ids=lambda w: w.describe())
+    def test_alternating_twice_equals_alternating_once_bit_for_bit(self, base):
+        once = WeightSequence.alternating(base)
+        twice = WeightSequence.alternating(WeightSequence.alternating(base))
+        upto = 7
+        assert twice.eval_range(upto).tobytes() == once.eval_range(upto).tobytes()
+        for j in range(1, upto + 1):
+            assert np.float64(twice.eval(j)).tobytes() == np.float64(once.eval(j)).tobytes()
+        assert once.describe() == f"alternating:{base.describe()}"
+        assert twice.describe() == f"alternating:alternating:{base.describe()}"
+
+    def test_alternating_keeps_the_sign_of_zero_by_index(self):
+        w = WeightSequence.alternating(WeightSequence.explicit([-0.0, 0.0, -0.0, 0.0]))
+        assert [np.signbit(x) for x in w.eval_range(4)[1:]] == [False, True, False, True]
