@@ -119,10 +119,32 @@ def _tol_override(args) -> float | None:
 
 # The flags that set a model's numbers, named by the errors the model raises.
 _MODEL_FLAGS = {"two-state": "--p/--q", "birth-death": "--up/--down", "lazy-ring": "--laziness"}
+# The gen-chain flags each model reads; weighted-graph reads --m and --seed
+# only without --weights-file.
+_MODEL_READS = {
+    "two-state": ("--p", "--q"),
+    "birth-death": ("--m", "--up", "--down"),
+    "lazy-ring": ("--m", "--laziness"),
+    "weighted-graph": ("--weights-file", "--m", "--seed"),
+    "metropolis": ("--target-file", "--proposal-file"),
+}
+
+
+def _refuse_unread_flags(args):
+    """Refuse the first flag given that the model does not read, naming both."""
+    model, reads = args.model, _MODEL_READS[args.model]
+    if model == "weighted-graph" and args.weights_file:
+        model, reads = "weighted-graph with --weights-file", ("--weights-file",)
+    for flag in (flag for flags in _MODEL_READS.values() for flag in flags):
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag}: {model} does not read it")
 
 
 def _cmd_gen_chain(args, argv) -> int:
-    _require_minimums(args, {"--seed": 0})
+    if args.seed is not None:
+        _require_minimums(args, {"--seed": 0})
+    _refuse_unread_flags(args)
+    seed = 0 if args.seed is None else args.seed
     params = {}
     if args.model == "two-state":
         params = {"p": args.p, "q": args.q}
@@ -154,7 +176,7 @@ def _cmd_gen_chain(args, argv) -> int:
             "proposal": _load_numbers(args.proposal_file, "proposal"),
         }
     try:
-        chain = make_chain(args.model, params, seed=args.seed)
+        chain = make_chain(args.model, params, seed=seed)
     except ValidationError as exc:
         if args.model not in _MODEL_FLAGS:
             raise
@@ -165,7 +187,7 @@ def _cmd_gen_chain(args, argv) -> int:
             file=sys.stderr,
         )
     _write_text(args.out, json.dumps(dump_chain(chain), indent=2) + "\n")
-    _write_sidecar(args.out, argv, seed=args.seed, extra={"model": args.model})
+    _write_sidecar(args.out, argv, seed=seed, extra={"model": args.model})
     return 0
 
 
@@ -484,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--weights-file", help="JSON symmetric weight matrix")
     gen.add_argument("--target-file", help="JSON target law for metropolis")
     gen.add_argument("--proposal-file", help="JSON symmetric proposal for metropolis")
-    gen.add_argument("--seed", type=int, default=0, help="seed for random weights")
+    gen.add_argument("--seed", type=int, help="seed for random weights")
     gen.add_argument("-o", "--out", required=True)
 
     spec = sub.add_parser(

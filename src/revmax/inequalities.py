@@ -37,7 +37,7 @@ from .finite_prob import (
     _norms,
     _partial_sum_tables,
 )
-from .weights import WeightSequence, compute_stats
+from .weights import WeightSequence, coefficient_chunks, compute_stats
 
 __all__ = [
     "InequalityId",
@@ -441,6 +441,10 @@ def verify_batch(
     return records
 
 
+# Second moments checked at a time by series_criterion.
+_SERIES_CHUNK = 1 << 12
+
+
 @dataclass(frozen=True)
 class SeriesVerdict:
     """Partial value and convergence verdict for the weighted moment series."""
@@ -458,7 +462,10 @@ def series_criterion(weights: WeightSequence, second_moments, horizon: int) -> S
     increasing sequences are rejected.  The verdict compares the last two
     dyadic windows of partial-sum increments: geometric-type decay reads as
     convergent, flat increments as divergent, anything in between as
-    inconclusive.
+    inconclusive.  The moments are checked ``_SERIES_CHUNK`` at a time and
+    the b_k arrive a chunk at a time from :func:`coefficient_chunks`, so
+    beyond the moments nothing held grows with the horizon; every figure
+    equals the one from ``compute_stats(weights, horizon).b`` bit for bit.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -467,26 +474,38 @@ def series_criterion(weights: WeightSequence, second_moments, horizon: int) -> S
         raise ValidationError(
             f"need at least {horizon} second moments, got {m.size}"
         )
-    if np.any(m < 0):
-        raise ValidationError("second moments must be non-negative")
-    drops = np.diff(m[:horizon])
-    if np.any(drops > 1e-12 * (1.0 + np.abs(m[: horizon - 1]))):
-        k = int(np.argmax(drops > 1e-12 * (1.0 + np.abs(m[: horizon - 1]))))
-        raise ValidationError(
-            f"second moments increase at index {k + 1}; conditional moments"
-            " along a decreasing filtration cannot do that"
-        )
-    stats = compute_stats(weights, horizon)
-    terms = stats.b[1 : horizon + 1] * m[:horizon]
-    partials = np.cumsum(terms)
-    partial = float(partials[-1])
+    for lo in range(0, m.size, _SERIES_CHUNK):
+        if np.any(m[lo : lo + _SERIES_CHUNK] < 0):
+            raise ValidationError("second moments must be non-negative")
+    for lo in range(0, horizon - 1, _SERIES_CHUNK):
+        window = m[lo : min(lo + _SERIES_CHUNK, horizon - 1) + 1]
+        rises = np.diff(window) > 1e-12 * (1.0 + np.abs(window[:-1]))
+        if rises.any():
+            raise ValidationError(
+                f"second moments increase at index {lo + int(np.argmax(rises)) + 1};"
+                " conditional moments along a decreasing filtration cannot do that"
+            )
+    # the partial sums through k = horizon // 4, horizon // 2 and horizon,
+    # added in order with the running sum carried across chunks
+    marks, total, k0 = {}, -0.0, 1  # -0.0 + x is x, signed zeros included
+    for terms in coefficient_chunks(weights, horizon):
+        k1 = k0 + terms.size
+        terms *= m[k0 - 1 : k1 - 1]
+        terms[0] += total
+        np.cumsum(terms, out=terms)
+        total = terms[-1]
+        for k in (horizon // 4, horizon // 2):
+            if k0 <= k < k1:
+                marks[k] = float(terms[k - k0])
+        k0 = k1
+    partial = float(total)
 
     if partial == 0.0:
         return SeriesVerdict(partial, "converges", ())
     if horizon < 8:
         return SeriesVerdict(partial, "inconclusive", ())
-    last = partial - float(partials[horizon // 2 - 1])
-    prev = float(partials[horizon // 2 - 1]) - float(partials[horizon // 4 - 1])
+    last = partial - marks[horizon // 2]
+    prev = marks[horizon // 2] - marks[horizon // 4]
     increments = (prev, last)
     if last <= 1e-14 * (1.0 + partial):
         verdict = "converges"

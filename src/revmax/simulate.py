@@ -89,7 +89,7 @@ _DRAW_BITS = 53
 _TABLE_BYTES = 8 << 20
 _MAX_BUCKET_BITS = 16
 # Steps drawn and walked at a time; the draws do not depend on it.
-_STEP_BLOCK = 4096
+_STEP_BLOCK = 2048
 
 
 def _state_dtype(m: int):
@@ -341,8 +341,8 @@ class PathReductions:
     norms: np.ndarray
 
 
-# Path entries (rows x trials x dim) built and reduced at a time (1 MB).
-_PATH_CHUNK = 1 << 17
+# Path entries (rows x trials x dim) built and reduced at a time (512 KB).
+_PATH_CHUNK = 1 << 16
 
 
 def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norms):
@@ -413,9 +413,11 @@ def _process_count(workers: int, trials: int) -> int:
 
 
 def _walk(conn, chain: ReversibleChain, n: int, seeds):
-    """Walker process: send ``_sample_blocks``, or the error it raises, then None.
+    """Walker process: send ``_sample_blocks`` as raw bytes, then how it ended.
 
-    A feeder thread sends down ``conn`` while the walk goes on, so the walker
+    Each array goes down ``conn`` as its contiguous bytes, unpickled; an
+    empty message then precedes the pickled end, None or the error the walk
+    raised.  A feeder thread sends while the walk goes on, so the walker
     never waits for the process that reduces.
     """
     import queue
@@ -426,9 +428,12 @@ def _walk(conn, chain: ReversibleChain, n: int, seeds):
     def feed():
         while True:
             item = outbox.get()
+            if isinstance(item, np.ndarray):
+                conn.send_bytes(item)
+                continue
+            conn.send_bytes(b"")
             conn.send(item)
-            if item is None:
-                return
+            return
 
     feeder = threading.Thread(target=feed)
     feeder.start()
@@ -441,25 +446,31 @@ def _walk(conn, chain: ReversibleChain, n: int, seeds):
     feeder.join()
 
 
-def _received(conn, walker):
-    """Yield what a walker sends until its None; raise the error it sends.
+def _received(conn, walker, trials: int, dtype):
+    """Yield what a walker sends as ``(steps, trials)`` states, the start states as one row.
 
-    A walker that exits before its None closes the pipe, and the error names
-    its exit code.
+    Every message is read by ``recv_bytes_into`` into one buffer of
+    ``_STEP_BLOCK`` steps, and each array yielded is a view of it, valid
+    until the next is asked for.  After the walker's end, its error is
+    raised.  A walker that exits before its end closes the pipe, and the
+    error names its exit code.
     """
+    buffer = np.empty(_STEP_BLOCK * trials, dtype=dtype)
+    raw = buffer.view(np.uint8)
     while True:
         try:
-            item = conn.recv()
+            size = conn.recv_bytes_into(raw)
+            if not size:
+                end = conn.recv()
+                break
         except EOFError:
             walker.join()
             raise RuntimeError(
                 f"trajectory walker exited with code {walker.exitcode} before it finished"
             ) from None
-        if item is None:
-            return
-        if isinstance(item, Exception):
-            raise item
-        yield item
+        yield buffer[: size // buffer.itemsize].reshape(-1, trials)
+    if end is not None:
+        raise end
 
 
 def reduce_trials(
@@ -530,8 +541,9 @@ def reduce_trials(
                 walkers.append((walker, reader))
             powers.table(n)
             extra = meanwhile() if meanwhile is not None else None
+            dtype = _state_dtype(powers.chain.m)
             for (walker, reader), lo, hi in zip(walkers, bounds, bounds[1:]):
-                reduce(_received(reader, walker), lo, hi)
+                reduce(_received(reader, walker, hi - lo, dtype), lo, hi)
         except BaseException:
             for walker, _ in walkers:
                 walker.kill()

@@ -3,8 +3,9 @@
 A weight sequence is evaluable at any index j >= 1; explicit lists refuse
 evaluation past their recorded length.  The derived statistics deliberately
 over-reach the requested horizon: the coefficient b_k reads running maxima of
-partial sums through index 4k, so ``compute_stats(w, n)`` needs w evaluable
-up to 4n, and ``even_odd_stats(w, n)`` needs it up to 8n.
+partial sums through index 4k, so ``compute_stats(w, n)`` and
+``coefficient_chunks(w, n)`` need w evaluable up to 4n, and
+``even_odd_stats(w, n)`` needs it up to 8n.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .finite_prob import ValidationError, _load_json, _numbers
 __all__ = [
     "WeightSequence",
     "WeightStats",
+    "coefficient_chunks",
     "compute_stats",
     "even_odd_stats",
     "parse_weight_spec",
@@ -106,6 +108,21 @@ class WeightSequence:
             self._prefix = prefix
         return self._prefix[: upto + 1]
 
+    def eval_chunk(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only a_lo .. a_hi, bit-identical to ``eval_range(hi)[lo:]``.
+
+        A chunk the kept values cover is a view of them; any other is
+        evaluated afresh and not kept, so reading a long sequence a chunk at
+        a time holds one chunk, not the sequence.
+        """
+        if lo < 1 or hi < lo:
+            raise ValidationError(f"weight chunk {lo}..{hi} must satisfy 1 <= lo <= hi")
+        if hi < self._prefix.size:
+            return self._prefix[lo : hi + 1]
+        out = self._values(lo, hi)
+        out.flags.writeable = False
+        return out
+
     def _values(self, lo: int, hi: int) -> np.ndarray:
         """A new array of a_lo, .., a_hi."""
         count = hi - lo + 1
@@ -171,6 +188,11 @@ class WeightStats:
     b: np.ndarray
 
 
+def _coefficients(stars: np.ndarray, sums: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """b_k = max(s_star[4k]^2 / k, s[k]^2 - s[k-1]^2) from s_star[4k], s[k-1 ..] and k."""
+    return np.maximum(stars ** 2 / k, sums[1:] ** 2 - sums[:-1] ** 2)
+
+
 def _stats(a: np.ndarray, n: int) -> WeightStats:
     """Statistics of the weights a[1..4n] (a[0] is ignored)."""
     s = np.zeros(4 * n + 1)
@@ -179,10 +201,51 @@ def _stats(a: np.ndarray, n: int) -> WeightStats:
     s_star[1:] = np.maximum.accumulate(np.abs(s[1:]))
     k = np.arange(1, n + 1)
     b = np.full(n + 1, np.nan)
-    b[1:] = np.maximum(s_star[4 * k] ** 2 / k, s[k] ** 2 - s[k - 1] ** 2)
+    b[1:] = _coefficients(s_star[4 * k], s[: n + 1], k)
     for arr in (s, s_star, b):
         arr.flags.writeable = False
     return WeightStats(n=n, s=s, s_star=s_star, b=b)
+
+
+# Coefficients b_k that coefficient_chunks computes at a time; each chunk
+# reads four times as many weights (128 KB).
+_COEFFICIENT_CHUNK = 1 << 12
+
+
+def coefficient_chunks(w: WeightSequence, n: int):
+    """Yield b_1 .. b_n of :func:`compute_stats` as consecutive new arrays, bit for bit.
+
+    The chunk b_k0 .. b_k1-1 sums a_4k0-3 .. a_4k1-4, read through
+    :meth:`WeightSequence.eval_chunk`, after the partial sum and with the
+    running max of its magnitude carried from the chunk before, and sums
+    a_k0 .. a_k1-1 a second time after s_k0-1, for s_k^2 - s_k-1^2.  Both
+    sums add in index order, as ``np.cumsum`` does, so every coefficient
+    rounds as in :func:`compute_stats`; a sequence that cannot reach index 4n
+    raises its error before the first chunk.  What it holds does not grow
+    with n.
+    """
+    if n < 1:
+        raise ValidationError("horizon must be >= 1")
+    w.eval(4 * n)
+    size = min(n, _COEFFICIENT_CHUNK)
+    # each buffer starts with the sum carried from the chunk before, at first
+    # -0.0, which adds nothing to any x, signed zeros included
+    far, near = np.full(4 * size + 1, -0.0), np.full(size + 1, -0.0)
+    star = 0.0
+    for k0 in range(1, n + 1, size):
+        k1 = min(k0 + size, n + 1)
+        sums, heads = far[: 4 * (k1 - k0) + 1], near[: k1 - k0 + 1]
+        sums[1:] = w.eval_chunk(4 * k0 - 3, 4 * k1 - 4)
+        heads[1:] = w.eval_chunk(k0, k1 - 1)
+        np.cumsum(sums, out=sums)
+        np.cumsum(heads, out=heads)
+        far[0] = sums[-1]
+        stars = np.abs(sums[1:], out=sums[1:])
+        np.maximum.accumulate(stars, out=stars)
+        np.maximum(stars, star, out=stars)
+        b = _coefficients(stars[3::4], heads, np.arange(k0, k1))
+        near[0], star = heads[-1], stars[-1]
+        yield b
 
 
 def compute_stats(w: WeightSequence, n: int) -> WeightStats:

@@ -134,3 +134,71 @@ def test_weights_on_an_id_that_reads_none_exit_two_naming_both(command, check, d
     assert capsys.readouterr().err == f"error: --weights: {check} reads no weights\n"
     assert list(outputs.iterdir()) == []
 
+
+
+# each gen-chain model, labelled as its refusals name it, with flags it reads
+MODELS = {
+    "two-state": ["--model", "two-state", "--p", "0.2", "--q", "0.3"],
+    "birth-death": ["--model", "birth-death", "--m", "3", "--up", "0.3", "--down", "0.2"],
+    "lazy-ring": ["--model", "lazy-ring", "--m", "4", "--laziness", "0.5"],
+    "weighted-graph": ["--model", "weighted-graph", "--m", "3", "--seed", "4"],
+    "weighted-graph with --weights-file": ["--model", "weighted-graph",
+                                           "--weights-file", "{in}/w.json"],
+    "metropolis": ["--model", "metropolis", "--target-file", "{in}/t.json",
+                   "--proposal-file", "{in}/q.json"],
+}
+# a value for each flag that feeds a model; files that do not exist, since a
+# refusal comes before any file is read
+CHAIN_FLAG_VALUES = {"--p": "0.2", "--q": "0.3", "--m": "-5", "--up": "0.3", "--down": "0.2",
+                     "--laziness": "7", "--weights-file": "{in}/missing.json",
+                     "--target-file": "{in}/missing.json",
+                     "--proposal-file": "{in}/missing.json", "--seed": "3"}
+UNREAD = [(model, flag) for model, argv in MODELS.items() for flag in CHAIN_FLAG_VALUES
+          if flag not in argv and not (model == "weighted-graph" and flag == "--weights-file")]
+
+
+@pytest.fixture
+def model_files(dirs):
+    inputs, outputs = dirs
+    (inputs / "w.json").write_text(json.dumps([[0.0, 1.0], [1.0, 2.0]]))
+    (inputs / "t.json").write_text(json.dumps([1.0, 2.0]))
+    (inputs / "q.json").write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
+    return inputs, outputs
+
+
+def gen_chain_argv(model, inputs, outputs, *extra):
+    args = [a.replace("{in}", str(inputs)) for a in [*MODELS[model], *extra]]
+    return ["gen-chain", *args, "-o", str(outputs / "c.json")]
+
+
+def test_every_flag_that_feeds_a_model_has_a_value():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {action.option_strings[-1] for action in commands.choices["gen-chain"]._actions}
+    assert options - {"--help", "--model", "--out"} == set(CHAIN_FLAG_VALUES)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_each_model_runs_with_the_flags_it_reads(model, model_files):
+    inputs, outputs = model_files
+    assert run(gen_chain_argv(model, inputs, outputs)) == 0
+    assert (outputs / "c.json").exists()
+
+
+@pytest.mark.parametrize("model,flag", UNREAD, ids=[f"{m}{f}" for m, f in UNREAD])
+def test_a_flag_the_model_does_not_read_exits_two_naming_both(model, flag, model_files,
+                                                              capsys):
+    inputs, outputs = model_files
+    value = CHAIN_FLAG_VALUES[flag].replace("{in}", str(inputs))
+    assert run(gen_chain_argv(model, inputs, outputs, flag, value)) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {model} does not read it\n"
+    assert list(outputs.iterdir()) == []
+
+
+def test_the_first_unread_flag_is_named(dirs, capsys):
+    inputs, outputs = dirs
+    argv = ["gen-chain", "--model", "two-state", "--p", "0.2", "--q", "0.3",
+            "--m", "-5", "--laziness", "7", "-o", str(outputs / "c.json")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: --m: two-state does not read it\n"
+    assert list(outputs.iterdir()) == []

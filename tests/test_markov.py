@@ -712,7 +712,7 @@ class TestMarkovInequalities:
             tc = markov_traced_constant(check)
             assert np.isfinite(tc.value) and tc.value >= 1.0
             assert len(tc.derivation) >= 1
-        assert markov_traced_constant(MarkovCheck.STEIN).value == 1.0
+        assert markov_traced_constant(MarkovCheck.STEIN).value == 8.0
 
     def test_constants_derive_from_the_series_constant(self):
         values = {check: markov_traced_constant(check).value for check in MarkovCheck}
@@ -721,7 +721,7 @@ class TestMarkovInequalities:
             MarkovCheck.UNIT_WEIGHT_POWER_MAX: 3504.0,
             MarkovCheck.INV_SQRT_POWER_MAX: 1752.0,
             MarkovCheck.PAIRED_POWER_MAX: 7008.0,
-            MarkovCheck.STEIN: 1.0,
+            MarkovCheck.STEIN: 8.0,
             MarkovCheck.SUP_POWER_MAX: 1752.0,
         }
 
@@ -828,31 +828,30 @@ class TestMarkovInequalities:
         assert verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_stein_constant_one_fails_on_the_periodic_four_ring(self, n):
-        # A known violation, pinned until the constant is re-derived.  On the
-        # periodic ring every power Q^j e_1, j >= 1, is 1/2 on two opposite
-        # states and 0 on the other two, alternating with the parity of j.
-        # So max_{2 <= j <= 2n + 1} (Q^j e_1)^2 is 1/4 at every state, while
-        # the right side <e_1, Q^2 e_1>_pi is 1/8.
+    def test_stein_periodic_four_ring_passes_at_the_derived_constant(self, n):
+        # Ratio 2 broke the old constant 1 and passes C = 8.  On the periodic
+        # ring every power Q^j e_1, j >= 1, is 1/2 on two opposite states and
+        # 0 on the other two, alternating with the parity of j.  So
+        # max_{2 <= j <= 2n + 1} (Q^j e_1)^2 is 1/4 at every state, while the
+        # right side <e_1, Q^2 e_1>_pi is 1/8.
         e_1 = Observable([1.0, 0.0, 0.0, 0.0])
         rec = verify_markov_inequality(MarkovCheck.STEIN, lazy_ring(4, 0.0), e_1, n)
-        assert (rec.lhs, rec.rhs, rec.ratio, rec.constant) == (0.25, 0.125, 2.0, 1.0)
-        assert not rec.passed and not rec.skipped
+        assert (rec.lhs, rec.rhs, rec.ratio, rec.constant) == (0.25, 0.125, 2.0, 8.0)
+        assert rec.passed and not rec.skipped
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_stein_constant_one_fails_for_a_centered_observable(self, n):
-        # A known violation, pinned until the constant is re-derived: centering
-        # f does not rescue C = 1.  A selection ascent found this f on the
-        # periodic eight-ring; its ratio 1.3279344 is a lower bound on the
-        # worst one at these horizons.
+    def test_stein_centered_observable_passes_at_the_derived_constant(self, n):
+        # Centering f did not rescue the old constant 1: a selection ascent
+        # found this f on the periodic eight-ring, with ratio 1.3279344 at
+        # these horizons, and it passes C = 8.
         path = DATA / "verify_markov" / "stein-centered-lazy-ring-8.json"
         f = load_observable(json.loads(path.read_text(encoding="utf-8")))
         chain = lazy_ring(8, 0.0)
         assert abs(float(chain.stationary @ f.values[:, 0])) < 1e-15
         rec = verify_markov_inequality(MarkovCheck.STEIN, chain, f, n)
-        assert (rec.lhs, rec.rhs, rec.constant) == (1.0568331093749999, 0.7958473749999999, 1.0)
+        assert (rec.lhs, rec.rhs, rec.constant) == (1.0568331093749999, 0.7958473749999999, 8.0)
         assert rec.ratio >= 1.3279
-        assert not rec.passed and not rec.skipped
+        assert rec.passed and not rec.skipped
 
     def test_scalar_only_checks_reject_vectors(self):
         chain, f = random_chain_instance(83, m_max=8, dim=2)

@@ -498,6 +498,56 @@ class TestReduceTrials:
                           range(10), workers=3)
         assert multiprocessing.active_children() == []
 
+    def test_blocks_arrive_as_raw_bytes_in_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", 5)
+        chain = birth_death([0.3, 0.4, 0.2], [0.2, 0.3, 0.5])
+        seeds = [derive_trial_seed(4, i) for i in range(3)]
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        walker = context.Process(target=simulate._walk, args=(writer, chain, 17, seeds))
+        walker.start()
+        writer.close()
+        views, copies = [], []
+        try:
+            for block in simulate._received(reader, walker, 3, np.int16):
+                views.append(block)
+                copies.append(block.copy())
+        finally:
+            reader.close()
+            walker.join(timeout=60)
+        assert walker.exitcode == 0
+        assert [b.shape for b in copies] == [(1, 3), (5, 3), (5, 3), (5, 3), (2, 3)]
+        assert all(np.shares_memory(view, views[0]) for view in views)
+        assert np.array_equal(np.concatenate(copies).T, sample_trajectories(chain, 17, seeds))
+
+    def test_worker_error_after_some_blocks_reaches_the_caller(self, monkeypatch):
+        def failing(chain, n, seeds):
+            yield np.zeros(len(seeds), dtype=np.int16)
+            yield np.zeros((3, len(seeds)), dtype=np.int16)
+            raise ValidationError("walk failed after one block")
+
+        monkeypatch.setattr(simulate, "_sample_blocks", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        with pytest.raises(ValidationError, match="walk failed after one block"):
+            reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 8,
+                          range(10), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_walker_that_dies_after_some_blocks_is_named(self, monkeypatch):
+        def dying(chain, n, seeds):
+            yield np.zeros(len(seeds), dtype=np.int16)
+            yield np.zeros((3, len(seeds)), dtype=np.int16)
+            os._exit(4)
+
+        monkeypatch.setattr(simulate, "_sample_blocks", dying)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        with pytest.raises(RuntimeError, match="exited with code 4"):
+            reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 8,
+                          range(10), workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_overflowing_weights_raise_before_sampling(self, monkeypatch):
         def no_sampling(chain, n, seeds):
             raise AssertionError("sampled before the weights were evaluated")
