@@ -566,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary-path series diagnostics and Monte Carlo max moment",
     )
     sim.add_argument("--threads", type=int, default=1,
-                     help="processes, at most one per CPU: forked walkers sample the "
-                          "trials and this process reduces them; the outputs are "
+                     help="processes, at most one per CPU: each forked worker samples "
+                          "and reduces its own range of trials; the outputs are "
                           "identical for any value")
     sim.add_argument("--chain", required=True)
     sim.add_argument("--observable", "--f", dest="observable", required=True)
@@ -630,3 +630,7 @@ def run(argv) -> int:
 
 def main():  # pragma: no cover
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":  # python -m revmax.cli
+    main()

@@ -2,12 +2,15 @@
 
 Every trial owns an RNG stream derived from the master seed and the trial
 index by a fixed 64-bit mixer, and results are reduced in trial order, so
-outputs depend on the master seed only.
+outputs depend on the master seed only.  ``reduce_trials`` cuts the trials
+into contiguous ranges; one forked worker per range samples its trials and
+reduces their series paths into shared memory, and one range runs in-process.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -134,34 +137,40 @@ class _StepTable:
     def walk(self, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """States ``(steps + 1, trials)`` from ``first`` through ``draws``.
 
-        ``draws`` has shape ``(steps, trials)`` and holds values of
-        ``Generator.random()``, multiples of 2**-53; row t moves every trial
-        one step.  Trials whose bucket is marked -1 search their row's keys.
+        ``draws`` has shape ``(steps, trials)``, in any memory order, and holds
+        values of ``Generator.random()``, multiples of 2**-53; row t moves every
+        trial one step.  Each step gathers its row of states from the table
+        into the output in place.  Trials whose bucket is marked -1 search
+        their row's keys.
         """
-        offsets = (draws * float(1 << self.bits)).astype(np.intp)  # k >> (53 - bits)
+        steps, trials = draws.shape
+        offsets = np.empty((steps, trials), dtype=np.intp)
+        # k >> (53 - bits), truncated as astype truncates
+        np.multiply(draws, float(1 << self.bits), out=offsets, casting="unsafe")
         offsets *= self.m
-        out = np.empty((draws.shape[0] + 1, draws.shape[1]), dtype=self.table.dtype)
-        out[0] = first
+        rows = np.empty((steps + 1, trials), dtype=self.table.dtype)
+        rows[0] = first
         for t, offset in enumerate(offsets):
-            current = out[t]
-            step = self.table[offset + current]
+            offset += rows[t]
+            step = self.table.take(offset, 0, rows[t + 1], "clip")
             if step[step.argmin()] < 0:
+                current = rows[t]
                 for i in np.flatnonzero(step < 0):
                     k = int(draws[t, i] * 2.0 ** _DRAW_BITS)
                     step[i] = bisect_left(self.key_rows[current[i]], k)
-            out[t + 1] = step
-        return out
+        return rows
 
 
 def _sample_blocks(chain: ReversibleChain, n: int, seeds):
     """Yield the start states of one trajectory per seed, then its steps in blocks.
 
     Each trial consumes its own PCG64 stream: one uniform for the stationary
-    start, then one per step, ``_STEP_BLOCK`` steps at a time; the consumed
-    values do not depend on the block size.  A draw is u = k * 2**-53 for an
-    integer k, and the next state is the number of entries c of the current
-    cumulative row (the row's running sum, its last entry set to 1) with
-    floor(c * 2**53) < k.  That is the first state whose cumulative
+    start, then one per step, ``_STEP_BLOCK`` steps at a time, drawn in place
+    into its row of one trial-major buffer whose transpose is walked; the
+    consumed values do not depend on the block size.  A draw is u = k * 2**-53
+    for an integer k, and the next state is the number of entries c of the
+    current cumulative row (the row's running sum, its last entry set to 1)
+    with floor(c * 2**53) < k.  That is the first state whose cumulative
     probability reaches u, decided in integers.
 
     Each step looks the next states up in a bucket table indexed by the top
@@ -179,11 +188,13 @@ def _sample_blocks(chain: ReversibleChain, n: int, seeds):
     start = np.array([g.random() for g in gens])
     current = np.searchsorted(cum_pi, start, side="left").astype(lookup.table.dtype)
     yield current
+    draws = np.empty((len(gens), min(_STEP_BLOCK, n)))  # trial-major
     done = 0
     while done < n:
         block = min(_STEP_BLOCK, n - done)
-        draws = np.stack([g.random(block) for g in gens], axis=1)
-        steps = lookup.walk(current, draws)[1:]
+        for g, row in zip(gens, draws):
+            g.random(out=row[:block])
+        steps = lookup.walk(current, draws[:, :block].T)[1:]
         yield steps
         current = steps[-1]
         done += block
@@ -398,10 +409,11 @@ def _reduce_blocks(blocks, table, a, checkpoints, max_squares, osc_squares, norm
 
 
 def _process_count(workers: int, trials: int) -> int:
-    """Processes to run on, this one included: ``min(workers, cpu_count, trials)``.
+    """Processes to fork, one per trial range: ``min(workers, cpu_count, trials)``.
 
-    Walkers are forked, so that they start without pickling the chain;
-    where ``fork`` is unavailable every trial runs in-process.
+    A count of 1 runs the single range in this process, as it does where
+    ``fork`` is unavailable; workers are forked, so that they start without
+    pickling the chain or the table of kernel powers.
     """
     count = min(workers, os.cpu_count() or 1, trials)
     if count > 1:
@@ -412,65 +424,26 @@ def _process_count(workers: int, trials: int) -> int:
     return 1
 
 
-def _walk(conn, chain: ReversibleChain, n: int, seeds):
-    """Walker process: send ``_sample_blocks`` as raw bytes, then how it ended.
-
-    Each array goes down ``conn`` as its contiguous bytes, unpickled; an
-    empty message then precedes the pickled end, None or the error the walk
-    raised.  A feeder thread sends while the walk goes on, so the walker
-    never waits for the process that reduces.
-    """
-    import queue
-    import threading
-
-    outbox = queue.SimpleQueue()
-
-    def feed():
-        while True:
-            item = outbox.get()
-            if isinstance(item, np.ndarray):
-                conn.send_bytes(item)
-                continue
-            conn.send_bytes(b"")
-            conn.send(item)
-            return
-
-    feeder = threading.Thread(target=feed)
-    feeder.start()
+def _run_range(conn, job, lo: int, hi: int):
+    """Forked worker: run ``job(lo, hi)``, then send how it ended, None or the error."""
+    end = None
     try:
-        for block in _sample_blocks(chain, n, seeds):
-            outbox.put(block)
+        job(lo, hi)
     except Exception as exc:
-        outbox.put(exc)
-    outbox.put(None)
-    feeder.join()
+        end = exc
+    conn.send(end)
 
 
-def _received(conn, walker, trials: int, dtype):
-    """Yield what a walker sends as ``(steps, trials)`` states, the start states as one row.
+def _shared_floats(*shapes) -> list:
+    """Zero-filled float64 arrays of the given shapes in one anonymous shared ``mmap``.
 
-    Every message is read by ``recv_bytes_into`` into one buffer of
-    ``_STEP_BLOCK`` steps, and each array yielded is a view of it, valid
-    until the next is asked for.  After the walker's end, its error is
-    raised.  A walker that exits before its end closes the pipe, and the
-    error names its exit code.
+    Processes forked after the call write into the same pages, so their
+    results reach this process without a copy.
     """
-    buffer = np.empty(_STEP_BLOCK * trials, dtype=dtype)
-    raw = buffer.view(np.uint8)
-    while True:
-        try:
-            size = conn.recv_bytes_into(raw)
-            if not size:
-                end = conn.recv()
-                break
-        except EOFError:
-            walker.join()
-            raise RuntimeError(
-                f"trajectory walker exited with code {walker.exitcode} before it finished"
-            ) from None
-        yield buffer[: size // buffer.itemsize].reshape(-1, trials)
-    if end is not None:
-        raise end
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+    ends = np.cumsum([0, *sizes])
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
 
 def reduce_trials(
@@ -491,17 +464,18 @@ def reduce_trials(
     ``(paths ** 2).sum(axis=2).max(axis=1)``, ``as_convergence_diagnostic``
     and ``np.linalg.norm(paths[:norms_limit], axis=2)`` bit for bit.
 
-    Walkers sample and this process reduces.  With ``count = min(workers,
-    os.cpu_count(), trials)`` of 1, this process samples each block of steps
-    and reduces it for all trials at once, then calls ``meanwhile``.  With
-    two or more, ``count - 1`` walker processes are forked over contiguous
-    trial ranges before the table of kernel powers is built; each streams its
-    time-major state blocks through a pipe.  This process meanwhile builds
-    the table and calls ``meanwhile``, then reduces the ranges in trial
-    order.  Every trial draws from its own seed, so the results do not
-    depend on ``workers``.  The weights are evaluated before any sampling.
-    If anything fails, the walkers are killed and joined before the error
-    propagates.
+    The trials are cut into ``count = min(workers, os.cpu_count(), trials)``
+    contiguous ranges, and each range is one job: ``_sample_blocks`` feeds
+    ``_reduce_blocks``, which writes the range's slices of the results.  The
+    weights and the table of kernel powers are computed first.  With a count
+    of 1 the job runs in this process, then ``meanwhile`` is called.  With
+    two or more, one worker per range is forked and writes into an anonymous
+    shared ``mmap`` made before the fork; its pipe carries only how the job
+    ended.  This process samples nothing: it calls ``meanwhile``, then waits
+    for the ranges in trial order and raises the first error, naming the exit
+    code of a worker that died.  Every trial draws from its own seed, so the
+    results do not depend on ``workers``.  If anything fails, the workers are
+    killed and joined before the error propagates.
     """
     seeds = list(seeds)
     trials = len(seeds)
@@ -513,44 +487,48 @@ def reduce_trials(
         raise ValidationError(f"norms limit must be >= 0, got {norms_limit}")
     checkpoints = _diagnostic_checkpoints(checkpoints, trials, n) if len(checkpoints) else []
     a = w.eval_range(n)
-    max_squares = np.empty(trials)
-    osc_squares = np.empty((len(checkpoints), trials))
-    norms = np.empty((min(norms_limit, trials), n))
+    table = powers.table(n)
+    max_squares, osc_squares, norms = _shared_floats(
+        (trials,), (len(checkpoints), trials), (min(norms_limit, trials), n))
 
-    def reduce(blocks, lo, hi):
-        _reduce_blocks(blocks, powers.table(n), a, checkpoints, max_squares[lo:hi],
-                       osc_squares[:, lo:hi], norms[lo:hi])
+    def job(lo, hi):
+        _reduce_blocks(_sample_blocks(powers.chain, n, seeds[lo:hi]), table, a, checkpoints,
+                       max_squares[lo:hi], osc_squares[:, lo:hi], norms[lo:hi])
 
     count = _process_count(workers, trials)
     if count == 1:
-        reduce(_sample_blocks(powers.chain, n, seeds), 0, trials)
+        job(0, trials)
         extra = meanwhile() if meanwhile is not None else None
     else:
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        bounds = [trials * i // (count - 1) for i in range(count)]
-        walkers = []
+        bounds = [trials * i // count for i in range(count + 1)]
+        started = []
         try:
             for lo, hi in zip(bounds, bounds[1:]):
                 reader, writer = context.Pipe(duplex=False)
-                walker = context.Process(target=_walk,
-                                         args=(writer, powers.chain, n, seeds[lo:hi]))
-                walker.start()
+                worker = context.Process(target=_run_range, args=(writer, job, lo, hi))
+                worker.start()
                 writer.close()
-                walkers.append((walker, reader))
-            powers.table(n)
+                started.append((worker, reader))
             extra = meanwhile() if meanwhile is not None else None
-            dtype = _state_dtype(powers.chain.m)
-            for (walker, reader), lo, hi in zip(walkers, bounds, bounds[1:]):
-                reduce(_received(reader, walker, hi - lo, dtype), lo, hi)
+            for worker, reader in started:
+                try:
+                    end = reader.recv()
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(f"trial worker exited with code {worker.exitcode}"
+                                       " before it finished") from None
+                if end is not None:
+                    raise end
         except BaseException:
-            for walker, _ in walkers:
-                walker.kill()
+            for worker, _ in started:
+                worker.kill()
             raise
         finally:
-            for walker, reader in walkers:
-                walker.join()
+            for worker, reader in started:
+                worker.join()
                 reader.close()
     oscillation = _oscillation_table(osc_squares, checkpoints) if checkpoints else None
     return PathReductions(max_squares, oscillation, norms), extra

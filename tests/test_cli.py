@@ -628,6 +628,25 @@ class TestSimulate:
         assert texts[0] == texts[1] == texts[2]
         assert multiprocessing.active_children() == []
 
+    def test_paths_out_over_three_ranges_writes_the_bytes_of_one_process(
+            self, chain_files, tmp_path, monkeypatch):
+        # 50 trials split 16 / 17 / 17, and the 40 path rows cross both splits
+        chain, f, _ = chain_files
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        texts = []
+        for threads in ("1", "3"):
+            paths = tmp_path / f"paths{threads}.csv"
+            assert run([
+                "simulate", "--chain", str(chain), "--observable", str(f),
+                "--weights", "power:-0.5", "--n", "48", "--trials", "50",
+                "--master-seed", "7", "--threads", threads,
+                "--paths-out", str(paths), "--paths-limit", "40",
+            ]) == 0
+            texts.append(paths.read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].count(b"\n") == 1 + 40 * 48
+        assert multiprocessing.active_children() == []
+
     def test_worker_error_exits_as_in_one_process(self, chain_files, tmp_path,
                                                   monkeypatch, capsys):
         chain, f, _ = chain_files

@@ -3,8 +3,10 @@
 Every integer option that ``build_parser()`` declares has an entry in
 ``INT_FLAGS``: its minimum, or None for an option that takes any integer.
 A value below the minimum exits 2 with a message naming the option, and the
-walk fails for an integer option added without an entry.  ``--weights`` on
-an id that reads no weight sequence exits 2 naming the flag and the id.
+walk fails for an integer option added without an entry.  Every float option
+has an entry in ``FLOAT_FLAGS``: one value outside its range, and the values
+among NaN, inf and -inf that its range holds.  ``--weights`` on an id that
+reads no weight sequence exits 2 naming the flag and the id.
 """
 
 import argparse
@@ -201,4 +203,53 @@ def test_the_first_unread_flag_is_named(dirs, capsys):
             "--m", "-5", "--laziness", "7", "-o", str(outputs / "c.json")]
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: --m: two-state does not read it\n"
+    assert list(outputs.iterdir()) == []
+
+
+# each float option: a value outside its range, and the non-finite values its
+# range holds.  None holds any: the flip, move and holding probabilities lie
+# in [0, 1], every check's declared p_range ("1 < p < inf", "1 < p <= 2" or
+# "p = 2") is finite, and a pass slack must be finite
+FLOAT_FLAGS = {
+    ("gen-chain", "--p"): ("1.5", set()),
+    ("gen-chain", "--q"): ("0", set()),
+    ("gen-chain", "--up"): ("-0.5", set()),
+    ("gen-chain", "--down"): ("0.9", set()),  # up + down above 1
+    ("gen-chain", "--laziness"): ("1.5", set()),
+    ("verify", "--p"): ("1", set()),  # max-vs-endpoint needs 1 < p < inf
+    ("verify", "--tol-override"): ("-1e-300", set()),
+    ("verify-markov", "--tol-override"): ("-0.5", set()),
+}
+FLOAT_CASES = [(command, flag, value, value in accepted)
+               for (command, flag), (low, accepted) in FLOAT_FLAGS.items()
+               for value in ("nan", "inf", "-inf", low)]
+
+
+def test_every_float_option_has_an_entry():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {(command, action.option_strings[0])
+                for command, sub in commands.choices.items()
+                for action in sub._actions if action.type is float}
+    assert declared == set(FLOAT_FLAGS)
+
+
+@pytest.mark.parametrize("command,flag,value,accepted", FLOAT_CASES,
+                         ids=[f"{command}{flag}={value}" for command, flag, value, _ in FLOAT_CASES])
+def test_a_float_outside_its_range_exits_two_naming_the_option(command, flag, value, accepted,
+                                                               model_files, capsys):
+    inputs, outputs = model_files
+    # "--flag=-inf": a separate "-inf" would parse as an option
+    if command == "gen-chain":
+        model = next(model for model, argv in MODELS.items() if flag in argv)
+        argv = gen_chain_argv(model, inputs, outputs, f"{flag}={value}")
+    else:
+        argv = argv_for(command, inputs, outputs, f"{flag}={value}")
+    code = run(argv)
+    err = capsys.readouterr().err
+    if accepted:
+        assert code in (0, 1), err
+        return
+    assert code == 2
+    assert err.startswith("error: ") and flag in err.splitlines()[-1], err
     assert list(outputs.iterdir()) == []

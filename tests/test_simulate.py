@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -441,7 +442,7 @@ class TestReduceTrials:
     ])
     def test_range_count_is_min_of_workers_cpus_and_trials(self, monkeypatch, workers,
                                                            cpus, trials, processes):
-        # this process reduces and one walker per further process samples
+        # one worker per range samples and reduces it; none at a count of 1
         started = []
         start = multiprocessing.process.BaseProcess.start
 
@@ -456,7 +457,7 @@ class TestReduceTrials:
         out, _ = reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
                                seeds, workers=workers)
         assert out.max_squares.shape == (trials,)
-        assert len(started) == (0 if processes is None else processes - 1)
+        assert len(started) == (0 if processes is None else processes)
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
@@ -486,6 +487,23 @@ class TestReduceTrials:
                               range(10), workers=workers, meanwhile=failing)
             assert multiprocessing.active_children() == []
 
+    def test_meanwhile_error_kills_workers_that_would_not_finish(self, monkeypatch):
+        def stuck(chain, n, seeds):
+            time.sleep(120)
+
+        def failing():
+            raise ValidationError("series bound failed")
+
+        monkeypatch.setattr(simulate, "_sample_blocks", stuck)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chain, f = two_state(0.25, 0.25), Observable([1.0, -1.0])
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="series bound failed"):
+            reduce_trials(ChainPowers(chain, f), WeightSequence.constant(1.0), 4,
+                          range(10), workers=2, meanwhile=failing)
+        assert time.monotonic() - start < 60
+        assert multiprocessing.active_children() == []
+
     def test_walker_that_dies_is_named_by_its_exit_code(self, monkeypatch):
         def dying(chain, n, seeds):
             os._exit(3)
@@ -498,27 +516,29 @@ class TestReduceTrials:
                           range(10), workers=3)
         assert multiprocessing.active_children() == []
 
-    def test_blocks_arrive_as_raw_bytes_in_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_STEP_BLOCK", 5)
-        chain = birth_death([0.3, 0.4, 0.2], [0.2, 0.3, 0.5])
-        seeds = [derive_trial_seed(4, i) for i in range(3)]
-        context = multiprocessing.get_context("fork")
-        reader, writer = context.Pipe(duplex=False)
-        walker = context.Process(target=simulate._walk, args=(writer, chain, 17, seeds))
-        walker.start()
-        writer.close()
-        views, copies = [], []
-        try:
-            for block in simulate._received(reader, walker, 3, np.int16):
-                views.append(block)
-                copies.append(block.copy())
-        finally:
-            reader.close()
-            walker.join(timeout=60)
-        assert walker.exitcode == 0
-        assert [b.shape for b in copies] == [(1, 3), (5, 3), (5, 3), (5, 3), (2, 3)]
-        assert all(np.shares_memory(view, views[0]) for view in views)
-        assert np.array_equal(np.concatenate(copies).T, sample_trajectories(chain, 17, seeds))
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_this_process_samples_nothing_when_workers_fork(self, monkeypatch, workers):
+        # a sampling caller would hold its own step table and draw buffers;
+        # 8 ranges of 3-4 trials write disjoint slices of the shared results
+        caller = os.getpid()
+        sample_blocks = simulate._sample_blocks
+
+        def forked_only(chain, n, seeds):
+            if os.getpid() == caller:
+                raise AssertionError("the calling process sampled")
+            return sample_blocks(chain, n, seeds)
+
+        monkeypatch.setattr(simulate, "_sample_blocks", forked_only)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        chain, f = random_chain_instance(71, m_max=12, dim=2)
+        w = WeightSequence.power(-0.5)
+        seeds = [derive_trial_seed(6, i) for i in range(31)]
+        out, _ = reduce_trials(ChainPowers(chain, f), w, 64, seeds, checkpoints=[8, 16, 32],
+                               norms_limit=12, workers=workers)
+        monkeypatch.setattr(simulate, "_sample_blocks", sample_blocks)
+        assert_reductions_equal(
+            out, batch_reductions(chain, f, w, 64, seeds, [8, 16, 32], 12))
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_after_some_blocks_reaches_the_caller(self, monkeypatch):
         def failing(chain, n, seeds):
