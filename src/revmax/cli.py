@@ -13,15 +13,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .finite_prob import ValidationError, _load_json, _numbers
-from .inequalities import (
-    InequalityId, make_record, series_criterion, traced_constant, verify_batch,
-)
+from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
 from .markov import (
     ChainPowers,
     MarkovCheck,
@@ -102,19 +101,6 @@ def _weights(spec: str, upto: int, check=None):
     except ValidationError as exc:
         raise ValidationError(f"--weights: {exc}") from None
     return w
-
-
-def _tol_override(args) -> float | None:
-    tol = args.tol_override
-    if tol is not None:
-        if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
-            raise ValidationError(f"--tol-override must be a finite number >= 0, got {tol}")
-        print(
-            f"WARNING: pass tolerance overridden to {tol!r}; "
-            "records no longer reflect the committed contract",
-            file=sys.stderr,
-        )
-    return tol
 
 
 # The flags that set a model's numbers, named by the errors the model raises.
@@ -257,13 +243,12 @@ def _cmd_verify(args, argv) -> int:
     # n above min(--n-max, --atoms-max - 1)
     horizon = min(args.n_max, args.atoms_max - 1)
     weights = _weights(args.weights, 4 * horizon, check) if args.weights else None
-    tol = _tol_override(args)
     # a side that overflows is refused by _report_batch
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_batch(check, args.p, args.instances, args.seed, weights,
                                args.atoms_max, args.n_max, args.dim_max)
     flags = "--p/--weights" if check.weighted else "--p"
-    return _report_batch(args, argv, check, records, "instance", flags, tol)
+    return _report_batch(args, argv, check, records, "instance", flags)
 
 
 def _verdict_health(records) -> dict:
@@ -289,18 +274,16 @@ def _cmd_verify_markov(args, argv) -> int:
                              "--threads": 1})
     # the even and odd statistics of horizon n read a_1 .. a_8n
     weights = _weights(args.weights, 8 * args.n_max, check) if args.weights else None
-    tol = _tol_override(args)
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_markov_batch(check, args.chains, args.seed, weights,
                                       args.m_max, args.n_max)
-    return _report_batch(args, argv, check, records, "chain", "--weights", tol)
+    return _report_batch(args, argv, check, records, "chain", "--weights")
 
 
-def _report_batch(args, argv, check, records, noun: str, flags: str, tol: float | None) -> int:
+def _report_batch(args, argv, check, records, noun: str, flags: str) -> int:
     """Write a batch's CSV and sidecar, print its summary line, give its exit code.
 
     A side that is not finite is refused first, naming ``flags``, which scale the sides.
-    Records are judged again with the pass slack ``tol`` when one is given.
     """
     for r in records:
         if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
@@ -308,9 +291,6 @@ def _report_batch(args, argv, check, records, noun: str, flags: str, tol: float 
                 f"{flags}: {check.value} at p={r.p} overflows double precision on"
                 f" {noun} seed {r.descriptor['seed']} (lhs {r.lhs!r}, rhs {r.rhs!r})"
             )
-    if tol is not None:
-        records = [make_record(r.check, r.p, r.descriptor, r.lhs, r.rhs, r.constant, tol)
-                   for r in records]
     _write_text(args.out, _records_to_csv(records))
     health = _verdict_health(records)
     _write_sidecar(args.out, argv, seed=args.seed,
@@ -424,7 +404,7 @@ def _cmd_report(args, argv) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             lines = fh.read().strip().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read report input {args.input!r}: {exc}")
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(
@@ -435,19 +415,24 @@ def _cmd_report(args, argv) -> int:
     dat = ["# index ratio constant pass"]
     summary: dict[tuple, list] = {}
     for i, row in enumerate(rows):
+        where = f"report input {args.input!r} line {i + 2}"
         if len(row) != width:
-            raise ValidationError(
-                f"report input {args.input!r} line {i + 2} has {len(row)} fields,"
-                f" expected {width}"
-            )
+            raise ValidationError(f"{where} has {len(row)} fields, expected {width}")
         check, p, ratio, constant, flag = row[0], row[1], row[8], row[9], row[10]
+        if flag not in ("true", "false", "skipped"):
+            raise ValidationError(f"{where} has pass {flag!r}, not true, false or skipped")
+        for name, field in (("p", p), ("ratio", ratio), ("constant", constant)):
+            try:
+                float(field)
+            except ValueError:
+                raise ValidationError(f"{where} has {name} {field!r}, not a number") from None
         dat.append(f"{i} {ratio} {constant} {1 if flag == 'true' else 0}")
         key = (check, p)
         entry = summary.setdefault(key, [0, 0, 0.0])
         entry[0] += 1
         if flag == "false":
             entry[1] += 1
-        if flag == "true" and ratio not in ("nan", ""):
+        if flag == "true" and ratio != "nan":
             entry[2] = max(entry[2], float(ratio))
     _write_text(args.out_prefix + "_ratios.dat", "\n".join(dat) + "\n")
     text = ["check p count violations max_ratio"]
@@ -542,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--atoms-max", type=int, default=64)
     ver.add_argument("--n-max", type=int, default=32)
     ver.add_argument("--dim-max", type=int, default=3)
-    ver.add_argument("--tol-override", type=float, default=None,
-                     help="expert-only pass slack override (logged loudly)")
     ver.add_argument("-o", "--out", required=True)
 
     vmk = sub.add_parser(
@@ -558,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     vmk.add_argument("--weights", default=None)
     vmk.add_argument("--m-max", type=int, default=50)
     vmk.add_argument("--n-max", type=int, default=128)
-    vmk.add_argument("--tol-override", type=float, default=None)
     vmk.add_argument("-o", "--out", required=True)
 
     sim = sub.add_parser(
@@ -613,12 +595,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the options that name a file or a file prefix a command writes
+_OUTPUTS = ("--out", "--osc-out", "--paths-out", "--estimate-out", "--out-prefix")
+
+
+def _require_output_dirs(args):
+    """Refuse an output path whose directory does not exist, naming its option."""
+    for flag in _OUTPUTS:
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"{flag}: cannot write {path!r}: No such file or directory")
+
+
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _require_output_dirs(args)
         return _HANDLERS[args.command](args, argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

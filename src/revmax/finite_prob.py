@@ -472,6 +472,12 @@ def _numbers(raw, field: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _object(obj, what: str, fields: str):
+    """Refuse a top-level JSON value that is not an object, naming the schema."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} JSON must be an object {fields}")
+
+
 def _dim(obj: dict) -> int:
     """The optional JSON ``dim`` field: an integer >= 1, and 1 when absent."""
     dim = obj.get("dim", 1)
@@ -487,6 +493,7 @@ def load_problem(obj: dict):
     a list of blocks of 0-based atom indices), optional ``dim`` and ``terms``
     (per term, one vector per atom).  Error messages name the offending field.
     """
+    _object(obj, "problem", '{"probs", "partitions", "dim", "terms"}')
     if "probs" not in obj:
         raise ValidationError("missing field 'probs'")
     if "partitions" not in obj:

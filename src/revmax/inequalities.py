@@ -363,21 +363,13 @@ def _record(check: InequalityId, instance: Instance, n: int, p: float,
     return make_record(check.value, p, instance.descriptor() | {"n": n}, lhs, rhs, constant)
 
 
-def make_record(
-    check: str,
-    p: float,
-    descriptor: dict,
-    lhs: float,
-    rhs: float,
-    constant: float,
-    tol_override: float | None = None,
-) -> VerificationRecord:
-    """Record for lhs <= constant * rhs, judged with the pass slack or ``tol_override``.
+def make_record(check: str, p: float, descriptor: dict, lhs: float, rhs: float,
+                constant: float) -> VerificationRecord:
+    """Record for lhs <= constant * rhs, judged with the pass slack ``PASS_SLACK``.
 
     A zero rhs needs lhs <= 1e-12 and marks the record skipped.  A record
     with a side that is not finite never passes.
     """
-    slack = PASS_SLACK if tol_override is None else tol_override
     bound = constant * rhs
     if rhs == 0.0:
         skipped = lhs <= DEGENERATE_LHS_TOL
@@ -386,7 +378,7 @@ def make_record(
     else:
         skipped = False
         passed = (math.isfinite(lhs) and math.isfinite(rhs)
-                  and lhs <= bound + slack * (1.0 + abs(bound)))
+                  and lhs <= bound + PASS_SLACK * (1.0 + abs(bound)))
         ratio = lhs / rhs
     return VerificationRecord(
         check=check,

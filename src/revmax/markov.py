@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_prob import ValidationError, _dim, _left_sum, _numbers
+from .finite_prob import ValidationError, _dim, _left_sum, _numbers, _object
 from .inequalities import (
     InequalityId, TracedConstant, VerificationRecord, _generator, make_record, traced_constant,
 )
@@ -246,8 +246,9 @@ def weighted_graph(weight_matrix) -> ReversibleChain:
     W = np.asarray(weight_matrix, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
         raise ValidationError("weight matrix must be square and non-empty")
-    if np.abs(W - W.T).max() > 1e-12:
-        raise ValidationError("weight matrix must be symmetric")
+    # a NaN or inf entry leaves a NaN in W - W.T, which fails this test
+    if not np.abs(W - W.T).max() <= 1e-12:
+        raise ValidationError("weight matrix must be finite and symmetric")
     if np.any(W < 0):
         raise ValidationError("weights must be non-negative")
     degrees = W.sum(axis=1)
@@ -268,8 +269,9 @@ def metropolis_chain(target, proposal) -> ReversibleChain:
     m = pi.size
     if S.shape != (m, m):
         raise ValidationError("proposal shape does not match the target")
-    if np.abs(S - S.T).max() > 1e-12:
-        raise ValidationError("proposal must be symmetric")
+    # a NaN or inf entry leaves a NaN in S - S.T, which fails this test
+    if not np.abs(S - S.T).max() <= 1e-12:
+        raise ValidationError("proposal must be finite and symmetric")
     if np.any(S < 0) or np.abs(S.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValidationError("proposal must be row-stochastic")
     Q = S * np.minimum(1.0, pi[None, :] / pi[:, None])
@@ -987,6 +989,23 @@ class MarkovCheck(str, enum.Enum):
     SUP_POWER_MAX = "sup-power-max", True, 8.0, False
 
 
+def _require_weight_domain(check: MarkovCheck, w: WeightSequence | None, n: int):
+    """Refuse weights a_1 .. a_8n, which horizon n reads, outside ``check``'s derivation.
+
+    The weighted-power-max derivation dominates the shifted odd coefficients
+    by the odd b coefficients only for weights of one sign or of
+    non-increasing magnitude.  The default unit weights lie inside.
+    """
+    if not check.weighted or w is None:
+        return
+    a = w.eval_range(8 * n)[1:]
+    if not ((a >= 0).all() or (a <= 0).all() or (np.diff(np.abs(a)) <= 0).all()):
+        raise ValidationError(
+            f"{check.value} needs weights of one sign or of non-increasing magnitude;"
+            f" {w.describe()} is neither through a_{8 * n}"
+        )
+
+
 def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
     """Committed constants for the chain inequalities (all at p = 2).
 
@@ -1063,6 +1082,7 @@ def verify_markov_inequality(
     descriptor's ``seed`` is None: the chain came from no seed here.
     """
     check = MarkovCheck(check)
+    _require_weight_domain(check, weights, n)
     return _markov_record(check, chain, f, n, weights, markov_traced_constant(check).value, None)
 
 
@@ -1107,10 +1127,13 @@ def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: Weig
                         m_max: int, n_max: int):
     """Run one chain inequality over ``count`` chains of at most ``m_max`` states.
 
-    The constant is read once.  A master generator seeded with ``seed`` draws
-    each chain's seed and then its horizon in 1..n_max, both kept in its record.
+    The constant is read once, and weights outside the check's domain through
+    a_8n_max are refused before any chain is drawn.  A master generator seeded
+    with ``seed`` draws each chain's seed and then its horizon in 1..n_max,
+    both kept in its record.
     """
     check = MarkovCheck(check)
+    _require_weight_domain(check, weights, n_max)
     constant = markov_traced_constant(check).value
     master = _generator(seed)
     records = []
@@ -1201,12 +1224,13 @@ def random_chain_instance(seed: int, m_max: int = 50, dim: int = 1, centered: bo
 
 def load_chain(obj: dict) -> ReversibleChain:
     """Build a chain from the JSON schema {"states", "pi" (optional), "Q"}."""
+    _object(obj, "chain", '{"states", "pi", "Q"}')
     if "Q" not in obj:
         raise ValidationError("missing field 'Q'")
-    pi, states = obj.get("pi"), obj.get("states")
-    if pi is not None:
-        pi = _numbers(pi, "pi")
-    if states is not None and not isinstance(states, list):
+    # an optional field that is present must be valid: null is not absent
+    pi = _numbers(obj["pi"], "pi") if "pi" in obj else None
+    states = obj.get("states")
+    if "states" in obj and not isinstance(states, list):
         raise ValidationError("states must be a list of state labels")
     return ReversibleChain(_numbers(obj["Q"], "Q"), pi, states)
 
@@ -1221,6 +1245,7 @@ def dump_chain(chain: ReversibleChain) -> dict:
 
 def load_observable(obj: dict) -> Observable:
     """Build an observable from the JSON schema {"dim", "values"}."""
+    _object(obj, "observable", '{"dim", "values"}')
     if "values" not in obj:
         raise ValidationError("missing field 'values'")
     values = _numbers(obj["values"], "values")

@@ -317,28 +317,6 @@ class TestVerify:
         code = run(["verify", "--id", "nope", "-o", str(tmp_path / "r.csv")])
         assert code == 2
 
-    def test_tol_override_logged(self, tmp_path, capsys):
-        out = tmp_path / "r.csv"
-        run([
-            "verify", "--id", "max-vs-endpoint", "--instances", "2",
-            "--seed", "1", "--tol-override", "1e-6", "-o", str(out),
-        ])
-        assert "overridden" in capsys.readouterr().err
-
-    def test_tol_override_judges_the_rows(self, tmp_path, monkeypatch):
-        # at p = 2 the smoothness sides are equal up to rounding, so a constant
-        # planted 1e-9 below 1 fails every row under the pass slack of 1e-12
-        planted = inequalities.TracedConstant("smoothness", 2.0, 1.0 - 1e-9, ())
-        monkeypatch.setattr(inequalities, "traced_constant", lambda check, p: planted)
-        flags = {}
-        for name, extra in (("strict", []), ("loose", ["--tol-override", "1e-6"])):
-            out = tmp_path / f"{name}.csv"
-            code = run(["verify", "--id", "smoothness", "--p", "2", "--instances", "8",
-                        "--seed", "4", *extra, "-o", str(out)])
-            flags[name] = (code, {row.split(",")[-1] for row in read(out).splitlines()[1:]})
-        assert flags == {"strict": (1, {"false"}), "loose": (0, {"true"})}
-
-
     def test_explicit_weights_need_only_4n(self, tmp_path):
         # second-moment-series at horizon n reads a_1..a_4n; n-max 32 needs 128
         weights = tmp_path / "w128.json"
@@ -436,19 +414,12 @@ def test_negative_seed_exits_two_before_any_draw(argv, draw, tmp_path, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("command", ["verify", "verify-markov"])
-def test_tol_override_must_be_finite_and_non_negative(command, value, tmp_path, capsys):
+@pytest.mark.parametrize("command, check", [("verify", "smoothness"), ("verify-markov", "stein")])
+def test_no_flag_sets_the_pass_slack(command, check, tmp_path, capsys):
+    # every row is judged once, against its traced constant with PASS_SLACK
     out = tmp_path / "r.csv"
-    check = "smoothness" if command == "verify" else "stein"
-    count = "--instances" if command == "verify" else "--chains"
-    assert run([
-        command, "--id", check, count, "6", "--seed", "1",
-        "--tol-override", value, "-o", str(out),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert f"error: --tol-override must be a finite number >= 0, got {float(value)}" in err
-    assert "WARNING" not in err
+    assert run([command, "--id", check, "--tol-override", "1e-6", "-o", str(out)]) == 2
+    assert "unrecognized arguments: --tol-override 1e-6" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -547,14 +518,28 @@ class TestVerifyMarkov:
             outs.append(read(path))
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("spec", ["alternating:power:1", "alternating:power:0.25"])
+    def test_weights_outside_the_derivation_exit_two_naming_them(self, spec, tmp_path,
+                                                                 capsys):
+        # neither of one sign nor of non-increasing magnitude
+        out = tmp_path / "m.csv"
+        assert run(["verify-markov", "--id", "weighted-power-max", "--weights", spec,
+                    "--chains", "20", "--seed", "3", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: weighted-power-max needs weights of one sign or of non-increasing"
+            f" magnitude; {spec} is neither through a_"
+        ), err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_tol_override_warns_once_per_run(self, tmp_path, capsys):
-        assert run([
-            "verify-markov", "--id", "stein", "--chains", "3", "--seed", "1",
-            "--m-max", "8", "--n-max", "8", "--tol-override", "1e-9",
-            "-o", str(tmp_path / "m.csv"),
-        ]) == 0
-        assert capsys.readouterr().err.count("WARNING: pass tolerance overridden") == 1
+    @pytest.mark.parametrize("spec", ["power:-0.5", "power:1", "constant:-2.0",
+                                      "alternating:power:-0.5", "alternating:constant:1.0"])
+    def test_weights_inside_the_derivation_are_judged(self, spec, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run(["verify-markov", "--id", "weighted-power-max", "--weights", spec,
+                    "--chains", "3", "--seed", "3", "--m-max", "8", "--n-max", "8",
+                    "-o", str(out)]) == 0
+        assert len(read(out).splitlines()) == 4
 
 
 class TestVerifyMarkovSidecar:
@@ -595,6 +580,23 @@ class TestVerifyMarkovSidecar:
 
 
 class TestSimulate:
+    def test_an_output_in_a_missing_directory_exits_two_before_sampling(
+        self, chain_files, tmp_path, monkeypatch, capsys
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --estimate-out was checked")
+
+        monkeypatch.setattr(cli, "reduce_trials", no_sampling)
+        chain, f, _ = chain_files
+        osc, estimate = tmp_path / "osc.csv", tmp_path / "missing" / "e.json"
+        assert run(["simulate", "--chain", str(chain), "--observable", str(f),
+                    "--weights", "power:-0.5", "--n", "64", "--trials", "100",
+                    "--osc-out", str(osc), "--estimate-out", str(estimate)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: --estimate-out: cannot write {str(estimate)!r}")
+        assert not osc.exists()
+
     def test_oscillation_run_and_sidecar(self, chain_files, tmp_path):
         chain, f, _ = chain_files
         osc = tmp_path / "osc.csv"
@@ -830,6 +832,33 @@ class TestReport:
         ]
         flags = [line.split()[-1] for line in read(tmp_path / "out_ratios.dat").splitlines()[1:]]
         assert flags == ["0"] * 4
+
+
+GOOD_ROW = "smoothness,2,1,4,2,1,0.5,1,0.5,1,true"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("smoothness,2,1,4,2,1,0.5,1,abc,1,true", "has ratio 'abc', not a number"),
+    ("smoothness,two,1,4,2,1,0.5,1,0.5,1,true", "has p 'two', not a number"),
+    ("smoothness,2,1,4,2,1,0.5,1,0.5,,false", "has constant '', not a number"),
+    ("smoothness,2,1,4,2,1,0.5,1,0.5,1,tr", "has pass 'tr', not true, false or skipped"),
+], ids=["garbled-ratio", "garbled-p", "empty-constant", "cut-in-pass"])
+def test_a_garbled_or_truncated_report_row_exits_two_naming_its_line(row, message, tmp_path,
+                                                                     capsys):
+    bad = tmp_path / "x.csv"
+    bad.write_text(f"{cli.CSV_HEADER}\n{GOOD_ROW}\n{row}")
+    assert run(["report", "--input", str(bad), "--out-prefix", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: report input {str(bad)!r} line 3 {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_a_report_input_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys):
+    bad = tmp_path / "x.csv"
+    bad.write_bytes(f"{cli.CSV_HEADER}\n".encode() + b"smoothness,2,\xff\xfe\n")
+    assert run(["report", "--input", str(bad), "--out-prefix", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read report input {str(bad)!r}: 'utf-8' codec")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def _outcome(rc, out, err, work: Path) -> tuple:

@@ -2,10 +2,12 @@
 
 Every integer option that ``build_parser()`` declares has an entry in
 ``INT_FLAGS``: its minimum, or None for an option that takes any integer.
-A value below the minimum exits 2 with a message naming the option, and the
-walk fails for an integer option added without an entry.  Every float option
-has an entry in ``FLOAT_FLAGS``: one value outside its range, and the values
-among NaN, inf and -inf that its range holds.  ``--weights`` on an id that
+A value below the minimum exits 2 with a message naming the option.  Every
+float option has an entry in ``FLOAT_FLAGS``: one value outside its range,
+and the values among NaN, inf and -inf that its range holds.  Every other
+option, positionals included, has an entry in ``OTHER_FLAGS``: a malformed
+value, which exits 2 naming the option or the value and writes nothing.  The
+walk fails for an option added without an entry.  ``--weights`` on an id that
 reads no weight sequence exits 2 naming the flag and the id.
 """
 
@@ -16,7 +18,7 @@ import pytest
 
 from revmax import InequalityId, MarkovCheck
 from revmax import cli
-from revmax.cli import run
+from revmax.cli import CSV_HEADER, run
 
 CHAIN = {"states": [0, 1], "Q": [[0.75, 0.25], [0.25, 0.75]]}
 OBSERVABLE = {"dim": 1, "values": [[1.0], [-1.0]]}
@@ -25,12 +27,14 @@ OBSERVABLE = {"dim": 1, "values": [[1.0], [-1.0]]}
 # for the input files and for whatever the command would write
 COMMANDS = {
     "gen-chain": ["--model", "lazy-ring", "--m", "4", "--laziness", "0.5", "-o", "{out}/c.json"],
+    "spectrum": ["{in}/chain.json", "{in}/f.json", "-o", "{out}/s.csv"],
     "check-conditions": ["{in}/chain.json", "{in}/f.json", "-o", "{out}/c.json"],
     "verify": ["--id", "max-vs-endpoint", "--instances", "2", "-o", "{out}/r.csv"],
     "verify-markov": ["--id", "stein", "--chains", "2", "--n-max", "4", "-o", "{out}/r.csv"],
     "simulate": ["--chain", "{in}/chain.json", "--observable", "{in}/f.json",
                  "--weights", "power:-0.5", "--n", "16", "--trials", "2",
                  "--paths-out", "{out}/paths.csv"],
+    "report": ["--input", "{in}/r.csv", "--out-prefix", "{out}/rep"],
 }
 
 INT_FLAGS = {
@@ -56,18 +60,20 @@ INT_FLAGS = {
 }
 
 
-def declared_int_options():
+def declared_options(kind):
+    """(command, first option string or positional name) of each action of type ``kind``."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        (command, action.option_strings[0])
+        (command, (action.option_strings or [action.dest])[0])
         for command, sub in commands.choices.items()
-        for action in sub._actions if action.type is int
+        for action in sub._actions
+        if action.type is kind and not isinstance(action, argparse._HelpAction)
     }
 
 
 def test_every_integer_option_has_an_entry():
-    assert declared_int_options() == set(INT_FLAGS)
+    assert declared_options(int) == set(INT_FLAGS)
 
 
 @pytest.fixture
@@ -77,14 +83,16 @@ def dirs(tmp_path):
     outputs.mkdir()
     (inputs / "chain.json").write_text(json.dumps(CHAIN))
     (inputs / "f.json").write_text(json.dumps(OBSERVABLE))
+    (inputs / "r.csv").write_text(f"{CSV_HEADER}\nstein,2,1,2,1,1,0.5,1,0.5,8,true\n")
     return inputs, outputs
 
 
-def argv_for(command, inputs, outputs, *extra):
-    args = [a.replace("{in}", str(inputs)).replace("{out}", str(outputs))
-            for a in COMMANDS[command]]
+def argv_for(command, inputs, outputs, *extra, replace=None):
+    """The command's arguments, then ``extra``; ``replace`` = (old, new) swaps one."""
+    args = [replace[1] if replace and a == replace[0] else a for a in [*COMMANDS[command], *extra]]
     # argparse keeps the last value of a repeated option
-    return [command, *args, *extra]
+    return [command, *[a.replace("{in}", str(inputs)).replace("{out}", str(outputs))
+                       for a in args]]
 
 
 def test_every_command_runs_with_its_arguments(dirs, capsys):
@@ -169,8 +177,10 @@ def model_files(dirs):
 
 
 def gen_chain_argv(model, inputs, outputs, *extra):
-    args = [a.replace("{in}", str(inputs)) for a in [*MODELS[model], *extra]]
-    return ["gen-chain", *args, "-o", str(outputs / "c.json")]
+    args = [a.replace("{in}", str(inputs)).replace("{out}", str(outputs))
+            for a in [*MODELS[model], *extra]]
+    # -o first, so that an -o in ``extra`` replaces it
+    return ["gen-chain", "-o", str(outputs / "c.json"), *args]
 
 
 def test_every_flag_that_feeds_a_model_has_a_value():
@@ -209,7 +219,7 @@ def test_the_first_unread_flag_is_named(dirs, capsys):
 # each float option: a value outside its range, and the non-finite values its
 # range holds.  None holds any: the flip, move and holding probabilities lie
 # in [0, 1], every check's declared p_range ("1 < p < inf", "1 < p <= 2" or
-# "p = 2") is finite, and a pass slack must be finite
+# "p = 2") is finite
 FLOAT_FLAGS = {
     ("gen-chain", "--p"): ("1.5", set()),
     ("gen-chain", "--q"): ("0", set()),
@@ -217,8 +227,6 @@ FLOAT_FLAGS = {
     ("gen-chain", "--down"): ("0.9", set()),  # up + down above 1
     ("gen-chain", "--laziness"): ("1.5", set()),
     ("verify", "--p"): ("1", set()),  # max-vs-endpoint needs 1 < p < inf
-    ("verify", "--tol-override"): ("-1e-300", set()),
-    ("verify-markov", "--tol-override"): ("-0.5", set()),
 }
 FLOAT_CASES = [(command, flag, value, value in accepted)
                for (command, flag), (low, accepted) in FLOAT_FLAGS.items()
@@ -226,12 +234,7 @@ FLOAT_CASES = [(command, flag, value, value in accepted)
 
 
 def test_every_float_option_has_an_entry():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    declared = {(command, action.option_strings[0])
-                for command, sub in commands.choices.items()
-                for action in sub._actions if action.type is float}
-    assert declared == set(FLOAT_FLAGS)
+    assert declared_options(float) == set(FLOAT_FLAGS)
 
 
 @pytest.mark.parametrize("command,flag,value,accepted", FLOAT_CASES,
@@ -252,4 +255,61 @@ def test_a_float_outside_its_range_exits_two_naming_the_option(command, flag, va
         return
     assert code == 2
     assert err.startswith("error: ") and flag in err.splitlines()[-1], err
+    assert list(outputs.iterdir()) == []
+
+
+# each option that is neither an integer nor a float: a missing input file,
+# an output path in a missing directory, an unknown choice or a bad weight spec
+MISSING_FILE, MISSING_DIR = "{in}/missing.json", "{out}/missing/x"
+OTHER_FLAGS = {
+    ("gen-chain", "--model"): "nope",
+    ("gen-chain", "--weights-file"): MISSING_FILE,
+    ("gen-chain", "--target-file"): MISSING_FILE,
+    ("gen-chain", "--proposal-file"): MISSING_FILE,
+    ("gen-chain", "-o"): MISSING_DIR,
+    ("spectrum", "chain"): MISSING_FILE,
+    ("spectrum", "observable"): MISSING_FILE,
+    ("spectrum", "-o"): MISSING_DIR,
+    ("check-conditions", "chain"): MISSING_FILE,
+    ("check-conditions", "observable"): MISSING_FILE,
+    ("check-conditions", "-o"): MISSING_DIR,
+    ("verify", "--id"): "nope",
+    ("verify", "--weights"): "power",
+    ("verify", "-o"): MISSING_DIR,
+    ("verify-markov", "--id"): "nope",
+    ("verify-markov", "--weights"): "power",
+    ("verify-markov", "-o"): MISSING_DIR,
+    ("simulate", "--chain"): MISSING_FILE,
+    ("simulate", "--observable"): MISSING_FILE,
+    ("simulate", "--weights"): "power",
+    ("simulate", "--osc-out"): MISSING_DIR,
+    ("simulate", "--paths-out"): MISSING_DIR,
+    ("simulate", "--estimate-out"): MISSING_DIR,
+    ("report", "--input"): MISSING_FILE,
+    ("report", "--out-prefix"): MISSING_DIR,
+}
+# the argument a positional option takes in COMMANDS
+POSITIONALS = {"chain": "{in}/chain.json", "observable": "{in}/f.json"}
+
+
+def test_every_other_option_has_an_entry():
+    assert declared_options(None) == set(OTHER_FLAGS)
+
+
+@pytest.mark.parametrize("command,flag", OTHER_FLAGS, ids=[f"{c}{f}" for c, f in OTHER_FLAGS])
+def test_a_malformed_value_exits_two_naming_the_option_or_the_value(command, flag,
+                                                                     model_files, capsys):
+    inputs, outputs = model_files
+    value = OTHER_FLAGS[command, flag]
+    if command == "gen-chain":
+        model = next((model for model, argv in MODELS.items() if flag in argv), "lazy-ring")
+        argv = gen_chain_argv(model, inputs, outputs, flag, value)
+    elif flag in POSITIONALS:
+        argv = argv_for(command, inputs, outputs, replace=(POSITIONALS[flag], value))
+    else:
+        argv = argv_for(command, inputs, outputs, flag, value)
+    assert run(argv) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    value = value.replace("{in}", str(inputs)).replace("{out}", str(outputs))
+    assert flag in message or value in message, message
     assert list(outputs.iterdir()) == []

@@ -799,6 +799,34 @@ class TestMarkovInequalities:
                 )
                 assert rec.passed
 
+    def test_weighted_check_refuses_weights_outside_its_derivation(self):
+        chain, f = random_chain_instance(5, m_max=8)
+        check = MarkovCheck.WEIGHTED_POWER_MAX
+        # a_j = (-1)^(j-1) j is neither of one sign nor of non-increasing magnitude
+        growing = WeightSequence.alternating(WeightSequence.power(1.0))
+        with pytest.raises(ValidationError, match=r"^weighted-power-max needs weights of one"
+                           r" sign or of non-increasing magnitude; alternating:power:1 is"
+                           r" neither through a_8$"):
+            verify_markov_inequality(check, chain, f, 1, weights=growing)
+        # only the weights a_1 .. a_8n that horizon n reads are judged
+        late = WeightSequence.explicit([1.0] * 15 + [-2.0])
+        assert verify_markov_inequality(check, chain, f, 1, weights=late).passed
+        with pytest.raises(ValidationError, match="explicit:len16 is neither through a_16"):
+            verify_markov_inequality(check, chain, f, 2, weights=late)
+        # a power that overflows is refused as such first
+        with pytest.raises(ValidationError, match="overflows double precision at index 6"):
+            verify_markov_inequality(check, chain, f, 1, weights=WeightSequence.alternating(
+                WeightSequence.power(400.0)))
+
+    def test_weighted_batch_refuses_weights_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a chain before the weights were judged")
+
+        monkeypatch.setattr(markov, "random_chain_instance", no_draw)
+        growing = WeightSequence.alternating(WeightSequence.power(1.0))
+        with pytest.raises(ValidationError, match="alternating:power:1 is neither through a_32$"):
+            verify_markov_batch(MarkovCheck.WEIGHTED_POWER_MAX, 3, 1, growing, 8, 4)
+
     @pytest.mark.parametrize("check", list(MarkovCheck))
     def test_each_table_is_sized_once(self, check, monkeypatch):
         tables = []

@@ -135,7 +135,7 @@ def quick_blocks(chain, n, seeds):
 
 def parent_peak(n: int) -> int:
     """Bytes ``tracemalloc`` sees this process hold at most while ``reduce_trials``
-    reduces 30 trials of n steps from one forked walker and bounds their series."""
+    reduces 30 trials of n steps from two forked workers and bounds their series."""
     chain = birth_death([0.3] * 9, [0.3] * 9)
     powers = ChainPowers(chain, Observable(np.arange(10.0) - 4.5))
     w = WeightSequence.power(-0.5)
@@ -157,7 +157,7 @@ def parent_peak(n: int) -> int:
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the walker is forked")
+                    reason="the workers are forked")
 def test_the_reducing_process_holds_a_fixed_set_plus_sixteen_bytes_a_step(monkeypatch):
     # the weights a and the second moments take 8 B a step each; every other
     # array the reducing process holds is a chunk or a block

@@ -473,9 +473,10 @@ class TestReduceTrials:
                               range(10), workers=workers)
             assert multiprocessing.active_children() == []
 
-    def test_meanwhile_error_kills_the_walkers(self, monkeypatch):
-        # 10 trials x 20,000 int16 steps overfill the pipe, so an unread
-        # walker cannot finish on its own
+    def test_meanwhile_error_reaches_the_caller_and_leaves_no_worker(self, monkeypatch):
+        # the error raised by ``meanwhile`` propagates after the trials ran in
+        # this process (workers=1), and after the three forked workers, at
+        # 20,000 steps most likely still sampling, were killed and joined
         def failing():
             raise ValidationError("series bound failed")
 
@@ -504,7 +505,7 @@ class TestReduceTrials:
         assert time.monotonic() - start < 60
         assert multiprocessing.active_children() == []
 
-    def test_walker_that_dies_is_named_by_its_exit_code(self, monkeypatch):
+    def test_worker_that_dies_is_named_by_its_exit_code(self, monkeypatch):
         def dying(chain, n, seeds):
             os._exit(3)
 
@@ -554,7 +555,7 @@ class TestReduceTrials:
                           range(10), workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_walker_that_dies_after_some_blocks_is_named(self, monkeypatch):
+    def test_worker_that_dies_after_some_blocks_is_named(self, monkeypatch):
         def dying(chain, n, seeds):
             yield np.zeros(len(seeds), dtype=np.int16)
             yield np.zeros((3, len(seeds)), dtype=np.int16)
@@ -629,7 +630,7 @@ class TestBlockedReduction:
         monkeypatch.setattr(simulate, "_PATH_CHUNK", 40)
         chain, f = random_chain_instance(89, m_max=40, dim=2)
         w = WeightSequence.constant(1.0)
-        seeds = [derive_trial_seed(9, i) for i in range(32)]  # two walkers of 16
+        seeds = [derive_trial_seed(9, i) for i in range(32)]  # 11, 11 and 10 at workers=3
         checkpoints = self.checkpoints(90)
         expected = batch_reductions(chain, f, w, 90, seeds, checkpoints, 4)
         monkeypatch.setattr(simulate, "_state_dtype", lambda m: np.int32)
