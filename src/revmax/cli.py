@@ -80,9 +80,14 @@ def _records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _value(args, flag: str):
+    """The value ``args`` holds for ``flag``, None for a flag its command lacks."""
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
 def _require_minimums(args, minimums: dict):
     for flag, low in minimums.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _value(args, flag)
         if value < low:
             raise ValidationError(f"{flag} must be >= {low}, got {value}")
 
@@ -103,70 +108,49 @@ def _weights(spec: str, upto: int, check=None):
     return w
 
 
-# The flags that set a model's numbers, named by the errors the model raises.
-_MODEL_FLAGS = {"two-state": "--p/--q", "birth-death": "--up/--down", "lazy-ring": "--laziness"}
-# The gen-chain flags each model reads; weighted-graph reads --m and --seed
-# only without --weights-file.
-_MODEL_READS = {
-    "two-state": ("--p", "--q"),
-    "birth-death": ("--m", "--up", "--down"),
-    "lazy-ring": ("--m", "--laziness"),
-    "weighted-graph": ("--weights-file", "--m", "--seed"),
-    "metropolis": ("--target-file", "--proposal-file"),
+# Each gen-chain model, named as its errors name it: the flags it reads (each
+# one needed but --seed; an empty path counts as none), what its "needs" error
+# lists, the flags its number errors name (None: the library's error stands
+# alone) and its make_chain params.  A non-empty --weights-file is its own model.
+_MODELS = {
+    "two-state": (("--p", "--q"), "--p and --q", "--p/--q",
+                  lambda a: {"p": a.p, "q": a.q}),
+    "birth-death": (("--m", "--up", "--down"), "--m, --up and --down", "--up/--down",
+                    lambda a: {"up": [a.up] * (a.m - 1), "down": [a.down] * (a.m - 1)}),
+    "lazy-ring": (("--m", "--laziness"), "--m and --laziness", "--laziness",
+                  lambda a: {"m": a.m, "laziness": a.laziness}),
+    "weighted-graph with --weights-file": (
+        ("--weights-file",), None, None,
+        lambda a: {"weights": _load_numbers(a.weights_file, "weight matrix")}),
+    "weighted-graph": (("--m", "--seed"), "--weights-file or --m", None,
+                       lambda a: {"m": a.m}),
+    "metropolis": (("--target-file", "--proposal-file"), "--target-file and --proposal-file",
+                   None, lambda a: {"target": _load_numbers(a.target_file, "target"),
+                                    "proposal": _load_numbers(a.proposal_file, "proposal")}),
 }
-
-
-def _refuse_unread_flags(args):
-    """Refuse the first flag given that the model does not read, naming both."""
-    model, reads = args.model, _MODEL_READS[args.model]
-    if model == "weighted-graph" and args.weights_file:
-        model, reads = "weighted-graph with --weights-file", ("--weights-file",)
-    for flag in (flag for flags in _MODEL_READS.values() for flag in flags):
-        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValidationError(f"{flag}: {model} does not read it")
 
 
 def _cmd_gen_chain(args, argv) -> int:
     if args.seed is not None:
         _require_minimums(args, {"--seed": 0})
-    _refuse_unread_flags(args)
+    model = args.model
+    if model == "weighted-graph" and args.weights_file:
+        model += " with --weights-file"
+    reads, needs, prefix, params = _MODELS[model]
+    for flag in (flag for entry in _MODELS.values() for flag in entry[0]):
+        if flag not in reads and _value(args, flag) is not None:
+            raise ValidationError(f"{flag}: {model} does not read it")
+    if any(_value(args, flag) in (None, "") for flag in reads if flag != "--seed"):
+        raise ValidationError(f"{model} needs {needs}")
+    if args.m is not None:
+        _require_minimums(args, {"--m": 1 if args.model == "weighted-graph" else 2})
     seed = 0 if args.seed is None else args.seed
-    params = {}
-    if args.model == "two-state":
-        params = {"p": args.p, "q": args.q}
-        if args.p is None or args.q is None:
-            raise ValidationError("two-state needs --p and --q")
-    elif args.model == "birth-death":
-        if args.m is None or args.up is None or args.down is None:
-            raise ValidationError("birth-death needs --m, --up and --down")
-        _require_minimums(args, {"--m": 2})
-        params = {"up": [args.up] * (args.m - 1), "down": [args.down] * (args.m - 1)}
-    elif args.model == "lazy-ring":
-        if args.m is None or args.laziness is None:
-            raise ValidationError("lazy-ring needs --m and --laziness")
-        _require_minimums(args, {"--m": 2})
-        params = {"m": args.m, "laziness": args.laziness}
-    elif args.model == "weighted-graph":
-        if args.weights_file:
-            params = {"weights": _load_numbers(args.weights_file, "weight matrix")}
-        elif args.m is not None:
-            _require_minimums(args, {"--m": 1})
-            params = {"m": args.m}
-        else:
-            raise ValidationError("weighted-graph needs --weights-file or --m")
-    elif args.model == "metropolis":
-        if not args.target_file or not args.proposal_file:
-            raise ValidationError("metropolis needs --target-file and --proposal-file")
-        params = {
-            "target": _load_numbers(args.target_file, "target"),
-            "proposal": _load_numbers(args.proposal_file, "proposal"),
-        }
     try:
-        chain = make_chain(args.model, params, seed=seed)
+        chain = make_chain(args.model, params(args), seed=seed)
     except ValidationError as exc:
-        if args.model not in _MODEL_FLAGS:
+        if prefix is None:
             raise
-        raise ValidationError(f"{_MODEL_FLAGS[args.model]}: {exc}") from None
+        raise ValidationError(f"{prefix}: {exc}") from None
     if not chain.connected:
         print(
             "note: chain is disconnected; the spectrum has multiplicity at 1",
@@ -552,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "and reduces its own range of trials; the outputs are "
                           "identical for any value")
     sim.add_argument("--chain", required=True)
-    sim.add_argument("--observable", "--f", dest="observable", required=True)
+    sim.add_argument("--observable", required=True)
     sim.add_argument("--weights", required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--trials", type=int, default=200)
@@ -600,11 +584,13 @@ _OUTPUTS = ("--out", "--osc-out", "--paths-out", "--estimate-out", "--out-prefix
 
 
 def _require_output_dirs(args):
-    """Refuse an output path whose directory does not exist, naming its option."""
+    """Refuse an output path in a missing directory, or a file output that is a directory."""
     for flag in _OUTPUTS:
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+        path = _value(args, flag)
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValidationError(f"{flag}: cannot write {path!r}: No such file or directory")
+        if path and flag != "--out-prefix" and os.path.isdir(path):
+            raise ValidationError(f"{flag}: cannot write {path!r}: Is a directory")
 
 
 def run(argv) -> int:

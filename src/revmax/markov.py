@@ -246,8 +246,8 @@ def weighted_graph(weight_matrix) -> ReversibleChain:
     W = np.asarray(weight_matrix, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
         raise ValidationError("weight matrix must be square and non-empty")
-    # a NaN or inf entry leaves a NaN in W - W.T, which fails this test
-    if not np.abs(W - W.T).max() <= 1e-12:
+    # finiteness first: inf - inf would warn before the refusal
+    if not (np.isfinite(W).all() and np.abs(W - W.T).max() <= 1e-12):
         raise ValidationError("weight matrix must be finite and symmetric")
     if np.any(W < 0):
         raise ValidationError("weights must be non-negative")
@@ -269,8 +269,8 @@ def metropolis_chain(target, proposal) -> ReversibleChain:
     m = pi.size
     if S.shape != (m, m):
         raise ValidationError("proposal shape does not match the target")
-    # a NaN or inf entry leaves a NaN in S - S.T, which fails this test
-    if not np.abs(S - S.T).max() <= 1e-12:
+    # finiteness first: inf - inf would warn before the refusal
+    if not (np.isfinite(S).all() and np.abs(S - S.T).max() <= 1e-12):
         raise ValidationError("proposal must be finite and symmetric")
     if np.any(S < 0) or np.abs(S.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValidationError("proposal must be row-stochastic")

@@ -313,3 +313,82 @@ def test_a_malformed_value_exits_two_naming_the_option_or_the_value(command, fla
     value = value.replace("{in}", str(inputs)).replace("{out}", str(outputs))
     assert flag in message or value in message, message
     assert list(outputs.iterdir()) == []
+
+
+
+# each output option, with the arguments that make its command otherwise
+# valid; the refusal of its path must come before the command reads an input
+# or starts its work, which the no_work fixture makes fail
+OUTPUTS = {
+    ("gen-chain", "-o"): [],
+    ("spectrum", "-o"): [],
+    ("check-conditions", "-o"): [],
+    ("verify", "-o"): [],
+    ("verify-markov", "-o"): [],
+    ("simulate", "--osc-out"): ["--trials", "100"],
+    ("simulate", "--paths-out"): ["--trials", "100"],
+    ("simulate", "--estimate-out"): ["--trials", "100"],
+    ("report", "--out-prefix"): [],
+}
+# the output options that name a file, not a prefix
+FILE_OUTPUTS = [case for case in OUTPUTS if case[1] != "--out-prefix"]
+
+
+def test_every_output_option_has_an_entry():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items() for action in sub._actions
+        if action.dest in ("out", "out_prefix") or action.dest.endswith("_out")
+    } == set(OUTPUTS)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("read an input or started work before checking the output")
+
+    for name in ("_load_json", "_load_numbers", "verify_batch", "verify_markov_batch",
+                 "reduce_trials"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+def output_argv(command, flag, path, inputs, outputs):
+    """The command writing ``flag`` to ``path``; gen-chain's metropolis reads two files."""
+    if command == "gen-chain":
+        return gen_chain_argv("metropolis", inputs, outputs, flag, str(path))
+    return argv_for(command, inputs, outputs, *OUTPUTS[command, flag], flag, str(path))
+
+
+@pytest.mark.parametrize("command,flag", OUTPUTS, ids=[f"{c}{f}" for c, f in OUTPUTS])
+def test_an_output_in_a_missing_directory_exits_two_before_any_input_is_read(
+        command, flag, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    path = outputs / "missing" / "x"
+    assert run(output_argv(command, flag, path, inputs, outputs)) == 2
+    name = "--out" if flag == "-o" else flag
+    assert capsys.readouterr().err == (
+        f"error: {name}: cannot write {str(path)!r}: No such file or directory\n")
+    assert list(outputs.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", FILE_OUTPUTS, ids=[f"{c}{f}" for c, f in FILE_OUTPUTS])
+def test_an_output_that_is_a_directory_exits_two_before_any_input_is_read(
+        command, flag, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    path = outputs / "adir"
+    path.mkdir()
+    assert run(output_argv(command, flag, path, inputs, outputs)) == 2
+    name = "--out" if flag == "-o" else flag
+    assert capsys.readouterr().err == f"error: {name}: cannot write {str(path)!r}: Is a directory\n"
+    assert list(outputs.iterdir()) == [path]
+    assert list(path.iterdir()) == []
+
+
+def test_an_out_prefix_that_names_a_directory_is_a_prefix(dirs):
+    inputs, outputs = dirs
+    (outputs / "rep").mkdir()
+    assert run(argv_for("report", inputs, outputs)) == 0
+    assert (outputs / "rep_summary.txt").exists()
+    assert list((outputs / "rep").iterdir()) == []
