@@ -22,6 +22,7 @@ from . import __version__
 from .finite_prob import ValidationError, _load_json, _numbers
 from .inequalities import InequalityId, series_criterion, traced_constant, verify_batch
 from .markov import (
+    CHAIN_MODELS,
     ChainPowers,
     MarkovCheck,
     check_conditions,
@@ -35,7 +36,7 @@ from .markov import (
 from .simulate import (
     MIN_DIAGNOSTIC_TRIALS,
     MIN_ESTIMATE_TRIALS,
-    SimConfig,
+    derive_trial_seed,
     jackknife_mean,
     reduce_trials,
 )
@@ -286,21 +287,20 @@ def _report_batch(args, argv, check, records, noun: str, flags: str) -> int:
 
 def _cmd_simulate(args, argv) -> int:
     _require_minimums(args, {"--n": 1, "--trials": 1, "--paths-limit": 0, "--threads": 1})
-    config = SimConfig(master_seed=args.master_seed, trials=args.trials, horizon=args.n)
     checkpoints = []
     c = 8
     while 2 * c <= args.n:
         checkpoints.append(c)
         c *= 2
-    if args.osc_out and (not checkpoints or config.trials < MIN_DIAGNOSTIC_TRIALS):
+    if args.osc_out and (not checkpoints or args.trials < MIN_DIAGNOSTIC_TRIALS):
         raise ValidationError(
             "oscillation table needs horizon >= 16 and at least "
             f"{MIN_DIAGNOSTIC_TRIALS} trials"
         )
-    if config.trials < MIN_ESTIMATE_TRIALS:
+    if args.trials < MIN_ESTIMATE_TRIALS:
         if args.estimate_out:
             raise ValidationError(
-                f"--estimate-out needs --trials >= {MIN_ESTIMATE_TRIALS}, got {config.trials}"
+                f"--estimate-out needs --trials >= {MIN_ESTIMATE_TRIALS}, got {args.trials}"
             )
         if not (args.osc_out or args.paths_out):
             raise ValidationError(
@@ -309,10 +309,10 @@ def _cmd_simulate(args, argv) -> int:
             )
     chain = load_chain(_load_json(args.chain, "chain"))
     f = load_observable(_load_json(args.observable, "observable"))
-    estimating = config.trials >= MIN_ESTIMATE_TRIALS
+    estimating = args.trials >= MIN_ESTIMATE_TRIALS
     # the series bound of horizon n reads a_1 .. a_4n
     w = _weights(args.weights, 4 * args.n if estimating else args.n)
-    seeds = [config.trial_seed(i) for i in range(config.trials)]
+    seeds = [derive_trial_seed(args.master_seed, i) for i in range(args.trials)]
     powers = ChainPowers(chain, f)
 
     def compute_series_bound():
@@ -368,7 +368,7 @@ def _cmd_simulate(args, argv) -> int:
             payload = {
                 "estimate": estimate,
                 "standard_error": se,
-                "trials": config.trials,
+                "trials": args.trials,
                 "series_bound": series_bound,
                 "within_bound": within,
             }
@@ -418,12 +418,12 @@ def _cmd_report(args, argv) -> int:
             entry[1] += 1
         if flag == "true" and ratio != "nan":
             entry[2] = max(entry[2], float(ratio))
-    _write_text(args.out_prefix + "_ratios.dat", "\n".join(dat) + "\n")
     text = ["check p count violations max_ratio"]
     for (check, p), (count, bad, worst) in sorted(summary.items()):
         text.append(f"{check} {p} {count} {bad} {_fmt(worst)}")
-    _write_text(args.out_prefix + "_summary.txt", "\n".join(text) + "\n")
-    _write_sidecar(args.out_prefix + "_ratios.dat", argv)
+    for suffix, lines in zip(_OUTPUTS["--out-prefix"], (dat, text)):
+        _write_text(args.out_prefix + suffix, "\n".join(lines) + "\n")
+        _write_sidecar(args.out_prefix + suffix, argv)
     return 0
 
 
@@ -463,9 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-chain",
         help="write a reversible chain as JSON {states, pi, Q}",
     )
-    gen.add_argument("--model", required=True,
-                     choices=["two-state", "birth-death", "lazy-ring",
-                              "weighted-graph", "metropolis"])
+    gen.add_argument("--model", required=True, choices=CHAIN_MODELS)
     gen.add_argument("--p", type=float, help="two-state flip probability from state 0")
     gen.add_argument("--q", type=float, help="two-state flip probability from state 1")
     gen.add_argument("--m", type=int, help="number of states")
@@ -579,18 +577,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the options that name a file or a file prefix a command writes
-_OUTPUTS = ("--out", "--osc-out", "--paths-out", "--estimate-out", "--out-prefix")
+# the options that name a file or a file prefix a command writes, each with the
+# suffixes of the files it names; every file also gets a .meta.json sidecar
+_OUTPUTS = {"--out": ("",), "--osc-out": ("",), "--paths-out": ("",), "--estimate-out": ("",),
+            "--out-prefix": ("_ratios.dat", "_summary.txt")}
 
 
 def _require_output_dirs(args):
-    """Refuse an output path in a missing directory, or a file output that is a directory."""
-    for flag in _OUTPUTS:
+    """Refuse an output path in a missing directory, then any file the command writes,
+    sidecars included, that has no name, is a directory or another option writes too."""
+    written = {}
+    for flag, suffixes in _OUTPUTS.items():
         path = _value(args, flag)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValidationError(f"{flag}: cannot write {path!r}: No such file or directory")
-        if path and flag != "--out-prefix" and os.path.isdir(path):
-            raise ValidationError(f"{flag}: cannot write {path!r}: Is a directory")
+        if not path:
+            raise ValidationError(f"{flag}: cannot write '': the name is empty")
+        for name in (path + suffix + meta for suffix in suffixes for meta in ("", ".meta.json")):
+            if os.path.isdir(name):
+                raise ValidationError(f"{flag}: cannot write {name!r}: Is a directory")
+            other = written.setdefault(os.path.abspath(name), flag)
+            if other != flag:
+                raise ValidationError(f"{flag}: cannot write {name!r}: {other} writes it too")
 
 
 def run(argv) -> int:
@@ -601,10 +611,7 @@ def run(argv) -> int:
     try:
         _require_output_dirs(args)
         return _HANDLERS[args.command](args, argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

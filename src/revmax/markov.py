@@ -34,6 +34,7 @@ __all__ = [
     "EigensolverError",
     "ChainPowers",
     "MarkovCheck",
+    "CHAIN_MODELS",
     "two_state",
     "birth_death",
     "lazy_ring",
@@ -280,7 +281,14 @@ def metropolis_chain(target, proposal) -> ReversibleChain:
     return ReversibleChain(Q, pi)
 
 
-_MODELS = ("two-state", "birth-death", "lazy-ring", "weighted-graph", "metropolis")
+CHAIN_MODELS = ("two-state", "birth-death", "lazy-ring", "weighted-graph", "metropolis")
+
+
+def _random_graph(rng, m: int, low: float) -> ReversibleChain:
+    """Walk on a random graph of m states: weights U(low, 1) off the diagonal, then
+    U(0.5, 1.5) * max(m - 1, 1) / 2 on it, drawn in that order."""
+    W = np.triu(rng.uniform(low, 1.0, (m, m)), 1)
+    return weighted_graph(W + W.T + np.diag(rng.uniform(0.5, 1.5, m) * max(m - 1, 1) * 0.5))
 
 
 def make_chain(model: str, params: dict, seed: int | None = None) -> ReversibleChain:
@@ -297,14 +305,10 @@ def make_chain(model: str, params: dict, seed: int | None = None) -> ReversibleC
         m = int(params["m"])
         if m < 1:
             raise ValidationError(f"weighted-graph needs m >= 1, got {m}")
-        rng = _generator(seed)
-        W = rng.uniform(0.0, 1.0, (m, m))
-        W = np.triu(W, 1)
-        W = W + W.T + np.diag(rng.uniform(0.5, 1.5, m) * max(m - 1, 1) * 0.5)
-        return weighted_graph(W)
+        return _random_graph(_generator(seed), m, 0.0)
     if model == "metropolis":
         return metropolis_chain(params["target"], params["proposal"])
-    raise ValidationError(f"unknown chain model {model!r}; choose from {_MODELS}")
+    raise ValidationError(f"unknown chain model {model!r}; choose from {CHAIN_MODELS}")
 
 
 class Observable:
@@ -973,20 +977,59 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
 
 class MarkovCheck(str, enum.Enum):
     """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on
-    3(2C + 1), and ``weighted`` if it reads a weight sequence."""
+    3(2C + 1), ``weighted`` if it reads weights, and ``derivation`` steps formatted with
+    C, ``weighted`` = 3(2C + 1), ``factor``, ``unit`` (unit-weight-power-max's), ``value``."""
 
-    def __new__(cls, value: str, scalar_only: bool, factor: float | None, weighted: bool):
+    def __new__(cls, value: str, scalar_only: bool, factor: float | None, weighted: bool,
+                derivation: tuple):
         member = str.__new__(cls, value)
         member._value_, member.scalar_only, member.factor = value, scalar_only, factor
-        member.weighted = weighted
+        member.weighted, member.derivation = weighted, derivation
         return member
 
-    WEIGHTED_POWER_MAX = "weighted-power-max", False, 1.0, True
-    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0, False
-    INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0, False
-    PAIRED_POWER_MAX = "paired-power-max", True, 32.0, False
-    STEIN = "stein", True, None, False  # constant 8 from Rota and Doob, not from C
-    SUP_POWER_MAX = "sup-power-max", True, 8.0, False
+    WEIGHTED_POWER_MAX = "weighted-power-max", False, 1.0, True, (
+        "split the doubled-horizon max into the even half, the leading odd"
+        " term, and the shifted odd half: factor 3 on squares",
+        "even and shifted odd halves each bounded by the second-moment"
+        " series inequality: constant {C:g} apiece",
+        "leading odd term is the first weight times the one-step image,"
+        " absorbed by the first odd coefficient",
+        "shifted odd coefficients dominated by the odd b coefficients for"
+        " constant-sign or non-increasing-magnitude weights",
+        "assembled: 3 * ({C:g} + 1 + {C:g}) = {value:g}",
+    )
+    UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0, False, (
+        "unit weights give even/odd coefficients exactly {factor:g}k",
+        "doubled-horizon reduction keeps the sum inside the stated range",
+        "assembled: {weighted:g} * {factor:g} = {value:g}",
+    )
+    INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0, False, (
+        "inverse square-root weights keep every even/odd coefficient <= {factor:g}",
+        "assembled: {weighted:g} * {factor:g} = {value:g}",
+    )
+    PAIRED_POWER_MAX = "paired-power-max", True, 32.0, False, (
+        "apply the unit-weight bound to f + Qf: constant {unit:g}",
+        "self-adjointness converts paired second moments into signed"
+        " autocovariance partial sums; the spectral algebra costs a"
+        " factor 2 on the families generated here (positive-leaning"
+        " spectra); adversarial near-unit cancellations are excluded",
+        "assembled: 2 * {unit:g} = {value:g}",
+    )
+    STEIN = "stein", True, None, False, (  # constant 8 from Rota and Doob, not from C
+        "with g = Qf, the powers Q^k f for k = 2..2n+1 are (Q^2)^i g at odd"
+        " k = 2i + 1 and (Q^2)^i Qg at even k = 2i + 2",
+        "Q^2 = Q*Q is a Markov operator, so by Rota (Bull. AMS 68, 1962) its"
+        " powers are conditional expectations of a reverse martingale; Doob"
+        " at p = 2 bounds E sup_i |(Q^2)^i h|^2 by 4 |h|^2, for h = g and"
+        " for h = Qg",
+        "Q is an L^2(pi) contraction: |Qg|^2 <= |g|^2 = <f, Q^2 f>_pi, the"
+        " right side",
+        "assembled: 4 + 4 = {value:g}",
+    )
+    SUP_POWER_MAX = "sup-power-max", True, 8.0, False, (
+        "inverse square-root weighted max at doubled horizon, coefficients <= {factor:g}",
+        "assembled: {weighted:g} * {factor:g} = {value:g}",
+    )
 
 
 def _require_weight_domain(check: MarkovCheck, w: WeightSequence | None, n: int):
@@ -1016,55 +1059,9 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
     series = traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
     weighted = 3.0 * (series + 1.0 + series)
     value = 8.0 if check.factor is None else weighted * check.factor
-    if check is MarkovCheck.WEIGHTED_POWER_MAX:
-        steps = (
-            "split the doubled-horizon max into the even half, the leading odd"
-            " term, and the shifted odd half: factor 3 on squares",
-            "even and shifted odd halves each bounded by the second-moment"
-            f" series inequality: constant {series:g} apiece",
-            "leading odd term is the first weight times the one-step image,"
-            " absorbed by the first odd coefficient",
-            "shifted odd coefficients dominated by the odd b coefficients for"
-            " constant-sign or non-increasing-magnitude weights",
-            f"assembled: 3 * ({series:g} + 1 + {series:g}) = {value:g}",
-        )
-    elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        steps = (
-            "unit weights give even/odd coefficients exactly 16k",
-            "doubled-horizon reduction keeps the sum inside the stated range",
-            f"assembled: {weighted:g} * 16 = {value:g}",
-        )
-    elif check is MarkovCheck.INV_SQRT_POWER_MAX:
-        steps = (
-            "inverse square-root weights keep every even/odd coefficient <= 8",
-            f"assembled: {weighted:g} * 8 = {value:g}",
-        )
-    elif check is MarkovCheck.PAIRED_POWER_MAX:
-        steps = (
-            f"apply the unit-weight bound to f + Qf: constant {weighted * 16.0:g}",
-            "self-adjointness converts paired second moments into signed"
-            " autocovariance partial sums; the spectral algebra costs a"
-            " factor 2 on the families generated here (positive-leaning"
-            " spectra); adversarial near-unit cancellations are excluded",
-            f"assembled: 2 * {weighted * 16.0:g} = {value:g}",
-        )
-    elif check is MarkovCheck.STEIN:
-        steps = (
-            "with g = Qf, the powers Q^k f for k = 2..2n+1 are (Q^2)^i g at odd"
-            " k = 2i + 1 and (Q^2)^i Qg at even k = 2i + 2",
-            "Q^2 = Q*Q is a Markov operator, so by Rota (Bull. AMS 68, 1962) its"
-            " powers are conditional expectations of a reverse martingale; Doob"
-            " at p = 2 bounds E sup_i |(Q^2)^i h|^2 by 4 |h|^2, for h = g and"
-            " for h = Qg",
-            "Q is an L^2(pi) contraction: |Qg|^2 <= |g|^2 = <f, Q^2 f>_pi, the"
-            " right side",
-            f"assembled: 4 + 4 = {value:g}",
-        )
-    else:  # SUP_POWER_MAX
-        steps = (
-            "inverse square-root weighted max at doubled horizon, coefficients <= 8",
-            f"assembled: {weighted:g} * 8 = {value:g}",
-        )
+    facts = {"C": series, "weighted": weighted, "factor": check.factor, "value": value,
+             "unit": weighted * MarkovCheck.UNIT_WEIGHT_POWER_MAX.factor}
+    steps = tuple(step.format(**facts) for step in check.derivation)
     return TracedConstant(check=check.value, p=2.0, value=value, derivation=steps)
 
 
@@ -1198,11 +1195,7 @@ def random_chain_instance(seed: int, m_max: int = 50, dim: int = 1, centered: bo
     rng = _generator(seed)
     model = rng.integers(0, 4)
     if model == 0:
-        m = int(rng.integers(2, m_max + 1))
-        W = rng.uniform(0.05, 1.0, (m, m))
-        W = np.triu(W, 1)
-        W = W + W.T + np.diag(rng.uniform(0.5, 1.5, m) * max(m - 1, 1) * 0.5)
-        chain = weighted_graph(W)
+        chain = _random_graph(rng, int(rng.integers(2, m_max + 1)), 0.05)
     elif model == 1:
         m = int(rng.integers(2, min(m_max, 20) + 1))
         up = rng.uniform(0.1, 0.35, m - 1)

@@ -79,9 +79,10 @@ class SimConfig:
         return derive_trial_seed(self.master_seed, index)
 
 
-def _cumulative_rows(chain: ReversibleChain) -> np.ndarray:
-    cum = np.cumsum(chain.transition, axis=1)
-    cum[:, -1] = 1.0
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, each last entry set to exactly 1."""
+    cum = np.cumsum(p, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
@@ -115,7 +116,7 @@ class _StepTable:
     def __init__(self, chain: ReversibleChain):
         m = chain.m
         self.m = m
-        self.keys = np.floor(_cumulative_rows(chain) * 2.0 ** _DRAW_BITS).astype(np.int64)
+        self.keys = np.floor(_cumulative(chain.transition) * 2.0 ** _DRAW_BITS).astype(np.int64)
         self.key_rows = self.keys.tolist()
         dtype = _state_dtype(m)
         entries = _TABLE_BYTES // np.dtype(dtype).itemsize // m
@@ -182,8 +183,7 @@ def _sample_blocks(chain: ReversibleChain, n: int, seeds):
     if n < 0:
         raise ValidationError("horizon must be >= 0")
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-    cum_pi = np.cumsum(chain.stationary)
-    cum_pi[-1] = 1.0
+    cum_pi = _cumulative(chain.stationary)
     lookup = _StepTable(chain)
     start = np.array([g.random() for g in gens])
     current = np.searchsorted(cum_pi, start, side="left").astype(lookup.table.dtype)
