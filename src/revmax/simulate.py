@@ -80,7 +80,7 @@ class SimConfig:
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, each last entry set to exactly 1."""
+    """Running sums along the last axis, each ending at exactly 1: every draw < 1 finds a state."""
     cum = np.cumsum(p, axis=-1)
     cum[..., -1] = 1.0
     return cum
@@ -170,9 +170,9 @@ def _sample_blocks(chain: ReversibleChain, n: int, seeds):
     into its row of one trial-major buffer whose transpose is walked; the
     consumed values do not depend on the block size.  A draw is u = k * 2**-53
     for an integer k, and the next state is the number of entries c of the
-    current cumulative row (the row's running sum, its last entry set to 1)
-    with floor(c * 2**53) < k.  That is the first state whose cumulative
-    probability reaches u, decided in integers.
+    current row's ``_cumulative`` sums with floor(c * 2**53) < k: the first
+    state whose cumulative probability reaches u, decided in integers.  The
+    start is the first state whose ``_cumulative`` stationary sum reaches u.
 
     Each step looks the next states up in a bucket table indexed by the top
     bits of k and the current state; a bucket that holds a key of the row

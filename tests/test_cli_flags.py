@@ -392,3 +392,85 @@ def test_an_out_prefix_that_names_a_directory_is_a_prefix(dirs):
     assert run(argv_for("report", inputs, outputs)) == 0
     assert (outputs / "rep_summary.txt").exists()
     assert list((outputs / "rep").iterdir()) == []
+
+
+# the sidecar of each output option's path "x": report's newest one for --out-prefix
+SIDECARS = {flag: "x_summary.txt.meta.json" if flag == "--out-prefix" else "x.meta.json"
+            for _, flag in OUTPUTS}
+
+
+@pytest.mark.parametrize("command,flag", OUTPUTS, ids=[f"{c}{f}" for c, f in OUTPUTS])
+def test_a_sidecar_that_is_a_directory_exits_two_before_any_input_is_read(
+        command, flag, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    sidecar = outputs / SIDECARS[flag]
+    sidecar.mkdir()
+    assert run(output_argv(command, flag, outputs / "x", inputs, outputs)) == 2
+    name = "--out" if flag == "-o" else flag
+    assert capsys.readouterr().err == (
+        f"error: {name}: cannot write {str(sidecar)!r}: Is a directory\n")
+    assert list(outputs.iterdir()) == [sidecar]
+    assert list(sidecar.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", OUTPUTS, ids=[f"{c}{f}" for c, f in OUTPUTS])
+def test_an_empty_output_name_exits_two_before_any_input_is_read(
+        command, flag, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    assert run(output_argv(command, flag, "", inputs, outputs)) == 2
+    name = "--out" if flag == "-o" else flag
+    assert capsys.readouterr().err == f"error: {name}: cannot write '': the name is empty\n"
+    assert list(outputs.iterdir()) == []
+
+
+# two simulate outputs that name one file: (earlier option, its path, later
+# option, its path, the file both write); the later option is refused
+SHARED = [
+    ("--osc-out", "o.csv", "--paths-out", "o.csv", "o.csv"),
+    ("--osc-out", "o.csv", "--estimate-out", "o.csv", "o.csv"),
+    ("--paths-out", "o.csv", "--estimate-out", "o.csv", "o.csv"),
+    ("--osc-out", "o.csv", "--estimate-out", "o.csv.meta.json", "o.csv.meta.json"),
+    ("--osc-out", "e.meta.json", "--estimate-out", "e", "e.meta.json"),
+]
+
+
+@pytest.mark.parametrize("first,first_path,later,later_path,shared", SHARED,
+                         ids=[f"{f}={a}{l}={b}" for f, a, l, b, _ in SHARED])
+def test_two_outputs_that_write_one_file_exit_two_before_any_input_is_read(
+        first, first_path, later, later_path, shared, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    argv = argv_for("simulate", inputs, outputs, "--trials", "100",
+                    first, str(outputs / first_path), later, str(outputs / later_path))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {later}: cannot write {str(outputs / shared)!r}: {first} writes it too\n")
+    assert list(outputs.iterdir()) == []
+
+
+def test_one_output_named_by_two_spellings_is_one_file(model_files, no_work, capsys):
+    inputs, outputs = model_files
+    argv = argv_for("simulate", inputs, outputs, "--trials", "100",
+                    "--osc-out", str(outputs / "o.csv"),
+                    "--paths-out", str(outputs / "sub" / ".." / "o.csv"))
+    (outputs / "sub").mkdir()
+    assert run(argv) == 2
+    assert "--paths-out: cannot write" in capsys.readouterr().err
+    assert list(outputs.iterdir()) == [outputs / "sub"]
+
+
+# every output option of each command, on top of COMMANDS
+ALL_OUTPUTS = {"simulate": ["--trials", "100", "--osc-out", "{out}/osc.csv",
+                            "--estimate-out", "{out}/est.json"]}
+
+
+def test_every_file_a_command_writes_gets_a_sidecar(dirs, capsys):
+    inputs, outputs = dirs
+    for command in COMMANDS:
+        assert run(argv_for(command, inputs, outputs, *ALL_OUTPUTS.get(command, []))) in (0, 1)
+        written = {p.name for p in outputs.iterdir()}
+        primary = {name for name in written if not name.endswith(".meta.json")}
+        assert primary, command
+        assert written == primary | {name + ".meta.json" for name in primary}, command
+        for path in outputs.iterdir():
+            path.unlink()
+    capsys.readouterr()
