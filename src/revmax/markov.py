@@ -977,8 +977,8 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
 
 class MarkovCheck(str, enum.Enum):
     """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on
-    3(2C + 1), ``weighted`` if it reads weights, and ``derivation`` steps formatted with
-    C, ``weighted`` = 3(2C + 1), ``factor``, ``unit`` (unit-weight-power-max's), ``value``."""
+    ``base`` = 3(2C + 1), ``weighted`` if it reads weights, and ``derivation`` steps that
+    format C, ``base``, ``factor``, ``unit`` (unit-weight-power-max's) and ``value``."""
 
     def __new__(cls, value: str, scalar_only: bool, factor: float | None, weighted: bool,
                 derivation: tuple):
@@ -1001,11 +1001,11 @@ class MarkovCheck(str, enum.Enum):
     UNIT_WEIGHT_POWER_MAX = "unit-weight-power-max", False, 16.0, False, (
         "unit weights give even/odd coefficients exactly {factor:g}k",
         "doubled-horizon reduction keeps the sum inside the stated range",
-        "assembled: {weighted:g} * {factor:g} = {value:g}",
+        "assembled: {base:g} * {factor:g} = {value:g}",
     )
     INV_SQRT_POWER_MAX = "inv-sqrt-power-max", False, 8.0, False, (
         "inverse square-root weights keep every even/odd coefficient <= {factor:g}",
-        "assembled: {weighted:g} * {factor:g} = {value:g}",
+        "assembled: {base:g} * {factor:g} = {value:g}",
     )
     PAIRED_POWER_MAX = "paired-power-max", True, 32.0, False, (
         "apply the unit-weight bound to f + Qf: constant {unit:g}",
@@ -1028,7 +1028,7 @@ class MarkovCheck(str, enum.Enum):
     )
     SUP_POWER_MAX = "sup-power-max", True, 8.0, False, (
         "inverse square-root weighted max at doubled horizon, coefficients <= {factor:g}",
-        "assembled: {weighted:g} * {factor:g} = {value:g}",
+        "assembled: {base:g} * {factor:g} = {value:g}",
     )
 
 
@@ -1057,10 +1057,10 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
     """
     check = MarkovCheck(check)
     series = traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
-    weighted = 3.0 * (series + 1.0 + series)
-    value = 8.0 if check.factor is None else weighted * check.factor
-    facts = {"C": series, "weighted": weighted, "factor": check.factor, "value": value,
-             "unit": weighted * MarkovCheck.UNIT_WEIGHT_POWER_MAX.factor}
+    base = 3.0 * (series + 1.0 + series)
+    value = 8.0 if check.factor is None else base * check.factor
+    facts = {"C": series, "base": base, "factor": check.factor, "value": value,
+             "unit": base * MarkovCheck.UNIT_WEIGHT_POWER_MAX.factor}
     steps = tuple(step.format(**facts) for step in check.derivation)
     return TracedConstant(check=check.value, p=2.0, value=value, derivation=steps)
 

@@ -449,12 +449,13 @@ def test_two_outputs_that_write_one_file_exit_two_before_any_input_is_read(
 
 def test_one_output_named_by_two_spellings_is_one_file(model_files, no_work, capsys):
     inputs, outputs = model_files
-    argv = argv_for("simulate", inputs, outputs, "--trials", "100",
-                    "--osc-out", str(outputs / "o.csv"),
-                    "--paths-out", str(outputs / "sub" / ".." / "o.csv"))
     (outputs / "sub").mkdir()
+    other = outputs / "sub" / ".." / "o.csv"
+    argv = argv_for("simulate", inputs, outputs, "--trials", "100",
+                    "--osc-out", str(outputs / "o.csv"), "--paths-out", str(other))
     assert run(argv) == 2
-    assert "--paths-out: cannot write" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --paths-out: cannot write {str(other)!r}: --osc-out writes it too\n")
     assert list(outputs.iterdir()) == [outputs / "sub"]
 
 
