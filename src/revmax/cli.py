@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -83,7 +84,7 @@ def _records_to_csv(records) -> str:
 
 def _value(args, flag: str):
     """The value ``args`` holds for ``flag``, None for a flag its command lacks."""
-    return getattr(args, flag[2:].replace("-", "_"), None)
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None)
 
 
 def _require_minimums(args, minimums: dict):
@@ -583,10 +584,33 @@ _OUTPUTS = {"--out": ("",), "--osc-out": ("",), "--paths-out": ("",), "--estimat
             "--out-prefix": ("_ratios.dat", "_summary.txt")}
 
 
+# the files each command reads, named as its errors name them; a --weights spec
+# reads one more, explicit:@FILE under any number of alternating:
+_INPUTS = {"spectrum": ("chain", "observable"), "check-conditions": ("chain", "observable"),
+           "simulate": ("--chain", "--observable"), "report": ("--input",),
+           "gen-chain": ("--weights-file", "--target-file", "--proposal-file")}
+
+
+def _file_id(path: str):
+    """The (st_dev, st_ino) of a file that exists, else its directory's and its name:
+    one key for every spelling of a file, links included.  None if neither exists."""
+    for target, name in ((path, None), os.path.split(path)):
+        try:
+            st = os.stat(target or ".")
+        except OSError:
+            continue
+        return st.st_dev, st.st_ino, name
+    return None
+
+
 def _require_output_dirs(args):
     """Refuse an output path in a missing directory, then any file the command writes,
-    sidecars included, that has no name, is a directory or another option writes too."""
-    written = {}
+    sidecars included, that has no name, is a directory, or that the command reads or
+    another option writes too."""
+    spec = re.fullmatch(r"(?:alternating:)*explicit:@(.*)", _value(args, "--weights") or "", re.S)
+    reads = [(flag, _value(args, flag)) for flag in _INPUTS.get(args.command, ())]
+    seen = {_file_id(path): (flag, "reads it")
+            for flag, path in reads + [("--weights", spec and spec[1])] if path}
     for flag, suffixes in _OUTPUTS.items():
         path = _value(args, flag)
         if path is None:
@@ -598,9 +622,9 @@ def _require_output_dirs(args):
         for name in (path + suffix + meta for suffix in suffixes for meta in ("", ".meta.json")):
             if os.path.isdir(name):
                 raise ValidationError(f"{flag}: cannot write {name!r}: Is a directory")
-            other = written.setdefault(os.path.abspath(name), flag)
+            other, verb = seen.setdefault(_file_id(name), (flag, "writes it too"))
             if other != flag:
-                raise ValidationError(f"{flag}: cannot write {name!r}: {other} writes it too")
+                raise ValidationError(f"{flag}: cannot write {name!r}: {other} {verb}")
 
 
 def run(argv) -> int:

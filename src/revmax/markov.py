@@ -978,7 +978,7 @@ def weighted_series(powers: ChainPowers, w: WeightSequence, n: int):
 class MarkovCheck(str, enum.Enum):
     """The chain inequalities, each ``scalar_only`` or not, with its ``factor`` on
     ``base`` = 3(2C + 1), ``weighted`` if it reads weights, and ``derivation`` steps that
-    format C, ``base``, ``factor``, ``unit`` (unit-weight-power-max's) and ``value``."""
+    format C, ``base``, ``factor`` and ``value``."""
 
     def __new__(cls, value: str, scalar_only: bool, factor: float | None, weighted: bool,
                 derivation: tuple):
@@ -1007,13 +1007,9 @@ class MarkovCheck(str, enum.Enum):
         "inverse square-root weights keep every even/odd coefficient <= {factor:g}",
         "assembled: {base:g} * {factor:g} = {value:g}",
     )
-    PAIRED_POWER_MAX = "paired-power-max", True, 32.0, False, (
-        "apply the unit-weight bound to f + Qf: constant {unit:g}",
-        "self-adjointness converts paired second moments into signed"
-        " autocovariance partial sums; the spectral algebra costs a"
-        " factor 2 on the families generated here (positive-leaning"
-        " spectra); adversarial near-unit cancellations are excluded",
-        "assembled: 2 * {unit:g} = {value:g}",
+    PAIRED_POWER_MAX = "paired-power-max", True, 16.0, False, (
+        "unit-weight-power-max on g = f + Qf at horizon 2n, right side"
+        " sum_{{j<=2n}} j |Q^j g|^2: constant {value:g}",
     )
     STEIN = "stein", True, None, False, (  # constant 8 from Rota and Doob, not from C
         "with g = Qf, the powers Q^k f for k = 2..2n+1 are (Q^2)^i g at odd"
@@ -1059,8 +1055,7 @@ def markov_traced_constant(check: MarkovCheck) -> TracedConstant:
     series = traced_constant(InequalityId.SECOND_MOMENT_SERIES, 2.0).value
     base = 3.0 * (series + 1.0 + series)
     value = 8.0 if check.factor is None else base * check.factor
-    facts = {"C": series, "base": base, "factor": check.factor, "value": value,
-             "unit": base * MarkovCheck.UNIT_WEIGHT_POWER_MAX.factor}
+    facts = {"C": series, "base": base, "factor": check.factor, "value": value}
     steps = tuple(step.format(**facts) for step in check.derivation)
     return TracedConstant(check=check.value, p=2.0, value=value, derivation=steps)
 
@@ -1099,19 +1094,16 @@ def _markov_record(check: MarkovCheck, chain: ReversibleChain, f: Observable, n:
         b_star = np.maximum(even.b, odd.b)
         _, lhs = weighted_series(powers, w, 2 * n)
         rhs = _left_sum(b_star[1:] * powers.second_moments(n)[1:])
-    elif check is MarkovCheck.UNIT_WEIGHT_POWER_MAX:
-        _, lhs = weighted_series(powers, UNIT_WEIGHTS, n)
-        rhs = _left_sum(np.arange(1, n + 1) * powers.second_moments(n)[1:])
+    elif check in (MarkovCheck.UNIT_WEIGHT_POWER_MAX, MarkovCheck.PAIRED_POWER_MAX):
+        horizon = n
+        if check is MarkovCheck.PAIRED_POWER_MAX:  # the unit-weight check on f + Qf
+            powers, horizon = ChainPowers(chain, Observable(f.values + powers.get(1))), 2 * n
+        _, lhs = weighted_series(powers, UNIT_WEIGHTS, horizon)
+        rhs = _left_sum(np.arange(1, horizon + 1) * powers.second_moments(horizon)[1:])
     elif check in (MarkovCheck.INV_SQRT_POWER_MAX, MarkovCheck.SUP_POWER_MAX):
         horizon = 2 * n if check is MarkovCheck.SUP_POWER_MAX else n
         _, lhs = weighted_series(powers, INV_SQRT_WEIGHTS, horizon)
         rhs = _left_sum(powers.second_moments(n)[1:])
-    elif check is MarkovCheck.PAIRED_POWER_MAX:
-        # sizes the table through 2n before row 1 is read for f + Qf
-        covs = powers.autocovariances(2 * n)
-        paired = Observable(f.values + powers.get(1))
-        _, lhs = weighted_series(ChainPowers(chain, paired), UNIT_WEIGHTS, 2 * n)
-        rhs = abs(_left_sum(np.arange(1, 2 * n + 1) * covs[1:])) + covs[2]
     else:  # STEIN
         best = squared_norms(powers.images(2, 2 * n + 2)).max(axis=0)
         lhs = float(chain.stationary @ best)

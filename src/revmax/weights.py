@@ -75,19 +75,7 @@ class WeightSequence:
     def eval(self, j: int) -> float:
         if j < 1:
             raise ValidationError(f"weight index {j} must be >= 1")
-        if self.kind == "constant":
-            value = self.param
-        elif self.kind == "power":
-            try:
-                value = float(j) ** self.param
-            except OverflowError:
-                raise self._overflow(j) from None
-        else:
-            self._reach(j)
-            value = float(self.param[j - 1])
-        if self.alternates:
-            return (1.0 if j % 2 == 1 else -1.0) * abs(value)
-        return value
+        return float(self.eval_chunk(j, j)[0])
 
     def eval_range(self, upto: int) -> np.ndarray:
         """Read-only ``a`` with a[j] = a_j for j = 1..upto (a[0] unused, zero).
@@ -135,22 +123,16 @@ class WeightSequence:
                                   dtype=float, count=count)
             except OverflowError:
                 raise self._overflow(hi) from None
+        elif hi > self.param.size:
+            raise ValidationError(f"explicit weight list of length {self.param.size}"
+                                  f" cannot be evaluated at index {hi}")
         else:
-            self._reach(hi)
             out = self.param[lo - 1 : hi].copy()
         if self.alternates:
             out = np.abs(out)
             even = out[lo % 2 :: 2]  # the entries at even j
             np.negative(even, out=even)
         return out
-
-    def _reach(self, j: int):
-        """Refuse an explicit list's index j past its end."""
-        if j > self.param.size:
-            raise ValidationError(
-                f"explicit weight list of length {self.param.size} "
-                f"cannot be evaluated at index {j}"
-            )
 
     def _overflow(self, upto: int) -> ValidationError:
         """The error naming the spec and the first j <= upto whose ``j ** exponent`` overflows."""

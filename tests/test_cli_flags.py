@@ -8,7 +8,9 @@ and the values among NaN, inf and -inf that its range holds.  Every other
 option, positionals included, has an entry in ``OTHER_FLAGS``: a malformed
 value, which exits 2 naming the option or the value and writes nothing.  The
 walk fails for an option added without an entry.  ``--weights`` on an id that
-reads no weight sequence exits 2 naming the flag and the id.
+reads no weight sequence exits 2 naming the flag and the id.  An output that
+names a file the command reads, or a file another option writes, under any
+spelling, links included, exits 2 naming both options.
 """
 
 import argparse
@@ -457,6 +459,81 @@ def test_one_output_named_by_two_spellings_is_one_file(model_files, no_work, cap
     assert capsys.readouterr().err == (
         f"error: --paths-out: cannot write {str(other)!r}: --osc-out writes it too\n")
     assert list(outputs.iterdir()) == [outputs / "sub"]
+
+
+def test_one_output_named_through_a_symbolic_link_is_one_file(model_files, no_work, capsys):
+    inputs, outputs = model_files
+    (outputs / "real").mkdir()
+    (outputs / "link").symlink_to(outputs / "real")
+    other = outputs / "link" / "o.csv"
+    argv = argv_for("simulate", inputs, outputs, "--trials", "100",
+                    "--osc-out", str(outputs / "real" / "o.csv"), "--paths-out", str(other))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --paths-out: cannot write {str(other)!r}: --osc-out writes it too\n")
+    assert list((outputs / "real").iterdir()) == []
+
+
+# each option that names a file its command reads, with the arguments that make
+# the command read it and the file it reads in the input directory
+READS = {
+    ("gen-chain", "--weights-file"): ([], "w.json"),
+    ("gen-chain", "--target-file"): ([], "t.json"),
+    ("gen-chain", "--proposal-file"): ([], "q.json"),
+    ("spectrum", "chain"): ([], "chain.json"),
+    ("spectrum", "observable"): ([], "f.json"),
+    ("check-conditions", "chain"): ([], "chain.json"),
+    ("check-conditions", "observable"): ([], "f.json"),
+    ("verify", "--weights"): (["--id", "weighted-max-vs-projections",
+                               "--weights", "explicit:@{in}/w.json"], "w.json"),
+    ("verify-markov", "--weights"): (["--id", "weighted-power-max",
+                                      "--weights", "alternating:explicit:@{in}/w.json"], "w.json"),
+    ("simulate", "--chain"): ([], "chain.json"),
+    ("simulate", "--observable"): ([], "f.json"),
+    ("simulate", "--weights"): (["--weights", "alternating:alternating:explicit:@{in}/w.json"],
+                                "w.json"),
+    ("report", "--input"): (["--input", "{in}/rep_ratios.dat"], "rep_ratios.dat"),
+}
+# the output option of each command in COMMANDS, and the value that writes "{in}/<file>"
+WRITES = {"simulate": ("--paths-out", "{file}"), "report": ("--out-prefix", "rep")}
+
+
+def test_every_input_option_has_an_entry():
+    weighted = {(command, flag) for command, flag in OTHER_FLAGS if flag == "--weights"}
+    files = {case for case, value in OTHER_FLAGS.items() if value == MISSING_FILE}
+    assert set(READS) == files | weighted
+
+
+@pytest.mark.parametrize("command,flag", READS, ids=[f"{c}{f}" for c, f in READS])
+def test_an_output_that_names_an_input_exits_two_before_any_input_is_read(
+        command, flag, model_files, no_work, capsys):
+    inputs, outputs = model_files
+    extra, read = READS[command, flag]
+    (inputs / "rep_ratios.dat").write_text((inputs / "r.csv").read_text())
+    before = {file: file.read_bytes() for file in inputs.iterdir()}
+    out, value = WRITES.get(command, ("-o", "{file}"))
+    path = str(inputs / value.format(file=read))
+    if command == "gen-chain":
+        model = next(model for model, argv in MODELS.items() if flag in argv)
+        argv = gen_chain_argv(model, inputs, outputs, out, path)
+    else:
+        argv = argv_for(command, inputs, outputs, *extra, out, path)
+    assert run(argv) == 2
+    name = "--out" if out == "-o" else out
+    assert capsys.readouterr().err == (
+        f"error: {name}: cannot write {str(inputs / read)!r}: {flag} reads it\n")
+    assert {file: file.read_bytes() for file in inputs.iterdir()} == before
+    assert list(outputs.iterdir()) == []
+
+
+def test_an_output_that_is_a_hard_link_to_an_input_exits_two(model_files, no_work, capsys):
+    inputs, outputs = model_files
+    (outputs / "c.json").hardlink_to(inputs / "chain.json")
+    argv = argv_for("spectrum", inputs, outputs, "-o", str(outputs / "c.json"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out: cannot write {str(outputs / 'c.json')!r}: chain reads it\n")
+    assert (outputs / "c.json").read_text() == json.dumps(CHAIN)
 
 
 # every output option of each command, on top of COMMANDS

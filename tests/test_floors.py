@@ -14,8 +14,9 @@ to 1e-12 relative and passes its committed constant, and that a constant
 planted at ratio·(1 − 1e-6) makes the command exit 1 on it.  A generator
 change that stops drawing the instance, or a record step that stops seeing
 its lhs, fails the test.  Rewrite the table with ``python
-tests/test_floors.py`` only when the generators are meant to change; a
-higher floor comes from a new entry or family, never from editing the test.
+tests/test_floors.py`` only when the generators or a check's right side are
+meant to change; a higher floor comes from a new entry or family, never from
+editing the test.
 """
 
 import json

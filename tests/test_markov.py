@@ -720,7 +720,7 @@ class TestMarkovInequalities:
             MarkovCheck.WEIGHTED_POWER_MAX: 219.0,
             MarkovCheck.UNIT_WEIGHT_POWER_MAX: 3504.0,
             MarkovCheck.INV_SQRT_POWER_MAX: 1752.0,
-            MarkovCheck.PAIRED_POWER_MAX: 7008.0,
+            MarkovCheck.PAIRED_POWER_MAX: 3504.0,
             MarkovCheck.STEIN: 8.0,
             MarkovCheck.SUP_POWER_MAX: 1752.0,
         }
@@ -731,7 +731,7 @@ class TestMarkovInequalities:
         tc = markov_traced_constant(MarkovCheck.WEIGHTED_POWER_MAX)
         assert tc.value == 63.0
         assert tc.derivation[-1] == "assembled: 3 * (10 + 1 + 10) = 63"
-        assert markov_traced_constant(MarkovCheck.PAIRED_POWER_MAX).value == 2 * 63 * 16
+        assert markov_traced_constant(MarkovCheck.PAIRED_POWER_MAX).value == 63 * 16
 
     def test_batch_records_carry_the_csv_fields(self):
         records = verify_markov_batch(MarkovCheck.STEIN, 4, 5, None, 10, 12)
@@ -845,15 +845,14 @@ class TestMarkovInequalities:
         # paired-power-max tables f and f + Qf; the other checks table f once
         assert len(tables) == (2 if check is MarkovCheck.PAIRED_POWER_MAX else 1)
 
-    def test_paired_power_max_reads_one_autocovariance_array(self, monkeypatch):
-        chain, f = random_chain_instance(109, m_max=12)
-        expected = verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9)
-
-        def pointwise(*args, **kwargs):
-            raise AssertionError("autocovariance called per lag")
-
-        monkeypatch.setattr(markov, "autocovariance", pointwise)
-        assert verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, 9) == expected
+    @pytest.mark.parametrize("seed", [109, 113, 127, 131, 137])
+    def test_paired_power_max_is_the_unit_weight_check_on_f_plus_qf(self, seed):
+        chain, f = random_chain_instance(seed, m_max=12)
+        n = 1 + seed % 17
+        paired = verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, n)
+        g = Observable(f.values + chain.transition @ f.values)
+        unit = verify_markov_inequality(MarkovCheck.UNIT_WEIGHT_POWER_MAX, chain, g, 2 * n)
+        assert (paired.lhs, paired.rhs, paired.constant) == (unit.lhs, unit.rhs, unit.constant)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stein_periodic_four_ring_passes_at_the_derived_constant(self, n):
@@ -890,6 +889,79 @@ class TestMarkovInequalities:
         chain, f = random_chain_instance(89, m_max=10)
         lhs, rhs = inspect_growth_weights(chain, f, 8)
         assert lhs >= 0 and rhs >= 0
+
+
+def product_chain(eps, lam2):
+    """kron(A, B) on 4 states: A flips with probability eps, B has eigenvalue lam2."""
+    b = (1.0 - lam2) / 2.0
+    A, B = [[1 - eps, eps], [eps, 1 - eps]], [[1 - b, b], [b, 1 - b]]
+    return ReversibleChain(np.kron(A, B), np.full(4, 0.25))
+
+
+def cancelling_observable(eps, lam2, n):
+    """f = c (v x 1) + 1 x v, v = (1, -1), or None where no real c exists.
+
+    Its spectral measure has mass c^2 at 1 - 2 eps and mass 1 at lam2, so
+    c^2 = -s(lam2) / s(1 - 2 eps), with s(lam) = sum_{j<=2n} j lam^j, zeroes
+    the signed autocovariance sum sum_{j<=2n} j gamma_j.
+    """
+    j = np.arange(1, 2 * n + 1)
+    c2 = -np.sum(j * lam2 ** j) / np.sum(j * (1 - 2 * eps) ** j)
+    if not c2 > 0:
+        return None
+    v, one = np.array([1.0, -1.0]), np.ones(2)
+    return Observable(np.sqrt(c2) * np.kron(v, one) + np.kron(one, v))
+
+
+def signed_rhs(chain, f, n):
+    """The former paired right side |sum_{j<=2n} j gamma_j| + gamma_2, paid at C = 7,008."""
+    covs = ChainPowers(chain, f).autocovariances(2 * n)
+    return abs(float(np.arange(1, 2 * n + 1) @ covs[1:])) + covs[2]
+
+
+class TestPairedProductFamily:
+    """The product chains on which the former signed right side of
+    paired-power-max failed its constant 7,008, as 2 * 3,504 with a factor-2
+    step that held only on positive-leaning spectra.  The check is now the
+    unit-weight check on f + Qf at horizon 2n, and passes there at 3,504."""
+
+    @pytest.mark.parametrize("n,lhs,signed,rhs", [
+        (21, 7.8137071951363e-07, 1.1075783953602946e-10, 3.9997646424847695e-07),
+        (24, 7.836456337330179e-07, 8.504915770788274e-11, 3.9997326452025286e-07),
+    ], ids=["n21", "n24"])
+    def test_the_pinned_chain_broke_the_signed_side_and_passes_now(self, n, lhs, signed, rhs):
+        pins = DATA / "verify_markov"
+        chain = load_chain(json.loads((pins / "paired-product-4.chain.json").read_bytes()))
+        f = load_observable(json.loads((pins / f"paired-product-4-n{n}.json").read_bytes()))
+        assert chain.transition.tobytes() == product_chain(1e-6, -1e-7).transition.tobytes()
+        np.testing.assert_allclose(f.values, cancelling_observable(1e-6, -1e-7, n).values,
+                                   rtol=1e-15, atol=0)
+        rec = verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, n)
+        assert rec.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert rec.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+        old_rhs = signed_rhs(chain, f, n)
+        assert old_rhs == pytest.approx(signed, rel=1e-12, abs=0)
+        assert rec.lhs / (7008.0 * old_rhs) > 1.0
+        assert rec.constant == 3504.0 and rec.passed and not rec.skipped
+
+    def test_no_point_of_the_grid_fails(self):
+        worst, signed_failures, points = 0.0, 0, 0
+        for eps in (1e-8, 1e-6, 1e-4, 1e-2, 0.1):
+            for lam2 in (-1e-7, -1e-3, -0.1, -0.5, -0.9, -0.999):
+                chain = product_chain(eps, lam2)
+                for n in (1, 2, 8, 21, 24, 64, 128):
+                    f = cancelling_observable(eps, lam2, n)
+                    if f is None:
+                        continue
+                    rec = verify_markov_inequality(MarkovCheck.PAIRED_POWER_MAX, chain, f, n)
+                    assert rec.passed and not rec.skipped, (eps, lam2, n, rec.ratio)
+                    worst = max(worst, rec.ratio / rec.constant)
+                    signed_failures += rec.lhs > 7008.0 * signed_rhs(chain, f, n)
+                    points += 1
+        assert points == 155
+        assert worst < 0.01
+        # the family reaches the regime the former right side failed in
+        assert signed_failures >= 1
 
 
 class TestEvenOddSplit:
