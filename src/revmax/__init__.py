@@ -37,7 +37,6 @@ from .markov import (
     weighted_graph,
 )
 from .simulate import (
-    SimConfig,
     as_convergence_diagnostic,
     derive_trial_seed,
     enumerate_max_moment,

@@ -228,7 +228,7 @@ def _cmd_verify(args, argv) -> int:
     # the statistics of horizon n read a_1 .. a_4n, and no instance has
     # n above min(--n-max, --atoms-max - 1)
     horizon = min(args.n_max, args.atoms_max - 1)
-    weights = _weights(args.weights, 4 * horizon, check) if args.weights else None
+    weights = None if args.weights is None else _weights(args.weights, 4 * horizon, check)
     # a side that overflows is refused by _report_batch
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_batch(check, args.p, args.instances, args.seed, weights,
@@ -259,7 +259,7 @@ def _cmd_verify_markov(args, argv) -> int:
     _require_minimums(args, {"--chains": 0, "--seed": 0, "--m-max": 2, "--n-max": 1,
                              "--threads": 1})
     # the even and odd statistics of horizon n read a_1 .. a_8n
-    weights = _weights(args.weights, 8 * args.n_max, check) if args.weights else None
+    weights = None if args.weights is None else _weights(args.weights, 8 * args.n_max, check)
     with np.errstate(over="ignore", invalid="ignore"):
         records = verify_markov_batch(check, args.chains, args.seed, weights,
                                       args.m_max, args.n_max)
@@ -374,11 +374,13 @@ def _cmd_simulate(args, argv) -> int:
                 "within_bound": within,
             }
             _write_text(args.estimate_out, json.dumps(payload, indent=2) + "\n")
+            # a zero bound that holds is skipped, as a verify row with rhs 0 is
+            skipped = within and not series_bound
             margin = estimate / series_bound if series_bound else math.inf
             _write_sidecar(
                 args.estimate_out, argv, seed=args.master_seed,
-                extra={"violations": int(not within), "skipped": 0,
-                       "worst_margin": _json_number(margin)},
+                extra={"violations": int(not within), "skipped": int(skipped),
+                       "worst_margin": None if skipped else _json_number(margin)},
             )
         if not within:
             exit_code = 1

@@ -196,13 +196,10 @@ class Instance:
     seed: int
     filtration = property(lambda self: self.sequence.filtration)
     space = property(lambda self: self.sequence.space)
-    atoms = property(lambda self: self.space.n_atoms)
-    levels = property(lambda self: self.filtration.levels)
-    n = property(lambda self: len(self.sequence))
-    dim = property(lambda self: self.sequence.dim)
 
     def descriptor(self) -> dict:
-        return {"seed": self.seed, "atoms": self.atoms, "n": self.n, "dim": self.dim}
+        seq = self.sequence
+        return {"seed": self.seed, "atoms": seq.space.n_atoms, "n": len(seq), "dim": seq.dim}
 
 
 def _generator(seed: int | None) -> np.random.Generator:
@@ -301,9 +298,9 @@ def verify(
     rhs, with lhs <= 1e-12 required when rhs degenerates to zero.
     """
     check = InequalityId(check)
-    n = instance.n if n is None else n
-    if not 1 <= n <= instance.n:
-        raise ValidationError(f"n={n} out of range for instance with n={instance.n}")
+    n = len(instance.sequence) if n is None else n
+    if not 1 <= n <= len(instance.sequence):
+        raise ValidationError(f"n={n} out of range for instance with n={len(instance.sequence)}")
     return _record(check, instance, n, p, weights, traced_constant(check, p).value)
 
 
@@ -393,7 +390,7 @@ def make_record(check: str, p: float, descriptor: dict, lhs: float, rhs: float,
     )
 
 
-def sample_instance_shape(rng: np.random.Generator, atoms_max=64, n_max=32, dim_max=3):
+def sample_instance_shape(rng: np.random.Generator, atoms_max: int, n_max: int, dim_max: int):
     """Feasible (atoms, levels, n, dim) with levels = n + 1 <= atoms."""
     n_cap = min(n_max, atoms_max - 1)
     n = int(rng.integers(1, n_cap + 1))

@@ -513,43 +513,27 @@ def autocovariance(
     return float(chain.stationary @ coordinate_dots(f.values, image))
 
 
-def _round_robin(n: int):
-    """The ``(p, q)`` index arrays, ``p < q``, of each round of one Jacobi sweep.
+def _round_layouts(n: int):
+    """Column order of the working matrix in each round of one Jacobi sweep.
 
-    Circle method of a round-robin tournament: index 0 keeps its seat while
-    the others move one seat per round.  For even n, each of the n - 1
-    rounds pairs every index once, and together they pair every index with
-    every other exactly once.  Odd n gets a dummy index n, and the pair
-    holding it is dropped, so every round has n // 2 disjoint pairs.
+    Circle method of a round-robin tournament on m = n + n % 2 indices (odd n
+    gets a dummy index n): in round r index 0 keeps seat 0 and seat j >= 1
+    holds (j - 1 - r) mod (m - 1) + 1, and pair k is seats k and m - 1 - k.
+    Each of the m - 1 rounds pairs every index once, and together they pair
+    every index with every other exactly once.  Round r's pair k, ``p < q``,
+    sits in columns (2k, 2k+1), p first; the pair holding the dummy, the
+    index the round leaves unpaired and n, takes the last two columns.
+    Returns an ``(m - 1, m)`` array, one row per round.
     """
     m = n + n % 2
-    seats = np.arange(m)
-    rounds = []
-    for _ in range(m - 1):
-        a, b = seats[: m // 2], seats[m // 2 :][::-1]
-        p, q = np.minimum(a, b), np.maximum(a, b)
-        keep = q < n
-        rounds.append((p[keep], q[keep]))
-        seats = np.concatenate((seats[:1], seats[-1:], seats[1:-1]))
-    return rounds
-
-
-def _round_layouts(n: int):
-    """Column order of the working matrix in each round of ``_round_robin(n)``.
-
-    Round r's pair k, ``p < q``, sits in columns (2k, 2k+1), p first.  For
-    odd n the index the round leaves unpaired and the dummy index n take the
-    last two columns.
-    """
-    h, m = n // 2, n + n % 2
-    layouts = []
-    for p, q in _round_robin(n):
-        cols = np.empty(m, dtype=np.intp)
-        cols[0 : 2 * h : 2], cols[1 : 2 * h : 2] = p, q
-        if n % 2:
-            # the unpaired index is what the pairs leave of 0 + 1 + ... + (n - 1)
-            cols[-2:] = n * (n - 1) // 2 - cols[: 2 * h].sum(), n
-        layouts.append(cols)
+    seats = np.zeros((m - 1, m), dtype=np.intp)
+    seats[:, 1:] = (np.arange(m - 1) - np.arange(m - 1)[:, None]) % (m - 1) + 1
+    a, b = seats[:, : m // 2], seats[:, : m // 2 - 1 : -1]
+    p, q = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(q == n, axis=1, kind="stable")
+    layouts = np.empty_like(seats)
+    layouts[:, 0::2] = np.take_along_axis(p, order, 1)
+    layouts[:, 1::2] = np.take_along_axis(q, order, 1)
     return layouts
 
 
@@ -600,9 +584,9 @@ def jacobi_eigendecomposition(matrix):
     threshold = JACOBI_REL_TOL * np.linalg.norm(A)
     h, m = n // 2, n + n % 2
     layouts = _round_layouts(n)
-    column_of = [np.argsort(cols) for cols in layouts]
+    column_of = np.argsort(layouts, axis=1)
     # moves[r][j]: the column of round r - 1 whose entries go to column j of round r
-    moves = [column_of[r - 1][cols] for r, cols in enumerate(layouts)]
+    moves = np.take_along_axis(np.roll(column_of, 1, axis=0), layouts, axis=1)
     # every sweep starts and ends in the last round's layout
     home = column_of[-1]
 

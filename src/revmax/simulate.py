@@ -4,7 +4,8 @@ Every trial owns an RNG stream derived from the master seed and the trial
 index by a fixed 64-bit mixer, and results are reduced in trial order, so
 outputs depend on the master seed only.  ``reduce_trials`` cuts the trials
 into contiguous ranges; one forked worker per range samples its trials and
-reduces their series paths into shared memory, and one range runs in-process.
+reduces their series paths into shared memory, and a single range runs
+in-process.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .markov import ChainPowers, Observable, ReversibleChain, power_rows, square
 from .weights import WeightSequence
 
 __all__ = [
-    "SimConfig",
     "derive_trial_seed",
     "sample_trajectory",
     "sample_trajectories",
@@ -59,24 +59,6 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation run parameters: the master seed, trial count and horizon."""
-
-    master_seed: int
-    trials: int
-    horizon: int
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-
-    def trial_seed(self, index: int) -> int:
-        return derive_trial_seed(self.master_seed, index)
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -557,21 +539,21 @@ def mc_max_moment(
     f: Observable,
     w: WeightSequence,
     n: int,
-    config: SimConfig,
+    master_seed: int,
+    trials: int,
 ) -> MaxMomentEstimate:
     """Monte Carlo estimate of E max_{k<=n} |T_k|^2 over stationary runs.
 
-    Each trial samples its own seeded stream, and the series paths of all
+    Trial i samples its own stream from ``derive_trial_seed(master_seed, i)``,
+    the seeds ``simulate --master-seed`` uses, and the series paths of all
     trials are built and reduced together, a chunk of steps at a time.  The
     standard error is the leave-one-out jackknife of the mean.
     """
-    if config.trials < MIN_ESTIMATE_TRIALS:
+    if trials < MIN_ESTIMATE_TRIALS:
         raise ValidationError(
             f"need at least {MIN_ESTIMATE_TRIALS} trials for a usable error bar"
         )
-    if n > config.horizon:
-        raise ValidationError("n exceeds the configured horizon")
-    seeds = [config.trial_seed(i) for i in range(config.trials)]
+    seeds = [derive_trial_seed(master_seed, i) for i in range(trials)]
     values = reduce_trials(ChainPowers(chain, f), w, n, seeds)[0].max_squares
     mean, se = jackknife_mean(values)
     return MaxMomentEstimate(estimate=mean, standard_error=se, trials=values.size)

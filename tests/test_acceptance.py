@@ -16,7 +16,6 @@ from revmax import (
     MarkovCheck,
     Observable,
     ReversibleChain,
-    SimConfig,
     WeightSequence,
     as_convergence_diagnostic,
     birth_death,
@@ -219,8 +218,7 @@ def test_criterion_9_monte_carlo_vs_enumeration():
         for w in (WeightSequence.constant(1.0), WeightSequence.power(-0.5)):
             for n in (3, 6):
                 exact = enumerate_max_moment(chain, f, w, n)
-                config = SimConfig(master_seed=9, trials=10_000, horizon=n)
-                out = mc_max_moment(chain, f, w, n, config)
+                out = mc_max_moment(chain, f, w, n, master_seed=9, trials=10_000)
                 assert abs(out.estimate - exact) <= 3.0 * out.standard_error, (
                     chain.m, n, out.estimate, exact, out.standard_error,
                 )

@@ -13,7 +13,6 @@ import pytest
 
 import revmax
 from revmax import (
-    SimConfig,
     ValidationError,
     WeightSequence,
     inequalities,
@@ -694,7 +693,7 @@ class TestSimulate:
         payload = json.loads(read(est))
         out = mc_max_moment(
             load_chain(json.loads(read(chain))), load_observable(json.loads(read(f))),
-            WeightSequence.power(-0.5), 32, SimConfig(master_seed=6, trials=120, horizon=32),
+            WeightSequence.power(-0.5), 32, master_seed=6, trials=120,
         )
         assert payload["estimate"] == out.estimate
         assert payload["standard_error"] == out.standard_error
@@ -754,7 +753,8 @@ class TestSimulate:
         assert run([*base, "--weights", "constant:0.0", "--estimate-out", str(zero)]) == 0
         meta = json.loads(read(str(zero) + ".meta.json"))
         assert json.loads(read(zero))["series_bound"] == 0.0
-        assert (meta["violations"], meta["worst_margin"]) == (0, "inf")
+        # a zero bound that holds is skipped and has no margin, as a verify row is
+        assert (meta["violations"], meta["skipped"], meta["worst_margin"]) == (0, 1, None)
 
         planted = inequalities.TracedConstant("second-moment-series", 2.0, 1e-9, ())
         monkeypatch.setattr(cli, "traced_constant", lambda check, p: planted)

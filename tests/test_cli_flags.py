@@ -8,9 +8,10 @@ and the values among NaN, inf and -inf that its range holds.  Every other
 option, positionals included, has an entry in ``OTHER_FLAGS``: a malformed
 value, which exits 2 naming the option or the value and writes nothing.  The
 walk fails for an option added without an entry.  ``--weights`` on an id that
-reads no weight sequence exits 2 naming the flag and the id.  An output that
-names a file the command reads, or a file another option writes, under any
-spelling, links included, exits 2 naming both options.
+reads no weight sequence exits 2 naming the flag and the id, and an empty
+spec exits 2 on any id.  An output that names a file the command reads, or a
+file another option writes, under any spelling, links included, exits 2
+naming both options.
 """
 
 import argparse
@@ -126,24 +127,39 @@ def test_the_master_seed_takes_any_integer(dirs):
 
 UNWEIGHTED = ([("verify", check.value) for check in InequalityId if not check.weighted]
               + [("verify-markov", check.value) for check in MarkovCheck if not check.weighted])
+# the file does not exist: the refusal comes before it would be read
+SPECS = {"": "explicit:@{in}/missing.json", "-empty": ""}
 
 
-@pytest.mark.parametrize("command,check", UNWEIGHTED,
-                         ids=[check for _, check in UNWEIGHTED])
-def test_weights_on_an_id_that_reads_none_exit_two_naming_both(command, check, dirs,
-                                                               monkeypatch, capsys):
-    inputs, outputs = dirs
-
+def refuse_draws(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before --weights was checked")
 
     monkeypatch.setattr(cli, "verify_batch", no_draw)
     monkeypatch.setattr(cli, "verify_markov_batch", no_draw)
-    # the file does not exist: the refusal comes before it would be read
-    spec = f"explicit:@{inputs / 'missing.json'}"
+
+
+@pytest.mark.parametrize("command,check,spec",
+                         [(*case, spec) for spec in SPECS.values() for case in UNWEIGHTED],
+                         ids=[check + tag for tag in SPECS for _, check in UNWEIGHTED])
+def test_weights_on_an_id_that_reads_none_exit_two_naming_both(command, check, spec, dirs,
+                                                               monkeypatch, capsys):
+    inputs, outputs = dirs
+    refuse_draws(monkeypatch)
     argv = argv_for(command, inputs, outputs, "--id", check, "--weights", spec)
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: --weights: {check} reads no weights\n"
+    assert list(outputs.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,check", [("verify", "weighted-max-vs-endpoint"),
+                                           ("verify-markov", "weighted-power-max")])
+def test_an_empty_weight_spec_exits_two_as_simulate_does(command, check, dirs,
+                                                         monkeypatch, capsys):
+    inputs, outputs = dirs
+    refuse_draws(monkeypatch)
+    assert run(argv_for(command, inputs, outputs, "--id", check, "--weights", "")) == 2
+    assert capsys.readouterr().err == "error: --weights: weight spec '' has no ':'\n"
     assert list(outputs.iterdir()) == []
 
 

@@ -168,7 +168,7 @@ class TestRandomInstance:
             ])
             np.testing.assert_array_equal(inst.sequence.values, want)
             assert inst.descriptor() == {"seed": seed, "atoms": atoms, "n": n, "dim": dim}
-            assert inst.levels == levels
+            assert inst.filtration.levels == levels
 
     @staticmethod
     def assert_merge_run(seed, atoms, levels, lead):

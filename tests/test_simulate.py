@@ -10,7 +10,6 @@ import pytest
 
 from revmax import (
     Observable,
-    SimConfig,
     ValidationError,
     WeightSequence,
     as_convergence_diagnostic,
@@ -644,10 +643,9 @@ class TestMcMaxMoment:
     def test_holds_one_path_at_a_time(self):
         # the (200, 2**14, 2) path array alone would take 52.4 MB
         chain, f = graph_instance()
-        config = SimConfig(master_seed=3, trials=200, horizon=2 ** 14)
         tracemalloc.start()
         try:
-            mc_max_moment(chain, f, WeightSequence.power(-0.5), 2 ** 14, config)
+            mc_max_moment(chain, f, WeightSequence.power(-0.5), 2 ** 14, master_seed=3, trials=200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -656,8 +654,7 @@ class TestMcMaxMoment:
     def test_identity_kernel_has_zero_variance(self):
         chain = lazy_ring(2, 1.0)
         f = Observable([1.0, -1.0])
-        config = SimConfig(master_seed=7, trials=200, horizon=8)
-        out = mc_max_moment(chain, f, WeightSequence.constant(1.0), 8, config)
+        out = mc_max_moment(chain, f, WeightSequence.constant(1.0), 8, master_seed=7, trials=200)
         # per-state series are deterministic and the two states symmetric
         exact = enumerate_max_moment(chain, f, WeightSequence.constant(1.0), 8)
         assert out.standard_error == pytest.approx(0.0, abs=1e-12)
@@ -675,8 +672,7 @@ class TestMcMaxMoment:
         f = Observable([1.0, -1.0])
         w = WeightSequence.power(-0.5)
         exact = enumerate_max_moment(chain, f, w, 3)
-        config = SimConfig(master_seed=31, trials=2000, horizon=3)
-        out = mc_max_moment(chain, f, w, 3, config)
+        out = mc_max_moment(chain, f, w, 3, master_seed=31, trials=2000)
         assert abs(out.estimate - exact) <= 3 * out.standard_error
 
     def test_three_state_enumeration_cross_check(self):
@@ -688,8 +684,7 @@ class TestMcMaxMoment:
         f = Observable(rng.standard_normal(3)).centered(chain)
         w = WeightSequence.constant(1.0)
         exact = enumerate_max_moment(chain, f, w, 5)
-        config = SimConfig(master_seed=41, trials=4000, horizon=5)
-        out = mc_max_moment(chain, f, w, 5, config)
+        out = mc_max_moment(chain, f, w, 5, master_seed=41, trials=4000)
         assert abs(out.estimate - exact) <= 3 * out.standard_error
 
     def test_estimate_respects_the_series_bound(self):
@@ -699,8 +694,7 @@ class TestMcMaxMoment:
             chain, f = random_chain_instance(int(rng.integers(0, 2**32)), m_max=10)
             w = WeightSequence.power(-0.5)
             n = 8
-            config = SimConfig(master_seed=11, trials=400, horizon=n)
-            out = mc_max_moment(chain, f, w, n, config)
+            out = mc_max_moment(chain, f, w, n, master_seed=11, trials=400)
             stats = compute_stats(w, n)
             powers = ChainPowers(chain, f)
             bound = 36.0 * sum(
@@ -723,17 +717,15 @@ class TestMcMaxMoment:
     def test_too_few_trials_rejected(self):
         chain = two_state(0.25, 0.25)
         f = Observable([1.0, -1.0])
-        config = SimConfig(master_seed=1, trials=99, horizon=4)
         with pytest.raises(ValidationError, match="100 trials"):
-            mc_max_moment(chain, f, WeightSequence.constant(1.0), 4, config)
+            mc_max_moment(chain, f, WeightSequence.constant(1.0), 4, master_seed=1, trials=99)
 
     def test_jackknife_error_matches_classic_form(self):
         # for a plain mean the jackknife collapses to s / sqrt(N)
         chain, f = random_chain_instance(53, m_max=5)
         w = WeightSequence.constant(1.0)
-        config = SimConfig(master_seed=3, trials=500, horizon=4)
-        out = mc_max_moment(chain, f, w, 4, config)
-        seeds = [config.trial_seed(i) for i in range(500)]
+        out = mc_max_moment(chain, f, w, 4, master_seed=3, trials=500)
+        seeds = [derive_trial_seed(3, i) for i in range(500)]
         states = sample_trajectories(chain, 4, seeds)
         values = (series_paths(chain, f, w, states) ** 2).sum(axis=2).max(axis=1)
         classic = values.std(ddof=1) / np.sqrt(500)
