@@ -554,12 +554,16 @@ def jacobi_eigendecomposition(matrix):
     columns, p first (``_round_layouts``; odd n gets a zero row and column
     for the dummy index).  Viewed as complex numbers x + iy, those columns
     rotate by (c, s) to (c x - s y, s x + c y) in one in-place multiply by
-    c + is per round: on the matrix, again on its transposed copy, and on
-    the eigenvectors.  The matrix is kept transposed, so each product
+    c + is: on the matrix and the eigenvectors, then on the matrix's
+    transposed copy.  The matrix is kept transposed, so each product
     multiplies the same operands in the same order as a rotation of the
-    row pair (p, q).  A round works in buffers allocated once per call: one
-    routine writes every pair's c + is into them, and the products skip the
-    dead pairs through ``where=``.
+    row pair (p, q).  It sits on top of the eigenvectors in one buffer, so
+    one column take permutes both and one product rotates both.  A round
+    works in buffers allocated once per call: one routine writes every
+    pair's c + is, which a round with every pair live copies to every row,
+    so that its products run over flat operands; a round with dead pairs
+    broadcasts it and skips them through ``where=``.  numpy gives all three
+    products the same bits (pinned in ``tests/test_markov.py``).
 
     Returns ``(eigenvalues, eigenvectors, sweeps, residual)``: eigenvectors
     in columns, both unsorted, the number of sweeps run and the final
@@ -568,9 +572,11 @@ def jacobi_eigendecomposition(matrix):
     sweep on a matrix that is not square, not symmetric or not finite.
     """
     A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
+    n = A.shape[0]
+    if n == 0:
+        raise ValidationError(f"matrix has shape {A.shape}: no entries to diagonalize")
     bad = np.argwhere(~np.isfinite(A))
     if bad.size:
         named = ", ".join(f"({i},{j})={A[i, j]}" for i, j in bad[:4].tolist())
@@ -590,29 +596,26 @@ def jacobi_eigendecomposition(matrix):
     # every sweep starts and ends in the last round's layout
     home = column_of[-1]
 
-    # S[a, b] = A[i, j] for the indices i, j in columns b, a: the transpose of
-    # the working matrix, which starts out symmetric.
-    S = np.zeros((m, m))
-    S[:n, :n] = A
-    S = S[np.ix_(layouts[-1], layouts[-1])]
-    T = np.empty_like(S)
-    # V's columns are the eigenvectors, in the same column order as S.
-    V = np.zeros((n, m))
-    V[np.arange(n), home[:n]] = 1.0
-    V2 = np.empty_like(V)
+    # Two buffers, each S over V: S[a, b] = A[i, j] for the indices i, j in
+    # columns b, a, the transpose of the working matrix, which starts out
+    # symmetric, and V's columns the eigenvectors, in the same column order.
+    # A round starts with S on top of one buffer and V below in the other.
+    X, Y = np.zeros((2, m + n, m))
+    X[:n, :n] = A
+    X[:m] = X[:m][np.ix_(layouts[-1], layouts[-1])]
+    Y[m + np.arange(n), home[:n]] = 1.0
     # The off-diagonal entries in the row-major order of A, so that the
     # norm sums the same numbers in the same order whatever the layout.
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     off_diagonal = home[j] * m + home[i]
-    # The flat positions of entries (2k, 2k+1) and (2k+1, 2k) of each pair k,
-    # which a round's rotations zero, in S and T alike.
-    k = np.arange(h)
-    couplings = np.stack((2 * k * (m + 1) + 1, 2 * k * (m + 1) + m))
 
     # Per-round buffers, allocated once; every ufunc of a round writes into them.
     tau, two_apq, abs_tau, t = np.empty((4, h))
     negative, big, live_pairs = np.empty((3, h), dtype=bool)
-    w = np.empty(h, dtype=complex)
+    # w = c + is, the first row of W, where a round with every pair live
+    # copies it to every row
+    W = np.empty((m + n, h), dtype=complex)
+    w = W[0]
     c, s = w.real, w.imag
 
     def rotations(app, aqq, apq, live):
@@ -628,7 +631,7 @@ def jacobi_eigendecomposition(matrix):
         np.subtract(aqq, app, out=tau)
         np.divide(tau, two_apq, out=tau, where=live)
         np.abs(tau, out=abs_tau)
-        largest = abs_tau.max()
+        largest = np.maximum.reduce(abs_tau)
         if largest > 1e10:
             np.greater(abs_tau, 1e10, out=big)
             abs_tau[big] = 0.0
@@ -650,53 +653,60 @@ def jacobi_eigendecomposition(matrix):
         np.divide(1.0, abs_tau, out=c)
         np.multiply(t, c, out=s)
 
-    def pair_views(M):
-        """M's complex column pairs, its entries (2k, 2k), (2k+1, 2k+1) and
-        (2k+1, 2k) for each pair k as writable views, and M flat."""
-        flat, step = M.reshape(-1), 2 * m + 2
-        return (M.view(complex)[:, :h], flat[::step][:h], flat[m + 1 :: step][:h],
-                flat[m::step][:h], flat)
+    def views(B):
+        """B, S, B's complex column pairs, S's pairs, S's entries (2k, 2k),
+        (2k+1, 2k+1), (2k+1, 2k) and (2k, 2k+1) for each pair k as writable
+        views (a round's rotations zero the last two), and S flat."""
+        S = B[:m]
+        flat, step = S.reshape(-1), 2 * m + 2
+        pairs = B.view(complex)[:, :h]
+        return (B, S, pairs, pairs[:m], flat[::step][:h], flat[m + 1 :: step][:h],
+                flat[m::step][:h], flat[1::step][:h], flat)
 
     def off_norm() -> float:
         # summing the off-diagonal entries directly avoids the catastrophic
         # cancellation of the full-norm-minus-diagonal formula
-        return float(np.linalg.norm(S.reshape(-1)[off_diagonal]))
+        return float(np.linalg.norm(x[-1][off_diagonal]))
 
-    s_views, t_views = pair_views(S), pair_views(T)
-    v_pairs, v2_pairs = V.view(complex)[:, :h], V2.view(complex)[:, :h]
+    x, y = views(X), views(Y)
+    rest, top = W[1:], W[:m]
     for sweep in range(JACOBI_MAX_SWEEPS):
         residual = off_norm()
         if residual <= threshold:
             # the transpose of a C-ordered array, so that products with it
             # make the same BLAS calls whatever the layout
-            eigenvectors = V.T[home[:n]]
-            return S.diagonal()[home[:n]], eigenvectors.T, sweep, residual
+            eigenvectors = y[0][m:].T[home[:n]]
+            return x[1].diagonal()[home[:n]], eigenvectors.T, sweep, residual
         for move in moves:
+            X, S, pairs, _, app, aqq, apq, _, _ = x  # S[2k+1, 2k] is A[p, q]
+            Y, T, _, t_pairs, _, _, lower, upper, _ = y
             S.take(move, 0, T, "clip")
-            T.take(move, 1, S, "clip")
-            V.take(move, 1, V2, "clip")
-            V, V2, v_pairs, v2_pairs = V2, V, v2_pairs, v_pairs
-            pairs, app, aqq, apq, _ = s_views  # S[2k+1, 2k] is A[p, q]
-            # where=True is the plain multiply; a dead pair, whose entry is
-            # exactly 0, keeps its bits: a product with 1 + 0j can flip the
-            # sign of a zero
-            if apq.all():
-                live, zeroed = True, couplings
-            else:
-                live = np.not_equal(apq, 0.0, out=live_pairs)
-                if not live.any():
-                    continue
-                zeroed = couplings[:, live]
+            Y.take(move, 1, X, "clip")
+            # the round leaves S on top of Y and V below in X
+            x, y = y, x
+            count = np.count_nonzero(apq)
+            if not count:
+                np.copyto(T, S)
+                continue
+            all_live = count == h
+            live = True if all_live else np.not_equal(apq, 0.0, out=live_pairs)
             rotations(app, aqq, apq, live)
             # A <- J^T A J: rotate the row pairs of A, which are the column
-            # pairs of S, then those of the transpose.
-            np.multiply(pairs, w, out=pairs, where=live)
-            np.copyto(T, S.T)
-            S, T, s_views, t_views = T, S, t_views, s_views
-            pairs, _, _, _, flat = s_views
-            np.multiply(pairs, w, out=pairs, where=live)
-            flat[zeroed] = 0.0
-            np.multiply(v_pairs, w, out=v_pairs, where=live)
+            # pairs of S, and V's column pairs, then the column pairs of S's
+            # transpose.  A dead pair, whose entry is exactly 0, keeps its
+            # bits: a product with 1 + 0j can flip the sign of a zero
+            if all_live:
+                np.copyto(rest, w)
+                np.multiply(pairs, W, out=pairs)
+                np.copyto(T, S.T)
+                np.multiply(t_pairs, top, out=t_pairs)
+                lower[...] = upper[...] = 0.0
+            else:
+                np.multiply(pairs, w, out=pairs, where=live)
+                np.copyto(T, S.T)
+                np.multiply(t_pairs, w, out=t_pairs, where=live)
+                np.copyto(lower, 0.0, where=live)
+                np.copyto(upper, 0.0, where=live)
     raise EigensolverError(off_norm(), JACOBI_MAX_SWEEPS)
 
 
@@ -764,15 +774,15 @@ def spectral_measure(chain: ReversibleChain, f: Observable) -> SpectralMeasure:
     masses = masses[order]
     merged_l, merged_m = [], []
     # in turn: each atom may merge into the one the previous merges built
-    for lam, mass in zip(lambdas, masses):
+    for lam, mass in zip(lambdas.tolist(), masses.tolist()):
         if merged_l and merged_l[-1] - lam <= ATOM_MERGE_TOL:
             total = merged_m[-1] + mass
             if total > 0:
                 merged_l[-1] = (merged_l[-1] * merged_m[-1] + lam * mass) / total
             merged_m[-1] = total
         else:
-            merged_l.append(float(lam))
-            merged_m.append(float(mass))
+            merged_l.append(lam)
+            merged_m.append(mass)
     lam_arr = np.asarray(merged_l)
     mass_arr = np.asarray(merged_m)
     energy = float(chain.stationary @ squared_norms(f.values))
@@ -830,7 +840,7 @@ def _partial_autocov_sum(sm: SpectralMeasure, n: int) -> float:
     """sum_{k<=n} autocovariance(k), evaluated per spectral atom."""
     total = 0.0
     # per atom: numpy's array power can differ from the scalar lam ** n in the last bit
-    for lam, mass in zip(sm.lambdas, sm.masses):
+    for lam, mass in sm.atoms:
         if abs(1.0 - lam) < UNIT_EIGENVALUE_TOL:
             total += mass * n
         else:
@@ -904,8 +914,9 @@ def check_conditions(
     a_bounded = not has_unit
 
     # _variance_kernel per atom, for its scalar powers (see _partial_autocov_sum)
+    atoms = sm.atoms
     growth = [
-        _left_sum(np.array([m * _variance_kernel(l, n) for l, m in zip(sm.lambdas, sm.masses)]))
+        _left_sum(np.array([m * _variance_kernel(l, n) for l, m in atoms]))
         for n in grid
     ]
     b_sup = max(growth)

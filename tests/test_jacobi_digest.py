@@ -16,8 +16,11 @@ round: all pairs live, live pairs with |tau| > 1e10, dead pairs next to
 live ones, and all pairs dead.  Every solve runs with division by zero and
 invalid operations raising, and all but the overflowing one with overflow
 raising too.  The committed digests were written by ``jacobi_digest``
-before the rounds moved into buffers allocated once per call; rewrite them
-with ``python tests/test_jacobi_digest.py`` only when the solver's results are meant to change.
+before the rounds moved into buffers allocated once per call, and before
+the matrix and the eigenvectors came to share one stacked buffer whose
+all-live rounds multiply flat operands; neither change rewrote them.
+Rewrite them with ``python tests/test_jacobi_digest.py`` only when the
+solver's results are meant to change.
 """
 
 import hashlib

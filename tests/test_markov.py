@@ -448,6 +448,41 @@ class TestJacobi:
         lam, _, _, _ = jacobi_eigendecomposition(sym)
         np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(sym), atol=1e-9)
 
+    def test_empty_matrix_refused_naming_its_shape(self):
+        with pytest.raises(ValidationError, match=r"^matrix has shape \(0, 0\)"):
+            jacobi_eigendecomposition(np.zeros((0, 0)))
+
+    def test_scalar_refused_as_not_square(self):
+        with pytest.raises(ValidationError, match="^matrix must be square$"):
+            jacobi_eigendecomposition(5.0)
+
+    @pytest.mark.parametrize("rows,pairs", [(128, 32), (35, 8), (3, 1)])
+    def test_flat_broadcast_and_masked_products_agree_bit_for_bit(self, rows, pairs):
+        # A round multiplies its column pairs by c + is over flat operands
+        # when every pair is live, and by one broadcast row under where= when
+        # some are dead; the solver's digests hold only while numpy gives
+        # these three products the same bits.
+        rng = np.random.default_rng(rows)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0]
+        scale = 10.0 ** rng.integers(-150, 150, (rows, 2 * pairs))
+        x = rng.standard_normal((rows, 2 * pairs)) * scale
+        picked = rng.random(x.shape) < 0.25
+        x[picked] = rng.choice(special, int(picked.sum()))
+        angle = rng.uniform(-np.pi, np.pi, pairs) * 10.0 ** rng.integers(-320, 1, pairs)
+        parts = np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        picked = rng.random(parts.shape) < 0.25
+        parts[picked] = rng.choice(special, int(picked.sum()))
+        w = parts.view(complex)[:, 0]
+        P = x.view(complex)
+        live = rng.random(pairs) < 0.7
+
+        flat = np.multiply(P, np.tile(w, (rows, 1)))
+        broadcast = P * w
+        masked = np.multiply(P, w, out=P.copy(), where=live)
+        assert flat.tobytes() == broadcast.tobytes()
+        assert masked[:, live].tobytes() == flat[:, live].tobytes()
+        assert masked[:, ~live].tobytes() == P[:, ~live].tobytes()
+
 
 class TestSpectralMeasure:
     def test_eigenvector_gives_single_atom(self):
