@@ -1,10 +1,10 @@
 """Command-line entry point for reproducible verification experiments.
 
 Exit codes: 0 all checks passed, 1 at least one inequality or equivalence
-violated (the interesting outcome), 2 malformed input or bad flags.  Every
-run writes a JSON sidecar next to its primary output recording the command
-line, the seeds, and the tool version; primary outputs are byte-identical
-across reruns.
+violated (the interesting outcome), 2 malformed input, bad flags or sizes
+too large to allocate.  Every run writes a JSON sidecar next to its primary
+output recording the command line, the seeds, and the tool version; primary
+outputs are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -629,6 +629,11 @@ def _require_output_dirs(args):
                 raise ValidationError(f"{flag}: cannot write {name!r}: {other} {verb}")
 
 
+# the options whose values size the arrays a command allocates
+_SIZES = {"gen-chain": ("--m",), "verify": ("--atoms-max", "--n-max", "--dim-max"),
+          "verify-markov": ("--m-max", "--n-max")}
+
+
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -638,8 +643,16 @@ def run(argv) -> int:
         _require_output_dirs(args)
         return _HANDLERS[args.command](args, argv)
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array it cannot allocate with one of these two
+        if not (isinstance(exc, MemoryError) or str(exc).startswith("array is too big")):
+            raise
+        sizes = [f"{flag} {_value(args, flag)}" for flag in _SIZES.get(args.command, ())
+                 if _value(args, flag) is not None]
+        message = f"{', '.join(sizes) or args.command}: too large to allocate ({exc})"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main():  # pragma: no cover

@@ -94,6 +94,11 @@ class DecreasingFiltration:
     ``0..k_j-1``, and each of its blocks lies inside one level-``j+1`` block;
     equal consecutive levels are allowed.  Validation is eager: all downstream
     operations assume the coarsening invariant.
+
+    Validation numbers the blocks of all levels one after the other and keeps
+    that offset label matrix, from which ``labels`` subtracts a level's
+    offset, with the probability of every block, summed once over its atoms
+    in atom order; conditional tables read both.
     """
 
     def __init__(self, space: FiniteProbSpace, labels):
@@ -110,13 +115,15 @@ class DecreasingFiltration:
             raise ValidationError(
                 f"level {j + 1} atom {atom} has label {lab[j, atom]} outside 0..{n - 1}"
             )
-        # one bincount over all levels, each shifted past the labels before it
+        # level j's blocks are numbered from offsets[j - 1]; offsets[-1] counts them all
         n_blocks = lab.max(axis=1) + 1
-        offsets = np.concatenate(([0], np.cumsum(n_blocks)[:-1]))
-        flat = (lab + offsets[:, None]).ravel()
-        counts = np.bincount(flat)
-        if counts.min() == 0:
-            label = int(np.argmin(counts))
+        offsets = np.concatenate(([0], np.cumsum(n_blocks)))
+        blocks = lab + offsets[:-1, None]
+        flat = blocks.ravel()
+        # every atom has positive probability, so only an unused label has mass 0.0
+        mass = np.bincount(flat, weights=np.tile(space.probs, lab.shape[0]))
+        if mass.min() == 0.0:
+            label = int(np.argmin(mass))
             j = int(np.searchsorted(offsets, label, side="right"))
             raise ValidationError(
                 f"level {j} does not use label {label - offsets[j - 1]}; "
@@ -124,7 +131,7 @@ class DecreasingFiltration:
             )
         # first atom of each atom's block; a fine block must not straddle two
         # coarse blocks, so its atoms share the coarse label of its first atom
-        first = np.full(counts.size, n)
+        first = np.full(mass.size, n)
         np.minimum.at(first, flat, np.tile(np.arange(n), lab.shape[0]))
         reps = first[flat].reshape(lab.shape)
         moved = np.take_along_axis(lab[1:], reps[:-1], axis=1) - lab[1:]
@@ -134,9 +141,10 @@ class DecreasingFiltration:
                 f"level {j + 1} is not a coarsening of level {j}: level-{j} block "
                 f"{lab[j - 1][moved[j - 1] != 0].min()} straddles two blocks"
             )
-        for arr in (lab, reps, n_blocks):
+        for arr in (reps, n_blocks, offsets, blocks, mass):
             arr.flags.writeable = False
-        self._labels, self._reps, self._n_blocks = lab, reps, n_blocks
+        self._reps, self._n_blocks, self._offsets, self._blocks, self._mass = (
+            reps, n_blocks, offsets, blocks, mass)
 
     @classmethod
     def from_blocks(cls, space: FiniteProbSpace, partitions) -> "DecreasingFiltration":
@@ -176,7 +184,7 @@ class DecreasingFiltration:
 
     @property
     def levels(self) -> int:
-        return self._labels.shape[0]
+        return self._blocks.shape[0]
 
     def _row(self, level: int) -> int:
         if not 1 <= level <= self.levels:
@@ -184,8 +192,11 @@ class DecreasingFiltration:
         return level - 1
 
     def labels(self, level: int) -> np.ndarray:
-        """Block label of each atom at a level (levels are 1-based)."""
-        return self._labels[self._row(level)]
+        """Block label of each atom at a level (levels are 1-based), read-only."""
+        row = self._row(level)
+        labels = self._blocks[row] - self._offsets[row]
+        labels.flags.writeable = False
+        return labels
 
     def n_blocks(self, level: int) -> int:
         return int(self._n_blocks[self._row(level)])
@@ -285,27 +296,25 @@ def _cond_table(
 ) -> np.ndarray:
     """Row r of a ``(rows, atoms, dim)`` array conditioned at level ``first_level + r``.
 
-    Returns a read-only array of the same shape.  One bincount gives the
-    block probabilities of every row's level and one the block sums of every
-    row and coordinate, over labels offset per row and coordinate.  Each bin
-    adds its atoms in atom order, so every value is bit-identical to the
-    block average of that row alone.
+    Returns a read-only array of the same shape.  The rows' levels take their
+    block numbers and block probabilities from the filtration, and one
+    bincount gives the block sums of every row and coordinate, coordinate c
+    in the c-th run of as many bins as those levels have blocks.  Each bin
+    adds its atoms in atom order, as the filtration's block probabilities
+    do, so every value is bit-identical to the block average of that row
+    alone.
     """
     rows, _, dim = values.shape
     last = first_level + rows - 1
     if first_level < 1 or last > filtration.levels:
         bad = first_level if first_level < 1 else max(first_level, filtration.levels + 1)
         raise ValidationError(f"level {bad} out of range 1..{filtration.levels}")
-    labels = filtration._labels[first_level - 1 : last]
-    k = filtration._n_blocks[first_level - 1 : last]
+    start, stop = filtration._offsets[[first_level - 1, last]]
+    blocks = filtration._blocks[first_level - 1 : last]
+    bins = (blocks - start)[:, :, None] + (stop - start) * np.arange(dim)
     p = filtration.space.probs
-    offsets = np.cumsum(k) - k
-    blocks = labels + offsets[:, None]
-    block_prob = np.bincount(blocks.ravel(), weights=np.tile(p, rows))
-    # coordinate c of row r uses the row's bins after its first c * k_r
-    bins = (labels + dim * offsets[:, None])[:, :, None] + k[:, None, None] * np.arange(dim)
     sums = np.bincount(bins.ravel(), weights=(p[:, None] * values).ravel())
-    table = sums[bins] / block_prob[blocks][:, :, None]
+    table = sums[bins] / filtration._mass[blocks][:, :, None]
     table.flags.writeable = False
     return table
 
@@ -322,9 +331,35 @@ def _left_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
+def coordinate_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(x * y).sum(axis=-1)``, bit for bit, without reducing a short axis.
+
+    numpy adds fewer than 8 terms one after the other and more in pairwise
+    blocks.  An axis that short is summed here as columns, which is much
+    faster than numpy's reduction over it and adds in the same order.  ``y``
+    may broadcast against ``x``.
+    """
+    if x.shape[-1] >= 8:
+        return (x * y).sum(axis=-1)
+    out = x[..., 0] * y[..., 0]
+    for d in range(1, x.shape[-1]):
+        out += x[..., d] * y[..., d]
+    return out
+
+
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """``(x * x).sum(axis=-1)``, bit for bit: see :func:`coordinate_dots`."""
+    return coordinate_dots(x, x)
+
+
 def _norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis: one row of atom norms per variable."""
-    return np.linalg.norm(values, axis=-1)
+    """Euclidean norm over the last axis: one row of atom norms per variable.
+
+    ``np.linalg.norm(values, axis=-1)`` of a real array is
+    ``sqrt(add.reduce(values * values, axis=-1))``, so this gives its bits
+    without the wrapper's checks and copies.
+    """
+    return np.sqrt(squared_norms(values))
 
 
 def _moments(probs: np.ndarray, norms: np.ndarray, p: float) -> list:

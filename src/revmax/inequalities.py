@@ -37,7 +37,7 @@ from .finite_prob import (
     _norms,
     _partial_sum_tables,
 )
-from .weights import WeightSequence, coefficient_chunks, compute_stats
+from .weights import WeightSequence, WeightStats, coefficient_chunks, compute_stats
 
 __all__ = [
     "InequalityId",
@@ -220,7 +220,8 @@ def random_instance(
     by construction.  One PCG64 stream is read in a fixed order: the atom
     probabilities, then every level's merge pair as
     ``sorted(rng.choice(k, 2, replace=False))`` would draw it, then all term
-    values in one call.
+    values in one call.  Row r of one ``(levels - 1, atoms)`` relabel matrix
+    maps the level-(r + 1) labels to the level-(r + 2) ones.
     """
     if atoms < 2:
         raise ValidationError("need at least 2 atoms")
@@ -240,27 +241,29 @@ def random_instance(
     space = FiniteProbSpace(probs / probs.sum())
 
     # merging blocks i < j keeps label i and shifts the labels above j down
+    i, j = _merge_pairs(rng, atoms, levels)
+    atom = np.arange(atoms)
+    relabel = atom - (atom > j[:, None])
+    relabel[np.arange(levels - 1), j] = i
     labels = np.empty((levels, atoms), dtype=np.int64)
-    labels[0] = np.arange(atoms)
-    for level, (i, j) in enumerate(_merge_pairs(rng, atoms, levels), start=1):
-        relabel = np.arange(atoms - level + 1)
-        relabel[j + 1:] -= 1
-        relabel[j] = i
-        np.take(relabel, labels[level - 1], out=labels[level])
+    labels[0] = atom
+    for r in range(levels - 1):
+        relabel[r].take(labels[r], out=labels[r + 1])
+    del relabel  # freed before validation, where a verify command's memory peaks
     filtration = DecreasingFiltration(space, labels)
 
     # term j gathers its own run of k_j draws, k_j = atoms - j + 1 blocks;
     # consecutive standard_normal calls concatenate, so one call serves all
     blocks = atoms - np.arange(n)
     offsets = np.cumsum(blocks) - blocks
-    draws = rng.standard_normal((int(blocks.sum()), dim))
-    values = draws[labels[:n] + offsets[:, None]]
+    values = rng.standard_normal((int(blocks.sum()), dim))[labels[:n] + offsets[:, None]]
     return Instance(sequence=AdaptedSequence(filtration, values), seed=int(seed))
 
 
-def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
+def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int):
     """``sorted(rng.choice(k, 2, replace=False))`` for k = atoms down to
-    atoms - levels + 2, from one ``rng.integers`` call.
+    atoms - levels + 2, from one ``rng.integers`` call, as two arrays: the
+    smaller picks and the larger ones.
 
     For two picks from k < 2^32, ``Generator.choice`` runs Floyd's sampling
     (Bentley & Floyd, CACM 30(9), 1987): a first pick on 0..k-2, a second on
@@ -275,12 +278,9 @@ def _merge_pairs(rng: np.random.Generator, atoms: int, levels: int) -> list:
     bounds = np.full((levels - 1, 3), 2)
     bounds[:, 0] = ks - 1
     bounds[:, 1] = ks
-    pairs = []
-    for k, (first, second, _) in zip(ks.tolist(), rng.integers(0, bounds).tolist()):
-        if second == first:
-            second = k - 1
-        pairs.append((first, second) if first < second else (second, first))
-    return pairs
+    first, second, _ = rng.integers(0, bounds).T
+    second = np.where(second == first, ks - 1, second)
+    return np.minimum(first, second), np.maximum(first, second)
 
 
 def verify(
@@ -301,24 +301,35 @@ def verify(
     n = len(instance.sequence) if n is None else n
     if not 1 <= n <= len(instance.sequence):
         raise ValidationError(f"n={n} out of range for instance with n={len(instance.sequence)}")
-    return _record(check, instance, n, p, weights, traced_constant(check, p).value)
+    return _record(check, instance, n, p, weights, traced_constant(check, p).value,
+                   _weight_stats(check, weights, n))
+
+
+def _weight_stats(check: InequalityId, weights: WeightSequence | None, n: int):
+    """``compute_stats(weights, n)`` for a weighted check, None for the others."""
+    if not check.weighted:
+        return None
+    if weights is None:
+        raise ValidationError(f"{check.value} needs a weight sequence")
+    return compute_stats(weights, n)
 
 
 def _record(check: InequalityId, instance: Instance, n: int, p: float,
-            weights: WeightSequence | None, constant: float) -> VerificationRecord:
+            weights: WeightSequence | None, constant: float,
+            stats: WeightStats | None) -> VerificationRecord:
     """``verify``'s record on the first n terms, judged against ``constant``.
 
     A weighted check is its unweighted twin on the sequence a_j E_j X, whose
     partial sums S_k condition by the tower property to E_k S_k = s_k E_k X.
+    It reads ``stats.s`` and ``stats.s_star`` through 4n and ``stats.b``
+    through n, which the statistics of any horizon from n on hold with the
+    same bits: cumulative sums and running maxima are prefix-stable.
     """
     filtration = instance.filtration
     probs = instance.space.probs
     X = instance.sequence.values[0]
 
     if check.weighted:
-        if weights is None:
-            raise ValidationError(f"{check.value} needs a weight sequence")
-        stats = compute_stats(weights, n)
         # row j-1 holds E_j X
         conditioned = _cond_table(filtration, np.broadcast_to(X, (n, *X.shape)))
         a = weights.eval_range(n)[1:, None, None]
@@ -412,22 +423,24 @@ def verify_batch(
     """Run one inequality over ``count`` freshly generated instances.
 
     Instance shapes and per-instance seeds are drawn from a master generator
-    seeded with ``seed``; records come back in instance order, so the batch
-    is reproducible and order-independent of any execution scheduling.  The
-    constant is read once, before any instance is drawn.
+    seeded with ``seed``, all of them before the first instance is built;
+    records come back in instance order, so the batch is reproducible and
+    order-independent of any execution scheduling.  The constant is read
+    once, before any instance is drawn, and a weighted check's statistics
+    once, at the largest n drawn.
     """
     check = InequalityId(check)
     constant = traced_constant(check, p).value
     if check.weighted and weights is None:
         weights = WeightSequence.constant(1.0)
     master = _generator(seed)
-    records = []
-    for _ in range(count):
-        atoms, levels, n, dim = sample_instance_shape(master, atoms_max, n_max, dim_max)
-        inst_seed = int(master.integers(0, 2**63 - 1))
-        instance = random_instance(inst_seed, atoms, levels, n, dim)
-        records.append(_record(check, instance, n, p, weights, constant))
-    return records
+    draws = [(sample_instance_shape(master, atoms_max, n_max, dim_max),
+              int(master.integers(0, 2**63 - 1))) for _ in range(count)]
+    stats = _weight_stats(check, weights, max(n for (_, _, n, _), _ in draws)) if draws else None
+    # an instance is dropped with its record, before the next one is built
+    return [_record(check, random_instance(inst_seed, atoms, levels, n, dim),
+                    n, p, weights, constant, stats)
+            for (atoms, levels, n, dim), inst_seed in draws]
 
 
 # Second moments checked at a time by series_criterion.

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_prob import ValidationError, _dim, _left_sum, _numbers, _object
+from .finite_prob import (
+    ValidationError, _dim, _left_sum, _numbers, _object, coordinate_dots, squared_norms,
+)
 from .inequalities import (
     InequalityId, TracedConstant, VerificationRecord, _generator, make_record, traced_constant,
 )
@@ -343,27 +345,6 @@ def _check_observable(chain: ReversibleChain, f: Observable):
         raise ValidationError(
             f"observable has {f.m} states, chain has {chain.m}"
         )
-
-
-def coordinate_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(x * y).sum(axis=-1)``, bit for bit, without reducing a short axis.
-
-    numpy adds fewer than 8 terms one after the other and more in pairwise
-    blocks.  An axis that short is summed here as columns, which is much
-    faster than numpy's reduction over it and adds in the same order.  ``y``
-    may broadcast against ``x``.
-    """
-    if x.shape[-1] >= 8:
-        return (x * y).sum(axis=-1)
-    out = x[..., 0] * y[..., 0]
-    for d in range(1, x.shape[-1]):
-        out += x[..., d] * y[..., d]
-    return out
-
-
-def squared_norms(x: np.ndarray) -> np.ndarray:
-    """``(x * x).sum(axis=-1)``, bit for bit: see :func:`coordinate_dots`."""
-    return coordinate_dots(x, x)
 
 
 # Entries of table rows squared at once by ChainPowers.second_moments (1 MB).
@@ -1069,26 +1050,38 @@ def verify_markov_inequality(
     descriptor's ``seed`` is None: the chain came from no seed here.
     """
     check = MarkovCheck(check)
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     _require_weight_domain(check, weights, n)
-    return _markov_record(check, chain, f, n, weights, markov_traced_constant(check).value, None)
+    return _markov_record(check, chain, f, n, weights, markov_traced_constant(check).value, None,
+                          _b_star(check, weights, n))
+
+
+def _b_star(check: MarkovCheck, weights: WeightSequence | None, n: int):
+    """max(even b, odd b) through horizon n for weighted-power-max, None for the other checks."""
+    if check is not MarkovCheck.WEIGHTED_POWER_MAX:
+        return None
+    even, odd = even_odd_stats(weights if weights is not None else UNIT_WEIGHTS, n)
+    return np.maximum(even.b, odd.b)
 
 
 def _markov_record(check: MarkovCheck, chain: ReversibleChain, f: Observable, n: int,
-                   weights: WeightSequence | None, constant: float, seed: int | None):
-    """``verify_markov_inequality``'s record, judged against ``constant`` and carrying ``seed``."""
+                   weights: WeightSequence | None, constant: float, seed: int | None,
+                   b_star: np.ndarray | None):
+    """``verify_markov_inequality``'s record, judged against ``constant`` and carrying ``seed``.
+
+    Weighted-power-max reads ``b_star`` through index n; it may come from
+    any horizon from n on, since each b_k reads only the weights through 8k.
+    """
     powers = ChainPowers(chain, f)
-    if n < 1:
-        raise ValidationError("n must be >= 1")
     if check.scalar_only and f.dim != 1:
         raise ValidationError(f"{check.value} takes a scalar observable")
     descriptor = {"seed": seed, "atoms": chain.m, "n": n, "dim": f.dim}
 
     if check is MarkovCheck.WEIGHTED_POWER_MAX:
         w = weights if weights is not None else UNIT_WEIGHTS
-        even, odd = even_odd_stats(w, n)
-        b_star = np.maximum(even.b, odd.b)
         _, lhs = weighted_series(powers, w, 2 * n)
-        rhs = _left_sum(b_star[1:] * powers.second_moments(n)[1:])
+        rhs = _left_sum(b_star[1 : n + 1] * powers.second_moments(n)[1:])
     elif check in (MarkovCheck.UNIT_WEIGHT_POWER_MAX, MarkovCheck.PAIRED_POWER_MAX):
         horizon = n
         if check is MarkovCheck.PAIRED_POWER_MAX:  # the unit-weight check on f + Qf
@@ -1114,18 +1107,20 @@ def verify_markov_batch(check: MarkovCheck, count: int, seed: int, weights: Weig
     The constant is read once, and weights outside the check's domain through
     a_8n_max are refused before any chain is drawn.  A master generator seeded
     with ``seed`` draws each chain's seed and then its horizon in 1..n_max,
-    both kept in its record.
+    both kept in its record, for every chain before the first is built; the
+    weighted check's coefficients are computed once, at the largest horizon.
     """
     check = MarkovCheck(check)
     _require_weight_domain(check, weights, n_max)
     constant = markov_traced_constant(check).value
     master = _generator(seed)
+    draws = [(int(master.integers(0, 2**63 - 1)), int(master.integers(1, n_max + 1)))
+             for _ in range(count)]
+    b_star = _b_star(check, weights, max(n for _, n in draws)) if draws else None
     records = []
-    for _ in range(count):
-        chain_seed = int(master.integers(0, 2**63 - 1))
+    for chain_seed, n in draws:
         chain, f = random_chain_instance(chain_seed, m_max=m_max)
-        n = int(master.integers(1, n_max + 1))
-        records.append(_markov_record(check, chain, f, n, weights, constant, chain_seed))
+        records.append(_markov_record(check, chain, f, n, weights, constant, chain_seed, b_star))
     return records
 
 

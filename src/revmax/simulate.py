@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_prob import ValidationError, _left_sum
-from .markov import ChainPowers, Observable, ReversibleChain, power_rows, squared_norms
+from .finite_prob import ValidationError, _left_sum, squared_norms
+from .markov import ChainPowers, Observable, ReversibleChain, power_rows
 from .weights import WeightSequence
 
 __all__ = [

@@ -395,6 +395,32 @@ def test_out_of_range_flag_exits_two_naming_it(argv, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+# at 10**15 numpy refuses the first array before it touches any memory:
+# a MemoryError for petabytes, a ValueError past the largest array size
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--id", "max-vs-endpoint", "--atoms-max", str(10**15)], "--atoms-max"),
+    (["verify", "--id", "max-vs-endpoint", "--dim-max", str(10**15), "--atoms-max", "4"],
+     "--dim-max"),
+    (["verify-markov", "--id", "stein", "--m-max", str(10**15)], "--m-max"),
+    (["gen-chain", "--model", "lazy-ring", "--m", str(10**15), "--laziness", "0.5"], "--m"),
+])
+def test_a_size_too_large_to_allocate_exits_two_naming_it(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{flag} {10**15}" in err and "too large to allocate" in err
+    assert not out.exists()
+
+
+def test_a_value_error_that_is_no_allocation_still_raises(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("not an allocation")
+    monkeypatch.setattr(cli, "verify_batch", broken)
+    with pytest.raises(ValueError, match="not an allocation"):
+        run(["verify", "--id", "max-vs-endpoint", "-o", str(tmp_path / "r.csv")])
+
+
 @pytest.mark.parametrize("argv, draw", [
     (["verify", "--id", "max-vs-endpoint"], "verify_batch"),
     (["verify-markov", "--id", "stein"], "verify_markov_batch"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from revmax import (
     reverse_mart_diff,
 )
 from revmax.finite_prob import (
-    _cond_table, _left_sum, adapted_partial_sums, exact_max_moment, load_problem,
+    _cond_table, _left_sum, _norms, adapted_partial_sums, exact_max_moment, load_problem,
 )
 
 
@@ -130,6 +132,19 @@ class TestConstruction:
         space = make_space(4)
         with pytest.raises(ValidationError, match="level 2 does not use label 1"):
             DecreasingFiltration(space, [[0, 1, 2, 3], [0, 2, 2, 0]])
+
+    @pytest.mark.parametrize("labels, level, label, top", [
+        ([[0, 1, 2, 3, 4], [0, 0, 2, 2, 4], [0, 0, 0, 0, 0]], 2, 1, 4),
+        ([[0, 1, 2, 3, 4], [0, 0, 1, 1, 2], [0, 0, 2, 2, 3], [0, 0, 0, 0, 0]], 3, 1, 3),
+        ([[0, 1, 2, 3, 4], [0, 0, 1, 1, 2], [0, 0, 2, 2, 2]], 3, 1, 2),
+        ([[0, 1, 2, 3, 4], [0, 0, 1, 1, 2], [2, 2, 2, 2, 2]], 3, 0, 2),
+    ])
+    def test_an_unused_label_at_a_middle_or_the_last_level_is_named(self, labels, level,
+                                                                    label, top):
+        message = (f"level {level} does not use label {label}; "
+                   f"labels must run through 0..{top}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DecreasingFiltration(make_space(5), labels)
 
     def test_wrong_shape_rejected(self):
         space = make_space(4)
@@ -366,6 +381,37 @@ class TestCondTable:
             for r, row in enumerate(table):
                 want = per_level_block_average(filt, values[r], first + r)
                 assert row.tobytes() == want.tobytes()
+
+    @staticmethod
+    def as_blocks(filt):
+        """The block lists of a filtration, each level's blocks in a shuffled order."""
+        rng = np.random.default_rng(filt.levels)
+        return [
+            [np.flatnonzero(labels == b).tolist() for b in rng.permutation(labels.max() + 1)]
+            for labels in (filt.labels(j) for j in range(1, filt.levels + 1))
+        ]
+
+    def test_every_first_level_equals_per_level_averages_byte_for_byte(self):
+        rng = np.random.default_rng(37)
+        for _ in range(15):
+            atoms = int(rng.integers(2, 40))
+            levels = int(rng.integers(1, 9))
+            dim = int(rng.integers(1, 10))
+            space, filt = random_filtration(rng, atoms, levels)
+            for f in (filt, DecreasingFiltration.from_blocks(space, self.as_blocks(filt))):
+                p = space.probs
+                for first in range(1, levels + 1):
+                    # the stored block masses are the per-level bincounts
+                    start = f._offsets[first - 1]
+                    mass = f._mass[start : start + f.n_blocks(first)]
+                    assert mass.tobytes() == np.bincount(f.labels(first), weights=p).tobytes()
+                    for rows in range(levels - first + 2):
+                        values = rng.standard_normal((rows, atoms, dim))
+                        table = _cond_table(f, values, first)
+                        assert table.shape == values.shape
+                        for r, row in enumerate(table):
+                            want = per_level_block_average(f, values[r], first + r)
+                            assert row.tobytes() == want.tobytes()
 
     def test_one_row_equals_cond_expect(self):
         inst = random_instance(8, atoms=15, levels=6, n=5, dim=3)
@@ -672,3 +718,15 @@ def test_load_problem_without_terms_has_no_sequence():
     assert space.n_atoms == 2
     assert filtration.levels == 2
     assert sequence is None
+
+@pytest.mark.parametrize("dim", range(1, 10))  # numpy sums 8 or more terms pairwise
+def test_norms_equal_numpy_linalg_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e155, 1e200,
+                     1e16, 1.0, -1.0])
+    x = np.where(rng.random((4, 300, dim)) < 0.4, rng.choice(pool, (4, 300, dim)),
+                 rng.standard_normal((4, 300, dim)) * 10.0 ** rng.integers(-8, 17, (4, 300, dim)))
+    x[0, :, 0] = 1e16  # makes the order of the additions show
+    with np.errstate(over="ignore"):  # the squares of 1e155 and 1e200 overflow to inf
+        for stack in (x, x[1], x[2, :7]):
+            assert _norms(stack).tobytes() == np.linalg.norm(stack, axis=-1).tobytes()

@@ -176,9 +176,11 @@ class TestRandomInstance:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         a.uniform(size=lead)
         b.uniform(size=lead)
-        want = [tuple(sorted(b.choice(k, size=2, replace=False).tolist()))
-                for k in range(atoms, atoms - levels + 1, -1)]
-        assert inequalities._merge_pairs(a, atoms, levels) == want
+        want = np.array([sorted(b.choice(k, size=2, replace=False).tolist())
+                         for k in range(atoms, atoms - levels + 1, -1)])
+        low, high = inequalities._merge_pairs(a, atoms, levels)
+        np.testing.assert_array_equal(low, want[:, 0])
+        np.testing.assert_array_equal(high, want[:, 1])
         assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
 
     def test_merge_pairs_match_generator_choice(self):

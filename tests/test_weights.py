@@ -181,6 +181,25 @@ class TestStats:
         np.testing.assert_array_equal(even.s[1:3], np.cumsum([w.eval(2), w.eval(4)]))
         np.testing.assert_array_equal(odd.s[1:3], np.cumsum([w.eval(1), w.eval(3)]))
 
+    @pytest.mark.parametrize("build", [
+        lambda: parse_weight_spec("constant:1"),
+        lambda: parse_weight_spec("power:-0.5"),
+        lambda: WeightSequence.explicit(np.random.default_rng(23).standard_normal(8 * 40)),
+        lambda: parse_weight_spec("alternating:power:-0.5"),
+    ], ids=["constant:1", "power:-0.5", "explicit", "alternating:power:-0.5"])
+    def test_a_longer_horizon_repeats_every_entry_a_shorter_one_reads(self, build):
+        # a batch computes its statistics once, at its largest horizon; each
+        # horizon-n record reads s and s_star through 4n and b through n
+        N = 40
+        whole = compute_stats(build(), N)
+        halves = even_odd_stats(build(), N)
+        for n in range(1, N + 1):
+            for long, short in zip((whole, *halves),
+                                   (compute_stats(build(), n), *even_odd_stats(build(), n))):
+                assert long.s[: 4 * n + 1].tobytes() == short.s.tobytes()
+                assert long.s_star[: 4 * n + 1].tobytes() == short.s_star.tobytes()
+                assert long.b[: n + 1].tobytes() == short.b.tobytes()
+
     def test_all_zero_weights_are_allowed(self):
         stats = compute_stats(WeightSequence.constant(0.0), 6)
         assert np.all(stats.b[1:] == 0.0)
